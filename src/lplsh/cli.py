@@ -119,22 +119,6 @@ def _echo(effective: dict, extra: dict | None = None) -> None:
         print(line)
 
 
-def _scheme_from_options(opts: _Options, seed_for_pilot: bool = False):
-    p = opts.get("p", float, required=True)
-    c = opts.get("c", float, required=True)
-    r = opts.get("r", float, 1.0)
-    profile = opts.get("profile", str, "main")
-    knobs = Knobs(
-        kappa_w=opts.get("kappa_w", float, 1.0),
-        kappa_t=opts.get("kappa_t", float, 1.0),
-        kappa_eps=opts.get("kappa_eps", float, 1.0),
-    )
-    overrides = opts.overrides()
-    u_max = opts.get("u_max", int, 1_000_000)
-    threshold_samples = opts.get("threshold_samples", int, _CLI_THRESHOLD_SAMPLES)
-    return p, c, r, profile, knobs, overrides, u_max, threshold_samples
-
-
 # -- gen -------------------------------------------------------------------
 
 
@@ -192,12 +176,22 @@ def _auto_k_l(scheme, d: int, n: int, safety: float, pilot_trials: int, seed: in
     return shape, near, far
 
 
-def cmd_build(ns: argparse.Namespace) -> int:
-    opts = _Options(ns)
+def _prepare_build(opts: _Options, cache: ThresholdCache | None):
+    """Dataset, scheme, index params and the auto-sizing pilot's estimates (empty for set k, L)."""
     data_path = opts.get("data", str, required=True)
-    out = opts.get("out", str, required=True)
     seed = opts.get("seed", int, required=True)
-    p, c, r, profile, knobs, overrides, u_max, threshold_samples = _scheme_from_options(opts)
+    p = opts.get("p", float, required=True)
+    c = opts.get("c", float, required=True)
+    r = opts.get("r", float, 1.0)
+    profile = opts.get("profile", str, "main")
+    knobs = Knobs(
+        kappa_w=opts.get("kappa_w", float, 1.0),
+        kappa_t=opts.get("kappa_t", float, 1.0),
+        kappa_eps=opts.get("kappa_eps", float, 1.0),
+    )
+    overrides = opts.overrides()
+    u_max = opts.get("u_max", int, 1_000_000)
+    threshold_samples = opts.get("threshold_samples", int, _CLI_THRESHOLD_SAMPLES)
     max_candidates = opts.get("max_candidates", int)
     safety = opts.get("safety", float, 3.0)
     pilot_trials = opts.get("pilot_trials", int, 4000)
@@ -206,37 +200,33 @@ def cmd_build(ns: argparse.Namespace) -> int:
     if points.size == 0:
         raise ContractViolation(f"dataset {data_path} is empty")
     n, d = points.shape
-    _ensure_parent(out)
-    cache_dir = os.path.dirname(os.path.abspath(out))
-    cache = ThresholdCache(os.path.join(cache_dir, "thresholds.jsonl"))
     scheme = derive_params(
-        c,
-        p,
-        profile=profile,
-        knobs=knobs,
-        overrides=overrides,
-        r=r,
-        u_max=u_max,
-        threshold_samples=threshold_samples,
-        cache=cache,
+        c, p, profile=profile, knobs=knobs, overrides=overrides, r=r, u_max=u_max,
+        threshold_samples=threshold_samples, cache=cache,
     )
-
     k = opts.get("k", int)
     l = opts.get("l", int)
-    extra: dict[str, object] = {}
+    auto: dict[str, object] = {}
     if k is None or l is None:
         shape, near, far = _auto_k_l(scheme, d, n, safety, pilot_trials, seed)
         k = k if k is not None else shape.k
         l = l if l is not None else shape.l
-        extra.update(
-            {
-                "auto_p1_hat": near.p_hat,
-                "auto_p2_hat": far.p_hat,
-                "auto_rho_hat": shape.rho_hat,
-                "auto_degraded": int(shape.degraded),
-            }
-        )
-    params = IndexParams(k=k, l=l, seed=seed, max_candidates=max_candidates)
+        auto = {
+            "auto_p1_hat": near.p_hat,
+            "auto_p2_hat": far.p_hat,
+            "auto_rho_hat": shape.rho_hat,
+            "auto_degraded": int(shape.degraded),
+        }
+    return points, scheme, IndexParams(k=k, l=l, seed=seed, max_candidates=max_candidates), auto
+
+
+def cmd_build(ns: argparse.Namespace) -> int:
+    opts = _Options(ns)
+    out = opts.get("out", str, required=True)
+    _ensure_parent(out)
+    cache = ThresholdCache(os.path.join(os.path.dirname(os.path.abspath(out)), "thresholds.jsonl"))
+    points, scheme, params, extra = _prepare_build(opts, cache)
+    n, d = points.shape
 
     start = time.perf_counter()
     index = build(points, scheme, params)
@@ -248,9 +238,9 @@ def cmd_build(ns: argparse.Namespace) -> int:
         {
             "n": n,
             "d": d,
-            "k": k,
-            "l": l,
-            "seed": seed,
+            "k": params.k,
+            "l": params.l,
+            "seed": params.seed,
             "out": out,
             "avg_probes": index.avg_probes,
             "fallback_rate": index.fallback_rate,
@@ -338,48 +328,29 @@ def cmd_query(ns: argparse.Namespace) -> int:
 
 def cmd_bench(ns: argparse.Namespace) -> int:
     opts = _Options(ns)
-    data_path = opts.get("data", str, required=True)
     queries_path = opts.get("queries", str, required=True)
     truth_path = opts.get("truth", str)
     out = opts.get("out", str, required=True)
-    seed = opts.get("seed", int, required=True)
-    p, c, r, profile, knobs, overrides, u_max, threshold_samples = _scheme_from_options(opts)
-    max_candidates = opts.get("max_candidates", int)
-    safety = opts.get("safety", float, 3.0)
-    pilot_trials = opts.get("pilot_trials", int, 4000)
-
-    points = read_vectors(data_path)
-    if points.size == 0:
-        raise ContractViolation(f"dataset {data_path} is empty")
+    points, scheme, params, _ = _prepare_build(opts, None)
+    data_path = opts.effective["data"]
     n, d = points.shape
-    scheme = derive_params(
-        c, p, profile=profile, knobs=knobs, overrides=overrides, r=r, u_max=u_max,
-        threshold_samples=threshold_samples,
-    )
-    k = opts.get("k", int)
-    l = opts.get("l", int)
-    if k is None or l is None:
-        shape, _, _ = _auto_k_l(scheme, d, n, safety, pilot_trials, seed)
-        k = k if k is not None else shape.k
-        l = l if l is not None else shape.l
-    params = IndexParams(k=k, l=l, seed=seed, max_candidates=max_candidates)
 
     t0 = time.perf_counter()
     index = build(points, scheme, params)
     build_s = time.perf_counter() - t0
     queries = read_vectors(queries_path)
     t0 = time.perf_counter()
-    results = _run_queries(index, queries, max_candidates)
+    results = _run_queries(index, queries, params.max_candidates)
     query_s = time.perf_counter() - t0
     truth = read_truth_csv(truth_path) if truth_path else None
 
     comments = tuple(
-        [f"lplsh {TOOL_VERSION}", f"data={data_path}", f"queries={queries_path}", f"k={k}", f"l={l}"]
+        [f"lplsh {TOOL_VERSION}", f"data={data_path}", f"queries={queries_path}", f"k={params.k}", f"l={params.l}"]
         + config_lines(dict(index.scheme.config_items()))
     )
     _write_results(out, results, comments)
     summary = _summarize(results, truth)
-    summary.update({"k": k, "l": l, "n": n, "d": d})
+    summary.update({"k": params.k, "l": params.l, "n": n, "d": d})
     _echo(opts.effective, summary)
     per_query_ms = 1000.0 * query_s / max(1, len(results))
     print(

@@ -26,7 +26,7 @@ from .geometry import (
     random_lp_direction,
     sample_in_ball,
 )
-from .lattice import SHIFT_CHUNK, LatticeParams, _inside
+from .lattice import LatticeParams, first_cover
 from .scheme import PROFILE_REMARK, Knobs, SchemeParams, derive_params, sample_hash
 from .stable import StableParams, sample_stable
 from .util import binomial_se, wilson_interval
@@ -53,7 +53,7 @@ RHO_CSV_COLUMNS = (
     "fallback_rate",
 )
 
-_ELEM_BUDGET = 4_000_000  # target element count for shift blocks
+_ELEM_BUDGET = 4_000_000  # cap on the elements of one block of per-trial shifts
 
 # Settings used by the sensitivity and rho experiments, picked by a grid
 # sweep over (t, spacing, kappa_w) at p = 1.5 (scripts/tune_rho.py). The
@@ -144,41 +144,17 @@ def _lattice_stage(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Hash projected pairs, one fresh shifted-lattice set per trial.
 
-    Scans lattices in index order with growing chunk sizes, drawing each
-    trial's shifts only while that trial still needs them; x and y of one
-    trial always see the same shifts. Returns (u_x, a_x, u_y, a_y) with
-    u = 0 for fallback.
+    Each trial's shifts are drawn only while that trial still needs them;
+    x and y of one trial always see the same shifts. Returns
+    (u_x, a_x, u_y, a_y) with u = 0 for fallback.
     """
-    b, t = xp.shape
-    w, spacing, total = params.w, params.spacing, params.num_shifts
-    ux = np.zeros(b, dtype=np.int64)
-    uy = np.zeros(b, dtype=np.int64)
-    ax = np.zeros((b, t), dtype=np.int64)
-    ay = np.zeros((b, t), dtype=np.int64)
-    lo = 0
-    chunk = 128
-    while lo < total:
-        active = np.flatnonzero((ux == 0) | (uy == 0))
-        if active.size == 0:
-            break
-        cb = min(chunk, total - lo, max(16, _ELEM_BUDGET // max(active.size * t, 1)))
-        shifts = rng.uniform(0.0, spacing, size=(active.size, cb, t))
-        for u_arr, a_arr, pts in ((ux, ax, xp), (uy, ay, yp)):
-            todo = u_arr[active] == 0
-            if not todo.any():
-                continue
-            rows = active[todo]
-            rel = pts[rows, None, :] - shifts[todo]
-            aa = np.rint(rel / spacing)
-            hit = _inside(rel - spacing * aa, p, w)
-            found = hit.any(axis=1)
-            if found.any():
-                first = hit.argmax(axis=1)
-                hit_rows = rows[found]
-                u_arr[hit_rows] = lo + first[found] + 1
-                a_arr[hit_rows] = aa[found, first[found]].astype(np.int64)
-        lo += cb
-        chunk = min(chunk * 4, SHIFT_CHUNK)
+    t = xp.shape[1]
+
+    def draw(lo: int, b: int, rows: np.ndarray) -> np.ndarray:
+        b = min(b, max(16, _ELEM_BUDGET // (rows.size * t)))
+        return rng.uniform(0.0, params.spacing, size=(rows.size, b, t))
+
+    (ux, ax), (uy, ay) = first_cover((xp, yp), draw, params, p, 128)
     return ux, ax, uy, ay
 
 

@@ -124,9 +124,11 @@ def write_vectors(path: str, arr: np.ndarray, comments: tuple[str, ...] = ()) ->
 
 
 def read_vectors(path: str) -> np.ndarray:
-    if path.endswith(".csv"):
-        return read_vectors_csv(path)
-    return read_fvecs(path)
+    """Vectors from .csv or fvecs; a NaN or infinite entry is a contract violation."""
+    mat = read_vectors_csv(path) if path.endswith(".csv") else read_fvecs(path)
+    if not np.isfinite(mat).all():
+        raise ContractViolation(f"{path}: vectors must be finite (no NaN or infinity)")
+    return mat
 
 
 # -- ground truth and metadata -------------------------------------------

@@ -61,7 +61,8 @@ def lp_norm(x: np.ndarray, space: LpSpace) -> float | np.ndarray:
     scale = np.where(m > 0.0, m, 1.0)
     total = np.power(mags / scale[..., None], space.p).sum(axis=-1)
     out = scale * np.power(total, 1.0 / space.p)
-    out = np.where(m > 0.0, out, 0.0)
+    # only the zero vector maps to 0; a NaN entry makes m NaN and stays NaN
+    out = np.where(m == 0.0, 0.0, out)
     return float(out) if out.ndim == 0 else out
 
 

@@ -24,6 +24,7 @@ import numpy as np
 from .geometry import ContractViolation, LpSpace, lp_norm
 from .lattice import LatticeParams, hash_batch
 from .scheme import (
+    _OVERRIDE_FIELDS,
     PROFILE_MAIN,
     PROFILE_REMARK,
     HashFunction,
@@ -113,8 +114,10 @@ class IndexParams:
             raise ContractViolation(f"k must be >= 1, got {self.k}")
         if self.l < 1:
             raise ContractViolation(f"l must be >= 1, got {self.l}")
-        if self.max_candidates is not None and self.max_candidates < 1:
-            raise ContractViolation("max_candidates must be >= 1 when set")
+        if not (0 <= self.seed < 2**64):
+            raise ContractViolation(f"seed must lie in [0, 2**64), got {self.seed}")
+        if self.max_candidates is not None and not (1 <= self.max_candidates < 2**32):
+            raise ContractViolation(f"max_candidates must lie in [1, 2**32) when set, got {self.max_candidates}")
 
     @property
     def candidate_budget(self) -> int:
@@ -131,6 +134,20 @@ class QueryResult:
 
 def _function_seed(root_seed: int, table: int, slot: int) -> int:
     return int(derive_rng(root_seed, 11, table, slot).integers(0, 2**63 - 1))
+
+
+def _table_functions(scheme: SchemeParams, d: int, params: IndexParams, ell: int) -> list[HashFunction]:
+    """The k hash functions of table ell, regenerated from the root seed."""
+    return [sample_hash(scheme, d, _function_seed(params.seed, ell, j)) for j in range(params.k)]
+
+
+def _key_matrix(funcs: list[HashFunction], unit: np.ndarray, space_t: LpSpace) -> np.ndarray:
+    """Bucket keys of unit-frame rows: per function, the lattice index u then the t cell coordinates."""
+    parts = []
+    for h in funcs:
+        u, coords, _ = hash_batch(h.project(unit), h.lattices, space_t)
+        parts += [u[:, None], coords]
+    return np.hstack(parts)
 
 
 class LshIndex:
@@ -170,26 +187,14 @@ class LshIndex:
 
     def functions(self) -> list[list[HashFunction]]:
         if self._functions is None:
-            self._functions = [
-                [sample_hash(self.scheme, self.d, _function_seed(self.params.seed, ell, j)) for j in range(self.params.k)]
-                for ell in range(self.params.l)
-            ]
+            self._functions = [_table_functions(self.scheme, self.d, self.params, ell) for ell in range(self.params.l)]
         return self._functions
 
     def _query_keys(self, queries: np.ndarray) -> list[np.ndarray]:
         """Per-table fingerprints for a batch of queries."""
         unit = scale_to_unit(queries, self.scheme.r)
-        t = self.scheme.t
         space_t = self.scheme.space()
-        out = []
-        for funcs in self.functions():
-            key_mat = np.empty((queries.shape[0], self.params.k * (1 + t)), dtype=np.int64)
-            for j, h in enumerate(funcs):
-                u, coords, _ = hash_batch(h.project(unit), h.lattices, space_t)
-                key_mat[:, j * (1 + t)] = u
-                key_mat[:, j * (1 + t) + 1 : (j + 1) * (1 + t)] = coords
-            out.append(fingerprint_rows(key_mat))
-        return out
+        return [fingerprint_rows(_key_matrix(funcs, unit, space_t)) for funcs in self.functions()]
 
     def query(self, q: np.ndarray, max_candidates: int | None = None) -> QueryResult:
         return self.query_batch(np.asarray(q, dtype=np.float64)[None, :], max_candidates)[0]
@@ -203,6 +208,8 @@ class LshIndex:
         qs = np.asarray(queries, dtype=np.float64)
         if qs.ndim != 2 or qs.shape[1] != self.d:
             raise ContractViolation(f"queries must have shape (m, {self.d})")
+        if not np.isfinite(qs).all():
+            raise ContractViolation("queries must be finite (no NaN or infinity)")
         budget = max_candidates if max_candidates is not None else self.params.candidate_budget
         table_fps = self._query_keys(qs)
         space = self.space()
@@ -258,6 +265,8 @@ def build(
     n, d = pts.shape
     if d < 1:
         raise ContractViolation("points must have at least one column")
+    if not np.isfinite(pts).all():
+        raise ContractViolation("points must be finite (no NaN or infinity)")
     if ids is None:
         ids_arr = np.arange(n, dtype=np.int64)
     else:
@@ -267,21 +276,17 @@ def build(
         if np.unique(ids_arr).size != n:
             raise ContractViolation("ids must be unique")
     unit = scale_to_unit(pts, scheme.r)
-    t = scheme.t
     space_t = scheme.space()
     tables: list[Buckets] = []
     probe_total = 0
     fallback_total = 0
     collisions = 0
     for ell in range(params.l):
-        key_mat = np.empty((n, params.k * (1 + t)), dtype=np.int64)
-        for j in range(params.k):
-            h = sample_hash(scheme, d, _function_seed(params.seed, ell, j))
-            u, coords, probes = hash_batch(h.project(unit), h.lattices, space_t)
-            key_mat[:, j * (1 + t)] = u
-            key_mat[:, j * (1 + t) + 1 : (j + 1) * (1 + t)] = coords
-            probe_total += int(probes.sum())
-            fallback_total += int((u == 0).sum())
+        key_mat = _key_matrix(_table_functions(scheme, d, params, ell), unit, space_t)
+        # a hit at lattice u took u probes; a fallback (u = 0) took all U
+        u = key_mat[:, :: 1 + space_t.dim]
+        probe_total += int(np.where(u > 0, u, scheme.lattice.num_shifts).sum())
+        fallback_total += int((u == 0).sum())
         fps = fingerprint_rows(key_mat)
         # stable sort keeps equal-fingerprint rows in original order, so
         # positions come out ascending within each bucket
@@ -333,6 +338,13 @@ _PROFILE_CODE = {PROFILE_MAIN: 0, PROFILE_REMARK: 1}
 _PROFILE_NAME = {v: k for k, v in _PROFILE_CODE.items()}
 
 
+def _u4_bytes(values: np.ndarray, what: str) -> bytes:
+    """Little-endian u4 payload; a value outside [0, 2**32) is refused, not truncated."""
+    if values.size and (int(values.min()) < 0 or int(values.max()) >= 2**32):
+        raise ContractViolation(f"{what} do not fit the index file's u4 field")
+    return values.astype("<u4").tobytes()
+
+
 def save_index(index: LshIndex, path: str) -> None:
     """Serialize to the LPLSH container (little-endian, CRC-64 trailer).
 
@@ -343,35 +355,38 @@ def save_index(index: LshIndex, path: str) -> None:
     params = index.params
     buf = bytearray()
     buf += MAGIC
-    buf += struct.pack("<H", FORMAT_VERSION)
-    buf += struct.pack("<3d", scheme.p, scheme.c, scheme.r)
-    buf += struct.pack("<IQII", index.d, index.n, params.k, params.l)
-    buf += struct.pack("<Q", params.seed)
-    buf += struct.pack("<I", params.max_candidates or 0)
-    buf += struct.pack(
-        "<dIdddQBB",
-        scheme.w,
-        scheme.t,
-        scheme.epsilon,
-        scheme.lattice.delta,
-        scheme.delta_fail,
-        scheme.lattice.num_shifts,
-        int(scheme.lattice.saturated),
-        _PROFILE_CODE[scheme.profile],
-    )
-    buf += struct.pack("<3d", scheme.knobs.kappa_w, scheme.knobs.kappa_t, scheme.knobs.kappa_eps)
-    buf += struct.pack("<dQQ", scheme.threshold.value, scheme.threshold.sample_count, scheme.threshold.seed)
-    buf += struct.pack("<H", len(scheme.overrides))
-    for name, value in scheme.overrides:
-        raw = name.encode("ascii")
-        buf += struct.pack("<B", len(raw)) + raw + struct.pack("<d", value)
+    try:
+        buf += struct.pack("<H", FORMAT_VERSION)
+        buf += struct.pack("<3d", scheme.p, scheme.c, scheme.r)
+        buf += struct.pack("<IQII", index.d, index.n, params.k, params.l)
+        buf += struct.pack("<Q", params.seed)
+        buf += struct.pack("<I", params.max_candidates or 0)
+        buf += struct.pack(
+            "<dIdddQBB",
+            scheme.w,
+            scheme.t,
+            scheme.epsilon,
+            scheme.lattice.delta,
+            scheme.delta_fail,
+            scheme.lattice.num_shifts,
+            int(scheme.lattice.saturated),
+            _PROFILE_CODE[scheme.profile],
+        )
+        buf += struct.pack("<3d", scheme.knobs.kappa_w, scheme.knobs.kappa_t, scheme.knobs.kappa_eps)
+        buf += struct.pack("<dQQ", scheme.threshold.value, scheme.threshold.sample_count, scheme.threshold.seed)
+        buf += struct.pack("<H", len(scheme.overrides))
+        for name, value in scheme.overrides:
+            raw = name.encode("ascii")
+            buf += struct.pack("<B", len(raw)) + raw + struct.pack("<d", value)
+    except struct.error as exc:
+        raise ContractViolation(f"index header does not fit the file format: {exc}") from None
     buf += index.ids.astype("<i8").tobytes()
     buf += np.ascontiguousarray(index.points, dtype="<f8").tobytes()
     for table in index.tables:
         buf += struct.pack("<QQ", table.fps.size, table.positions.size)
         buf += table.fps.astype("<u8").tobytes()
-        buf += np.diff(table.offsets).astype("<u4").tobytes()
-        buf += table.positions.astype("<u4").tobytes()
+        buf += _u4_bytes(np.diff(table.offsets), "bucket sizes")
+        buf += _u4_bytes(table.positions, "bucket positions")
     buf += struct.pack("<Q", crc64(buf))
     with open(path, "wb") as fh:
         fh.write(bytes(buf))
@@ -415,7 +430,10 @@ def load_index(path: str) -> LshIndex:
         (name_len,) = take("<B")
         if off + name_len > len(raw) - 8:
             raise FormatError("truncated override record")
-        name = raw[off : off + name_len].decode("ascii")
+        # a non-ASCII byte decodes to U+FFFD, which is no override name
+        name = raw[off : off + name_len].decode("ascii", errors="replace")
+        if name not in _OVERRIDE_FIELDS:
+            raise FormatError(f"unknown override name {name!r}")
         off += name_len
         (value,) = take("<d")
         overrides.append((name, value))
@@ -441,30 +459,38 @@ def load_index(path: str) -> LshIndex:
         if n_buckets > 1 and not (fps[1:] > fps[:-1]).all():
             raise FormatError("bucket fingerprints not strictly increasing")
         positions = take_array("<u4", total).astype(np.int64)
+        if total and int(positions.max()) >= n:
+            raise FormatError("bucket position beyond the stored points")
         offsets = np.concatenate(([0], np.cumsum(counts.astype(np.int64))))
         tables.append(Buckets(fps=fps, offsets=offsets, positions=positions))
     if off != len(raw) - 8:
         raise FormatError("trailing bytes after payload")
 
+    if profile_code not in _PROFILE_NAME:
+        raise FormatError(f"unknown profile code {profile_code}")
     threshold = Threshold(value=t_value, t=int(t), epsilon=eps, p=p, sample_count=int(t_samples), seed=int(t_seed))
-    lattice = LatticeParams(
-        w=w, t=int(t), num_shifts=int(num_shifts), delta=delta, delta_fail=delta_fail, saturated=bool(saturated)
-    )
-    scheme = SchemeParams(
-        c=c,
-        p=p,
-        r=r,
-        w=w,
-        t=int(t),
-        epsilon=eps,
-        delta_fail=delta_fail,
-        threshold=threshold,
-        lattice=lattice,
-        profile=_PROFILE_NAME.get(int(profile_code), PROFILE_MAIN),
-        knobs=Knobs(kappa_w=kappa_w, kappa_t=kappa_t, kappa_eps=kappa_eps),
-        overrides=tuple(overrides),
-    )
-    params = IndexParams(k=int(k), l=int(l), seed=int(root_seed), max_candidates=int(max_candidates) or None)
+    # checksum-valid bytes must still pass the checks derived parameters pass
+    try:
+        lattice = LatticeParams(
+            w=w, t=int(t), num_shifts=int(num_shifts), delta=delta, delta_fail=delta_fail, saturated=bool(saturated)
+        )
+        scheme = SchemeParams(
+            c=c,
+            p=p,
+            r=r,
+            w=w,
+            t=int(t),
+            epsilon=eps,
+            delta_fail=delta_fail,
+            threshold=threshold,
+            lattice=lattice,
+            profile=_PROFILE_NAME[profile_code],
+            knobs=Knobs(kappa_w=kappa_w, kappa_t=kappa_t, kappa_eps=kappa_eps),
+            overrides=tuple(overrides),
+        )
+        params = IndexParams(k=int(k), l=int(l), seed=int(root_seed), max_candidates=int(max_candidates) or None)
+    except ContractViolation as exc:
+        raise FormatError(f"invalid header value: {exc}") from None
     return LshIndex(scheme=scheme, params=params, points=points, ids=ids, tables=tables)
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -225,51 +225,73 @@ def hash_point(
     return value
 
 
+def first_cover(
+    point_sets: tuple[np.ndarray, ...],
+    draw: Callable[[int, int, np.ndarray], np.ndarray],
+    params: LatticeParams,
+    p: float,
+    block: int,
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Smallest covering lattice for every row of every (n, t) point set.
+
+    Row i of every set sees the same shifts, which draw(lo, b, rows) gives
+    for lattices lo, lo+1, ... (at most b) and the rows some set still
+    needs: one (b', t) block for all rows or one (len(rows), b', t) block.
+    Blocks start at `block` shifts and grow x4 up to SHIFT_CHUNK.
+    Returns (u, coords) per set; u = 0 and zero coords mean fallback.
+    """
+    n, t = point_sets[0].shape
+    spacing, total = params.spacing, params.num_shifts
+    out = [(np.zeros(n, dtype=np.int64), np.zeros((n, t), dtype=np.int64)) for _ in point_sets]
+    lo = 0
+    while lo < total:
+        pending = out[0][0] == 0
+        for u, _ in out[1:]:
+            pending |= u == 0
+        active = pending.nonzero()[0]
+        if not active.size:
+            break
+        shifts = draw(lo, min(block, total - lo), active)
+        # row blocks bound the (rows, b, t) temporaries for large n
+        for base in range(0, active.size, _ROW_BLOCK):
+            part = active[base : base + _ROW_BLOCK]
+            for pts, (u, coords) in zip(point_sets, out):
+                todo = u[part] == 0
+                rows = part[todo]
+                if not rows.size:
+                    continue
+                rel = pts[rows, None, :] - (shifts if shifts.ndim == 2 else shifts[base : base + _ROW_BLOCK][todo])
+                a = np.rint(rel / spacing)
+                hit = _inside(rel - spacing * a, p, params.w)
+                found = hit.any(axis=1)
+                hit_rows = rows[found]
+                if hit_rows.size:
+                    first = hit.argmax(axis=1)[found]
+                    u[hit_rows] = lo + first + 1
+                    coords[hit_rows] = a[found, first]
+        lo += shifts.shape[-2]
+        block = min(block * 4, SHIFT_CHUNK)
+    return out
+
+
 def hash_batch(
     points: np.ndarray,
     lattices: ShiftedLatticeSet,
     space: LpSpace,
-    chunk: int = SHIFT_CHUNK,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized smallest-covering-lattice search.
+    """Vectorized smallest-covering-lattice search over the seeded shifts.
 
     Returns (u, coords, probes): u is 0 for fallback rows, coords are the
     cell coordinates (zeros for fallback), probes counts lattices examined
-    per point. Lattices are scanned in index order in chunks, dropping rows
-    as they resolve, so the average probe count tracks the per-lattice
-    covering fraction rather than U.
+    per point, which is u on a hit and U on a fallback.
     """
     params = lattices.params
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[1] != params.t:
         raise ContractViolation(f"points must have shape (n, {params.t}), got {pts.shape}")
-    n = pts.shape[0]
-    u_out = np.zeros(n, dtype=np.int64)
-    coords_out = np.zeros((n, params.t), dtype=np.int64)
-    probes = np.zeros(n, dtype=np.int64)
-    unresolved = np.arange(n)
-    spacing = params.spacing
-    lo = 0
-    cb = min(16, chunk)  # grow chunk sizes so common early hits stay cheap
-    while lo < params.num_shifts and unresolved.size:
-        shifts = lattices.shift_block(lo, lo + cb)
-        b = shifts.shape[0]
-        for base in range(0, unresolved.size, _ROW_BLOCK):
-            rows = unresolved[base : base + _ROW_BLOCK]
-            rel = pts[rows, None, :] - shifts[None, :, :]
-            a = np.rint(rel / spacing)
-            hit = _inside(rel - spacing * a, space.p, params.w)
-            found = hit.any(axis=1)
-            first = hit.argmax(axis=1)
-            probes[rows] += np.where(found, first + 1, b)
-            if found.any():
-                hit_rows = rows[found]
-                u_out[hit_rows] = lo + first[found] + 1
-                coords_out[hit_rows] = a[found, first[found]].astype(np.int64)
-        unresolved = unresolved[u_out[unresolved] == 0]
-        lo += b
-        cb = min(cb * 4, chunk)
-    return u_out, coords_out, probes
+    # blocks start small so the common early hits stay cheap
+    [(u, coords)] = first_cover((pts,), lambda lo, b, rows: lattices.shift_block(lo, lo + b), params, space.p, 16)
+    return u, coords, np.where(u > 0, u, params.num_shifts)
 
 
 def covering_fraction(

@@ -168,6 +168,21 @@ class TestBuild:
         assert code == 1
         assert "empty" in capsys.readouterr().err
 
+    def test_candidate_budget_beyond_u4(self, instance, tmp_path, capsys):
+        code = main(["build", "--data", instance + ".fvecs", "--out", str(tmp_path / "x.lplsh"),
+                     "--seed", "1", "--k", "1", "--l", "1", "--max-candidates", "5000000000",
+                     *FAST_SCHEME])
+        assert code == 1
+        assert "max_candidates" in capsys.readouterr().err
+
+    def test_non_finite_data_rejected(self, tmp_path, capsys):
+        data = tmp_path / "nan.csv"
+        data.write_text("x0,x1\n0.0,1.0\nnan,2.0\n")
+        code = main(["build", "--data", str(data), "--out", str(tmp_path / "x.lplsh"),
+                     "--seed", "1", "--k", "1", "--l", "1", *FAST_SCHEME])
+        assert code == 1
+        assert "finite" in capsys.readouterr().err
+
     def test_bad_parameter(self, instance, tmp_path, capsys):
         code = main(["build", "--data", instance + ".fvecs",
                      "--out", str(tmp_path / "x.lplsh"), "--seed", "1",
@@ -245,6 +260,24 @@ class TestBench:
         assert echoed["queries"] == "6"
         assert "build" in captured.err and "query" in captured.err
         assert len(open(out).read()) > 0
+
+    def test_same_rows_as_build_then_query(self, instance, tmp_path):
+        # auto (k, L) so the pilot and the scheme derivation are shared too
+        flags = ["--data", instance + ".fvecs", "--seed", "4", "--safety", "1",
+                 "--pilot-trials", "300", *FAST_SCHEME]
+        queries = ["--queries", instance + ".queries.fvecs"]
+        index = str(tmp_path / "idx.lplsh")
+        bench_out = str(tmp_path / "bench.csv")
+        query_out = str(tmp_path / "query.csv")
+        assert main(["bench", *flags, *queries, "--out", bench_out]) == 0
+        assert main(["build", *flags, "--out", index]) == 0
+        assert main(["query", "--index", index, *queries, "--out", query_out]) == 0
+
+        def rows(path):
+            return [line for line in open(path) if not line.startswith("#")]
+
+        assert rows(bench_out) == rows(query_out)
+        assert len(rows(bench_out)) == 7  # header and the six planted queries
 
 
 class TestRho:

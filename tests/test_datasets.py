@@ -123,6 +123,18 @@ class TestVectorsCsv:
         assert np.array_equal(read_vectors(str(bin_path)), arr)
 
 
+class TestNonFiniteVectors:
+    @pytest.mark.parametrize("suffix", [".csv", ".fvecs"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejected_on_read(self, tmp_path, suffix, bad):
+        arr = np.ones((3, 2))
+        arr[1, 0] = bad
+        path = str(tmp_path / ("vecs" + suffix))
+        write_vectors(path, arr)
+        with pytest.raises(ContractViolation, match="finite"):
+            read_vectors(path)
+
+
 class TestTruthCsv:
     def test_roundtrip(self, tmp_path):
         path = tmp_path / "truth.csv"

@@ -1,0 +1,151 @@
+"""Differential tests: the shared lattice-scan kernel against the two loops it replaced.
+
+The reference functions below are the scans `lattice.hash_batch` (seeded
+shifts, one point set) and `collisions._lattice_stage` (fresh shifts per
+trial, x and y sharing them) as they were written before both became
+callers of `lattice.first_cover`. The kernel must return the same arrays
+and, for the lab, draw the same random numbers in the same order.
+"""
+
+import numpy as np
+import pytest
+
+from lplsh import LatticeParams, LpSpace, make_lattices
+from lplsh.collisions import _ELEM_BUDGET, _lattice_stage
+from lplsh.lattice import _ROW_BLOCK, SHIFT_CHUNK, _inside, hash_batch
+from lplsh.util import derive_rng
+
+
+def reference_hash_batch(points, lattices, space, chunk=SHIFT_CHUNK):
+    params = lattices.params
+    pts = np.asarray(points, dtype=np.float64)
+    n = pts.shape[0]
+    u_out = np.zeros(n, dtype=np.int64)
+    coords_out = np.zeros((n, params.t), dtype=np.int64)
+    probes = np.zeros(n, dtype=np.int64)
+    unresolved = np.arange(n)
+    spacing = params.spacing
+    lo = 0
+    cb = min(16, chunk)
+    while lo < params.num_shifts and unresolved.size:
+        shifts = lattices.shift_block(lo, lo + cb)
+        b = shifts.shape[0]
+        for base in range(0, unresolved.size, _ROW_BLOCK):
+            rows = unresolved[base : base + _ROW_BLOCK]
+            rel = pts[rows, None, :] - shifts[None, :, :]
+            a = np.rint(rel / spacing)
+            hit = _inside(rel - spacing * a, space.p, params.w)
+            found = hit.any(axis=1)
+            first = hit.argmax(axis=1)
+            probes[rows] += np.where(found, first + 1, b)
+            if found.any():
+                hit_rows = rows[found]
+                u_out[hit_rows] = lo + first[found] + 1
+                coords_out[hit_rows] = a[found, first[found]].astype(np.int64)
+        unresolved = unresolved[u_out[unresolved] == 0]
+        lo += b
+        cb = min(cb * 4, chunk)
+    return u_out, coords_out, probes
+
+
+def reference_lattice_stage(xp, yp, params, p, rng):
+    b, t = xp.shape
+    w, spacing, total = params.w, params.spacing, params.num_shifts
+    ux = np.zeros(b, dtype=np.int64)
+    uy = np.zeros(b, dtype=np.int64)
+    ax = np.zeros((b, t), dtype=np.int64)
+    ay = np.zeros((b, t), dtype=np.int64)
+    lo = 0
+    chunk = 128
+    while lo < total:
+        active = np.flatnonzero((ux == 0) | (uy == 0))
+        if active.size == 0:
+            break
+        cb = min(chunk, total - lo, max(16, _ELEM_BUDGET // max(active.size * t, 1)))
+        shifts = rng.uniform(0.0, spacing, size=(active.size, cb, t))
+        for u_arr, a_arr, pts in ((ux, ax, xp), (uy, ay, yp)):
+            todo = u_arr[active] == 0
+            if not todo.any():
+                continue
+            rows = active[todo]
+            rel = pts[rows, None, :] - shifts[todo]
+            aa = np.rint(rel / spacing)
+            hit = _inside(rel - spacing * aa, p, w)
+            found = hit.any(axis=1)
+            if found.any():
+                first = hit.argmax(axis=1)
+                hit_rows = rows[found]
+                u_arr[hit_rows] = lo + first[found] + 1
+                a_arr[hit_rows] = aa[found, first[found]].astype(np.int64)
+        lo += cb
+        chunk = min(chunk * 4, SHIFT_CHUNK)
+    return ux, ax, uy, ay
+
+
+# (case, lattice params, rows): tiny U leaves fallback rows; delta=8 puts
+# the mean first hit past the first block; the last case has more rows
+# than one row block.
+INDEX_CASES = [
+    ("fallback", LatticeParams(w=1.0, t=3, num_shifts=3, delta=4.0), 800),
+    ("past-first-block", LatticeParams(w=1.0, t=3, num_shifts=2000, delta=8.0), 600),
+    ("many-rows", LatticeParams(w=1.0, t=2, num_shifts=400, delta=6.0), _ROW_BLOCK + 904),
+]
+
+
+@pytest.mark.parametrize("case,params,n", INDEX_CASES, ids=[c[0] for c in INDEX_CASES])
+def test_hash_batch_matches_reference(case, params, n):
+    lattices = make_lattices(params, seed=17)
+    space = LpSpace(1.5, params.t)
+    rng = derive_rng(0, 9301)
+    pts = rng.uniform(-3.0 * params.spacing, 3.0 * params.spacing, size=(n, params.t))
+    want = reference_hash_batch(pts, lattices, space)
+    got = hash_batch(pts, lattices, space)
+    for w_arr, g_arr in zip(want, got):
+        assert w_arr.dtype == g_arr.dtype and w_arr.shape == g_arr.shape
+        assert np.array_equal(w_arr, g_arr)
+    if case == "fallback":
+        assert (got[0] == 0).any() and (got[0] > 0).any()
+    if case == "past-first-block":
+        assert (got[0] > 16 + 64).any()
+
+
+LAB_CASES = [
+    ("fallback", LatticeParams(w=1.0, t=3, num_shifts=3, delta=4.0), 700),
+    ("past-first-block", LatticeParams(w=1.0, t=3, num_shifts=3000, delta=8.0), 900),
+    ("many-rows", LatticeParams(w=1.0, t=3, num_shifts=3000, delta=8.0), _ROW_BLOCK + 404),
+]
+
+
+@pytest.mark.parametrize("case,params,n", LAB_CASES, ids=[c[0] for c in LAB_CASES])
+def test_lattice_stage_matches_reference(case, params, n):
+    data = derive_rng(0, 9302)
+    xp = data.normal(size=(n, params.t))
+    yp = xp + data.normal(scale=0.5, size=(n, params.t))
+    rng_want = derive_rng(5, 9303)
+    rng_got = derive_rng(5, 9303)
+    want = reference_lattice_stage(xp, yp, params, 1.5, rng_want)
+    got = _lattice_stage(xp, yp, params, 1.5, rng_got)
+    for w_arr, g_arr in zip(want, got):
+        assert w_arr.dtype == g_arr.dtype and w_arr.shape == g_arr.shape
+        assert np.array_equal(w_arr, g_arr)
+    # the same random numbers were drawn, in the same block sizes
+    assert rng_got.bit_generator.state == rng_want.bit_generator.state
+    ux, _, uy, _ = got
+    if case == "fallback":
+        assert ((ux == 0) | (uy == 0)).any() and ((ux > 0) & (uy > 0)).any()
+    else:
+        # some trial's x resolves in the first block while its y scans on
+        assert ((ux > 0) & (ux <= 128) & ((uy > 128) | (uy == 0))).any()
+
+
+def test_lattice_stage_broadcast_pair_matches_reference():
+    # the projected-pair estimator passes one fixed pair broadcast to all trials
+    params = LatticeParams(w=1.0, t=3, num_shifts=500, delta=6.0)
+    xp = np.broadcast_to(np.array([0.3, -0.2, 0.1]), (300, 3))
+    yp = np.broadcast_to(np.array([0.9, 0.4, -0.5]), (300, 3))
+    rng_want = derive_rng(1, 9304)
+    rng_got = derive_rng(1, 9304)
+    want = reference_lattice_stage(xp, yp, params, 1.5, rng_want)
+    got = _lattice_stage(xp, yp, params, 1.5, rng_got)
+    assert all(np.array_equal(a, b) for a, b in zip(want, got))
+    assert rng_got.bit_generator.state == rng_want.bit_generator.state

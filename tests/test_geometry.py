@@ -56,6 +56,11 @@ class TestLpNorm:
         with pytest.raises(ContractViolation):
             lp_norm(np.ones(3), LpSpace(1.5, 2))
 
+    def test_nan_propagates(self):
+        assert np.isnan(lp_norm(np.array([np.nan, 1.0]), LpSpace(1.5, 2)))
+        out = lp_norm(np.array([[0.0, 0.0], [np.nan, 0.0], [3.0, 4.0]]), LpSpace(2.0, 2))
+        assert out[0] == 0.0 and np.isnan(out[1]) and out[2] == 5.0
+
     @given(x=vectors(5), y=vectors(5), p=P_VALUES)
     @settings(max_examples=150, deadline=None)
     def test_triangle_inequality(self, x, y, p):

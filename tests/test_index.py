@@ -161,6 +161,21 @@ class TestBuild:
             IndexParams(k=1, l=0, seed=0)
         with pytest.raises(ContractViolation):
             IndexParams(k=1, l=1, seed=0, max_candidates=0)
+        # the candidate budget is stored in a u4 field
+        with pytest.raises(ContractViolation):
+            IndexParams(k=1, l=1, seed=0, max_candidates=2**32)
+        assert IndexParams(k=1, l=1, seed=0, max_candidates=2**32 - 1).candidate_budget == 2**32 - 1
+        # the root seed is stored in a u8 field
+        for seed in (-1, 2**64):
+            with pytest.raises(ContractViolation, match="seed"):
+                IndexParams(k=1, l=1, seed=seed)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_points_rejected(self, scheme, bad):
+        pts = np.zeros((4, 2))
+        pts[3, 1] = bad
+        with pytest.raises(ContractViolation, match="finite"):
+            build(pts, scheme, IndexParams(k=1, l=1, seed=0))
 
     def test_deterministic(self, scheme):
         _, a = small_index(scheme, seed=3)
@@ -214,6 +229,14 @@ class TestQuery:
         _, index = small_index(scheme, d=6)
         with pytest.raises(ContractViolation):
             index.query(np.zeros(5))
+
+    @pytest.mark.parametrize("bad", [np.nan, -np.inf])
+    def test_non_finite_query_rejected(self, scheme, bad):
+        pts, index = small_index(scheme, d=6)
+        qs = pts[:2].copy()
+        qs[1, 3] = bad
+        with pytest.raises(ContractViolation, match="finite"):
+            index.query_batch(qs)
 
 
 class TestLinearScan:
@@ -305,6 +328,59 @@ class TestPersistence:
         loaded = load_index(str(path))
         assert loaded.n == 0
         assert loaded.query(np.zeros(3)).answer is None
+
+    def test_unfit_u4_count_refused(self, scheme, tmp_path):
+        _, index = small_index(scheme, n=10)
+        table = index.tables[0]
+        index.tables[0] = table._replace(positions=table.positions + 2**32)
+        with pytest.raises(ContractViolation, match="u4"):
+            save_index(index, str(tmp_path / "idx.lplsh"))
+
+    # Header byte offsets: the magic, then every fixed field before the
+    # profile code (after the saturated flag) and before w.
+    PROFILE_AT = len(b"LPLSH") + struct.calcsize("<H3dIQIIQIdIdddQB")
+    W_AT = len(b"LPLSH") + struct.calcsize("<H3dIQIIQI")
+
+    def _forge(self, scheme, tmp_path, patch):
+        """Save a small index, patch its bytes, re-seal the checksum."""
+        _, index = small_index(scheme, n=5)
+        path = tmp_path / "idx.lplsh"
+        save_index(index, str(path))
+        body = bytearray(path.read_bytes()[:-8])
+        patch(body)
+        path.write_bytes(bytes(body) + struct.pack("<Q", crc64(bytes(body))))
+        return str(path)
+
+    def test_unknown_profile_code_rejected(self, scheme, tmp_path):
+        def patch(body):
+            body[self.PROFILE_AT] = 7
+
+        with pytest.raises(FormatError, match="profile code 7"):
+            load_index(self._forge(scheme, tmp_path, patch))
+
+    @pytest.mark.parametrize("name", [b"dolta", b"d\xe9lta"])
+    def test_bad_override_name_rejected(self, scheme, tmp_path, name):
+        def patch(body):
+            at = body.index(b"\x05delta")
+            body[at + 1 : at + 6] = name
+
+        with pytest.raises(FormatError, match="override name"):
+            load_index(self._forge(scheme, tmp_path, patch))
+
+    def test_bucket_position_beyond_points_rejected(self, scheme, tmp_path):
+        def patch(body):
+            # the last u4 of the payload is the last table's last position
+            body[-4:] = struct.pack("<I", 999)
+
+        with pytest.raises(FormatError, match="position"):
+            load_index(self._forge(scheme, tmp_path, patch))
+
+    def test_invalid_header_value_is_format_error(self, scheme, tmp_path):
+        def patch(body):
+            body[self.W_AT : self.W_AT + 8] = struct.pack("<d", -1.0)
+
+        with pytest.raises(FormatError, match="w must be > 0"):
+            load_index(self._forge(scheme, tmp_path, patch))
 
     def test_file_size_accounting(self, scheme, tmp_path):
         _, index = small_index(scheme, n=37, d=4, l=3)
