@@ -176,6 +176,14 @@ def _auto_k_l(scheme, d: int, n: int, safety: float, pilot_trials: int, seed: in
     return shape, near, far
 
 
+def _knobs(opts: _Options) -> Knobs:
+    return Knobs(
+        kappa_w=opts.get("kappa_w", float, 1.0),
+        kappa_t=opts.get("kappa_t", float, 1.0),
+        kappa_eps=opts.get("kappa_eps", float, 1.0),
+    )
+
+
 def _prepare_build(opts: _Options, cache: ThresholdCache | None):
     """Dataset, scheme, index params and the auto-sizing pilot's estimates (empty for set k, L)."""
     data_path = opts.get("data", str, required=True)
@@ -184,11 +192,7 @@ def _prepare_build(opts: _Options, cache: ThresholdCache | None):
     c = opts.get("c", float, required=True)
     r = opts.get("r", float, 1.0)
     profile = opts.get("profile", str, "main")
-    knobs = Knobs(
-        kappa_w=opts.get("kappa_w", float, 1.0),
-        kappa_t=opts.get("kappa_t", float, 1.0),
-        kappa_eps=opts.get("kappa_eps", float, 1.0),
-    )
+    knobs = _knobs(opts)
     overrides = opts.overrides()
     u_max = opts.get("u_max", int, 1_000_000)
     threshold_samples = opts.get("threshold_samples", int, _CLI_THRESHOLD_SAMPLES)
@@ -281,16 +285,6 @@ def _write_results(path: str, results, comments: tuple[str, ...]) -> None:
             fh.write(row + "\n")
 
 
-def _run_queries(index: LshIndex, queries: np.ndarray, max_candidates: int | None):
-    if queries.size == 0:
-        return []
-    if queries.ndim != 2 or queries.shape[1] != index.d:
-        raise ContractViolation(
-            f"query dimension {queries.shape[1] if queries.ndim == 2 else '?'} does not match index d={index.d}"
-        )
-    return index.query_batch(queries, max_candidates)
-
-
 def _summarize(results, truth) -> dict:
     summary: dict[str, object] = {
         "queries": len(results),
@@ -304,55 +298,64 @@ def _summarize(results, truth) -> dict:
     return summary
 
 
+def _read_queries(opts: _Options):
+    """Query path, query vectors, and the truth file's contents (None without --truth)."""
+    queries_path = opts.get("queries", str, required=True)
+    truth_path = opts.get("truth", str)
+    queries = read_vectors(queries_path)
+    truth = read_truth_csv(truth_path) if truth_path else None
+    return queries_path, queries, truth
+
+
+def _check_query_dim(queries: np.ndarray, d: int) -> None:
+    if queries.size and (queries.ndim != 2 or queries.shape[1] != d):
+        raise ContractViolation(
+            f"query dimension {queries.shape[1] if queries.ndim == 2 else '?'} does not match index d={d}"
+        )
+
+
+def _answer_queries(index: LshIndex, queries, truth, max_candidates: int | None, out: str, head: list[str]):
+    """Run the queries, write the results CSV under `head` and the scheme's config; (summary, query seconds)."""
+    t0 = time.perf_counter()
+    results = index.query_batch(queries, max_candidates) if queries.size else []
+    query_s = time.perf_counter() - t0
+    comments = tuple([f"lplsh {TOOL_VERSION}", *head] + config_lines(dict(index.scheme.config_items())))
+    _write_results(out, results, comments)
+    return _summarize(results, truth), query_s
+
+
 def cmd_query(ns: argparse.Namespace) -> int:
     opts = _Options(ns)
     index_path = opts.get("index", str, required=True)
-    queries_path = opts.get("queries", str, required=True)
     out = opts.get("out", str, required=True)
-    truth_path = opts.get("truth", str)
     max_candidates = opts.get("max_candidates", int)
 
+    queries_path, queries, truth = _read_queries(opts)
     index = load_index(index_path)
-    queries = read_vectors(queries_path)
-    results = _run_queries(index, queries, max_candidates)
-    truth = read_truth_csv(truth_path) if truth_path else None
-    comments = tuple(
-        [f"lplsh {TOOL_VERSION}", f"index={index_path}", f"queries={queries_path}"]
-        + config_lines(dict(index.scheme.config_items()))
-    )
-    _write_results(out, results, comments)
-    summary = _summarize(results, truth)
+    _check_query_dim(queries, index.d)
+    head = [f"index={index_path}", f"queries={queries_path}"]
+    summary, _ = _answer_queries(index, queries, truth, max_candidates, out, head)
     _echo(opts.effective, summary)
     return 0
 
 
 def cmd_bench(ns: argparse.Namespace) -> int:
     opts = _Options(ns)
-    queries_path = opts.get("queries", str, required=True)
-    truth_path = opts.get("truth", str)
     out = opts.get("out", str, required=True)
+    # read every input before the build, so a bad query or truth file fails fast
+    queries_path, queries, truth = _read_queries(opts)
     points, scheme, params, _ = _prepare_build(opts, None)
-    data_path = opts.effective["data"]
     n, d = points.shape
+    _check_query_dim(queries, d)
 
     t0 = time.perf_counter()
     index = build(points, scheme, params)
     build_s = time.perf_counter() - t0
-    queries = read_vectors(queries_path)
-    t0 = time.perf_counter()
-    results = _run_queries(index, queries, params.max_candidates)
-    query_s = time.perf_counter() - t0
-    truth = read_truth_csv(truth_path) if truth_path else None
-
-    comments = tuple(
-        [f"lplsh {TOOL_VERSION}", f"data={data_path}", f"queries={queries_path}", f"k={params.k}", f"l={params.l}"]
-        + config_lines(dict(index.scheme.config_items()))
-    )
-    _write_results(out, results, comments)
-    summary = _summarize(results, truth)
+    head = [f"data={opts.effective['data']}", f"queries={queries_path}", f"k={params.k}", f"l={params.l}"]
+    summary, query_s = _answer_queries(index, queries, truth, params.max_candidates, out, head)
     summary.update({"k": params.k, "l": params.l, "n": n, "d": d})
     _echo(opts.effective, summary)
-    per_query_ms = 1000.0 * query_s / max(1, len(results))
+    per_query_ms = 1000.0 * query_s / max(1, summary["queries"])
     print(
         f"build {build_s:.2f}s  query {per_query_ms:.2f}ms/query  avg_probes {index.avg_probes:.1f}",
         file=sys.stderr,
@@ -374,11 +377,7 @@ def cmd_rho(ns: argparse.Namespace) -> int:
     profile = opts.get("profile", str, "remark")
     budget = opts.get("budget", int, 10_000_000)
     threshold_samples = opts.get("threshold_samples", int, _CLI_THRESHOLD_SAMPLES)
-    knobs = Knobs(
-        kappa_w=opts.get("kappa_w", float, 1.0),
-        kappa_t=opts.get("kappa_t", float, 1.0),
-        kappa_eps=opts.get("kappa_eps", float, 1.0),
-    )
+    knobs = _knobs(opts)
     overrides = opts.overrides()
     try:
         c_list = [float(v) for v in c_raw.replace(";", ",").split(",") if v]
@@ -422,10 +421,7 @@ def cmd_verify(ns: argparse.Namespace) -> int:
 # -- parser -----------------------------------------------------------------
 
 
-def _add_scheme_flags(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--p", type=float, help="norm exponent in (1, 2]")
-    sp.add_argument("--c", type=float, help="approximation factor > 1")
-    sp.add_argument("--r", type=float, help="near radius (default 1)")
+def _add_knob_flags(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--profile", choices=("main", "remark"), help="parameter profile")
     sp.add_argument("--kappa-w", dest="kappa_w", type=float, help="width knob")
     sp.add_argument("--kappa-t", dest="kappa_t", type=float, help="reduced-dimension knob")
@@ -434,11 +430,27 @@ def _add_scheme_flags(sp: argparse.ArgumentParser) -> None:
         "--override", action="append", metavar="KEY=VAL",
         help="pin a derived value (w, t, eps, delta, delta_fail, u, u_max, threshold); repeatable",
     )
-    sp.add_argument("--u-max", dest="u_max", type=int, help="cap on the number of lattice shifts")
     sp.add_argument(
         "--threshold-samples", dest="threshold_samples", type=int,
         help=f"Monte Carlo samples for the scaling threshold (default {_CLI_THRESHOLD_SAMPLES})",
     )
+
+
+def _add_build_flags(sp: argparse.ArgumentParser) -> None:
+    """The dataset, table-shape and scheme flags that build and bench share."""
+    sp.add_argument("--data", help="dataset path (.fvecs or .csv)")
+    sp.add_argument("--seed", type=int)
+    sp.add_argument("--k", type=int, help="hashes per table (omit with --l for auto sizing)")
+    sp.add_argument("--l", type=int, help="number of tables")
+    sp.add_argument("--safety", type=float, help="table-count multiplier for auto sizing (default 3)")
+    sp.add_argument("--pilot-trials", dest="pilot_trials", type=int, help="pilot collision trials for auto sizing")
+    sp.add_argument("--max-candidates", dest="max_candidates", type=int)
+    sp.add_argument("--p", type=float, help="norm exponent in (1, 2]")
+    sp.add_argument("--c", type=float, help="approximation factor > 1")
+    sp.add_argument("--r", type=float, help="near radius (default 1)")
+    _add_knob_flags(sp)
+    sp.add_argument("--u-max", dest="u_max", type=int, help="cap on the number of lattice shifts")
+    sp.add_argument("--config")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -463,16 +475,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_gen)
 
     sp = sub.add_parser("build", help="build and save an index")
-    sp.add_argument("--data", help="dataset path (.fvecs or .csv)")
     sp.add_argument("--out", help="index output path")
-    sp.add_argument("--seed", type=int)
-    sp.add_argument("--k", type=int, help="hashes per table (omit with --l for auto sizing)")
-    sp.add_argument("--l", type=int, help="number of tables")
-    sp.add_argument("--safety", type=float, help="table-count multiplier for auto sizing (default 3)")
-    sp.add_argument("--pilot-trials", dest="pilot_trials", type=int, help="pilot collision trials for auto sizing")
-    sp.add_argument("--max-candidates", dest="max_candidates", type=int)
-    _add_scheme_flags(sp)
-    sp.add_argument("--config")
+    _add_build_flags(sp)
     sp.set_defaults(func=cmd_build)
 
     sp = sub.add_parser("query", help="query a saved index")
@@ -485,18 +489,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_query)
 
     sp = sub.add_parser("bench", help="timed build + query run")
-    sp.add_argument("--data")
     sp.add_argument("--queries")
     sp.add_argument("--truth")
     sp.add_argument("--out")
-    sp.add_argument("--seed", type=int)
-    sp.add_argument("--k", type=int)
-    sp.add_argument("--l", type=int)
-    sp.add_argument("--safety", type=float)
-    sp.add_argument("--pilot-trials", dest="pilot_trials", type=int)
-    sp.add_argument("--max-candidates", dest="max_candidates", type=int)
-    _add_scheme_flags(sp)
-    sp.add_argument("--config")
+    _add_build_flags(sp)
     sp.set_defaults(func=cmd_bench)
 
     sp = sub.add_parser("rho", help="collision-probability sweep over c")
@@ -507,12 +503,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--seed", type=int)
     sp.add_argument("--out")
     sp.add_argument("--budget", type=int, help="max far-pair trials per c")
-    sp.add_argument("--profile", choices=("main", "remark"))
-    sp.add_argument("--kappa-w", dest="kappa_w", type=float)
-    sp.add_argument("--kappa-t", dest="kappa_t", type=float)
-    sp.add_argument("--kappa-eps", dest="kappa_eps", type=float)
-    sp.add_argument("--override", action="append", metavar="KEY=VAL")
-    sp.add_argument("--threshold-samples", dest="threshold_samples", type=int)
+    _add_knob_flags(sp)
     sp.add_argument("--config")
     sp.set_defaults(func=cmd_rho)
 

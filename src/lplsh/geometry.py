@@ -58,7 +58,8 @@ def lp_norm(x: np.ndarray, space: LpSpace) -> float | np.ndarray:
     arr = _check_last_dim(x, space)
     mags = np.abs(arr)
     m = mags.max(axis=-1)
-    scale = np.where(m > 0.0, m, 1.0)
+    # an infinite m is not a scale (inf / inf is NaN): left unscaled, the row's norm comes out inf
+    scale = np.where((m > 0.0) & (m < np.inf), m, 1.0)
     total = np.power(mags / scale[..., None], space.p).sum(axis=-1)
     out = scale * np.power(total, 1.0 / space.p)
     # only the zero vector maps to 0; a NaN entry makes m NaN and stays NaN

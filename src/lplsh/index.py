@@ -345,6 +345,16 @@ def _u4_bytes(values: np.ndarray, what: str) -> bytes:
     return values.astype("<u4").tobytes()
 
 
+# The fixed header after the magic, in order: format version; p, c, r; d, n,
+# k, l; root seed; max_candidates (0 for None); w, t, eps, delta,
+# delta_fail, U, saturated flag, profile code; kappa_w, kappa_t, kappa_eps;
+# threshold value, sample count and seed; the number of override records
+# that follow it (each a u1 name length, the ASCII name and an f8 value).
+_HEADER = struct.Struct("<H3dIQIIQIdIdddQBB3ddQQH")
+_TABLE_HEADER = struct.Struct("<QQ")  # per table: bucket count, entry total
+_TRAILER = struct.Struct("<Q")  # CRC-64 of every byte before it
+
+
 def save_index(index: LshIndex, path: str) -> None:
     """Serialize to the LPLSH container (little-endian, CRC-64 trailer).
 
@@ -353,105 +363,86 @@ def save_index(index: LshIndex, path: str) -> None:
     """
     scheme = index.scheme
     params = index.params
-    buf = bytearray()
-    buf += MAGIC
+    lattice, knobs, threshold = scheme.lattice, scheme.knobs, scheme.threshold
     try:
-        buf += struct.pack("<H", FORMAT_VERSION)
-        buf += struct.pack("<3d", scheme.p, scheme.c, scheme.r)
-        buf += struct.pack("<IQII", index.d, index.n, params.k, params.l)
-        buf += struct.pack("<Q", params.seed)
-        buf += struct.pack("<I", params.max_candidates or 0)
-        buf += struct.pack(
-            "<dIdddQBB",
-            scheme.w,
-            scheme.t,
-            scheme.epsilon,
-            scheme.lattice.delta,
-            scheme.delta_fail,
-            scheme.lattice.num_shifts,
-            int(scheme.lattice.saturated),
-            _PROFILE_CODE[scheme.profile],
-        )
-        buf += struct.pack("<3d", scheme.knobs.kappa_w, scheme.knobs.kappa_t, scheme.knobs.kappa_eps)
-        buf += struct.pack("<dQQ", scheme.threshold.value, scheme.threshold.sample_count, scheme.threshold.seed)
-        buf += struct.pack("<H", len(scheme.overrides))
+        parts = [
+            MAGIC,
+            _HEADER.pack(
+                FORMAT_VERSION, scheme.p, scheme.c, scheme.r, index.d, index.n, params.k, params.l, params.seed,
+                params.max_candidates or 0, scheme.w, scheme.t, scheme.epsilon, lattice.delta, scheme.delta_fail,
+                lattice.num_shifts, int(lattice.saturated), _PROFILE_CODE[scheme.profile],
+                knobs.kappa_w, knobs.kappa_t, knobs.kappa_eps, threshold.value, threshold.sample_count, threshold.seed,
+                len(scheme.overrides),
+            ),
+        ]
         for name, value in scheme.overrides:
             raw = name.encode("ascii")
-            buf += struct.pack("<B", len(raw)) + raw + struct.pack("<d", value)
+            parts.append(struct.pack("<B", len(raw)) + raw + struct.pack("<d", value))
     except struct.error as exc:
         raise ContractViolation(f"index header does not fit the file format: {exc}") from None
-    buf += index.ids.astype("<i8").tobytes()
-    buf += np.ascontiguousarray(index.points, dtype="<f8").tobytes()
+    parts += [index.ids.astype("<i8").tobytes(), np.ascontiguousarray(index.points, dtype="<f8").tobytes()]
     for table in index.tables:
-        buf += struct.pack("<QQ", table.fps.size, table.positions.size)
-        buf += table.fps.astype("<u8").tobytes()
-        buf += _u4_bytes(np.diff(table.offsets), "bucket sizes")
-        buf += _u4_bytes(table.positions, "bucket positions")
-    buf += struct.pack("<Q", crc64(buf))
+        parts += [
+            _TABLE_HEADER.pack(table.fps.size, table.positions.size),
+            table.fps.astype("<u8").tobytes(),
+            _u4_bytes(np.diff(table.offsets), "bucket sizes"),
+            _u4_bytes(table.positions, "bucket positions"),
+        ]
+    crc = 0
+    for part in parts:
+        crc = crc64(part, crc)
+    parts.append(_TRAILER.pack(crc))
     with open(path, "wb") as fh:
-        fh.write(bytes(buf))
+        fh.writelines(parts)
 
 
 def load_index(path: str) -> LshIndex:
     """Parse and verify an LPLSH container; any corruption is a FormatError."""
     with open(path, "rb") as fh:
         raw = fh.read()
-    if len(raw) < len(MAGIC) + 2 + 8:
+    if len(raw) < len(MAGIC) + 2 + _TRAILER.size:
         raise FormatError("file too short to be an index")
     if raw[: len(MAGIC)] != MAGIC:
         raise FormatError("bad magic; not an index file")
-    (stored_crc,) = struct.unpack_from("<Q", raw, len(raw) - 8)
-    if crc64(memoryview(raw)[:-8]) != stored_crc:
+    end = len(raw) - _TRAILER.size
+    (stored_crc,) = _TRAILER.unpack_from(raw, end)
+    if crc64(memoryview(raw)[:end]) != stored_crc:
         raise FormatError("checksum mismatch; refusing to load")
     off = len(MAGIC)
 
-    def take(fmt: str):
+    def claim(size: int, what: str) -> int:
+        """Offset of the next size bytes; running into the trailer is a truncated `what`."""
         nonlocal off
-        size = struct.calcsize(fmt)
-        if off + size > len(raw) - 8:
-            raise FormatError("truncated header")
-        vals = struct.unpack_from(fmt, raw, off)
+        if off + size > end:
+            raise FormatError(f"truncated {what}")
         off += size
-        return vals
-
-    (version,) = take("<H")
-    if version != FORMAT_VERSION:
-        raise FormatError(f"unsupported format version {version}")
-    p, c, r = take("<3d")
-    d, n, k, l = take("<IQII")
-    (root_seed,) = take("<Q")
-    (max_candidates,) = take("<I")
-    w, t, eps, delta, delta_fail, num_shifts, saturated, profile_code = take("<dIdddQBB")
-    kappa_w, kappa_t, kappa_eps = take("<3d")
-    t_value, t_samples, t_seed = take("<dQQ")
-    (n_overrides,) = take("<H")
-    overrides = []
-    for _ in range(n_overrides):
-        (name_len,) = take("<B")
-        if off + name_len > len(raw) - 8:
-            raise FormatError("truncated override record")
-        # a non-ASCII byte decodes to U+FFFD, which is no override name
-        name = raw[off : off + name_len].decode("ascii", errors="replace")
-        if name not in _OVERRIDE_FIELDS:
-            raise FormatError(f"unknown override name {name!r}")
-        off += name_len
-        (value,) = take("<d")
-        overrides.append((name, value))
+        return off - size
 
     def take_array(dtype: str, count: int) -> np.ndarray:
-        nonlocal off
-        size = np.dtype(dtype).itemsize * count
-        if off + size > len(raw) - 8:
-            raise FormatError("truncated payload")
-        arr = np.frombuffer(raw, dtype=dtype, count=count, offset=off)
-        off += size
-        return arr
+        offset = claim(np.dtype(dtype).itemsize * count, "payload")
+        return np.frombuffer(raw, dtype=dtype, count=count, offset=offset)
+
+    header = _HEADER.unpack_from(raw, claim(_HEADER.size, "header"))
+    (version, p, c, r, d, n, k, l, root_seed, max_candidates, w, t, eps, delta, delta_fail, num_shifts,
+     saturated, profile_code, kappa_w, kappa_t, kappa_eps, t_value, t_samples, t_seed, n_overrides) = header
+    if version != FORMAT_VERSION:
+        raise FormatError(f"unsupported format version {version}")
+    overrides = []
+    for _ in range(n_overrides):
+        name_len = raw[claim(1, "header")]
+        at = claim(name_len, "override record")
+        # a non-ASCII byte decodes to U+FFFD, which is no override name
+        name = raw[at : at + name_len].decode("ascii", errors="replace")
+        if name not in _OVERRIDE_FIELDS:
+            raise FormatError(f"unknown override name {name!r}")
+        (value,) = struct.unpack_from("<d", raw, claim(8, "header"))
+        overrides.append((name, value))
 
     ids = take_array("<i8", n).astype(np.int64)
     points = take_array("<f8", n * d).astype(np.float64).reshape(n, d)
     tables = []
     for _ in range(l):
-        n_buckets, total = take("<QQ")
+        n_buckets, total = _TABLE_HEADER.unpack_from(raw, claim(_TABLE_HEADER.size, "header"))
         fps = take_array("<u8", n_buckets).astype(np.uint64)
         counts = take_array("<u4", n_buckets)
         if int(counts.sum()) != total:
@@ -463,23 +454,23 @@ def load_index(path: str) -> LshIndex:
             raise FormatError("bucket position beyond the stored points")
         offsets = np.concatenate(([0], np.cumsum(counts.astype(np.int64))))
         tables.append(Buckets(fps=fps, offsets=offsets, positions=positions))
-    if off != len(raw) - 8:
+    if off != end:
         raise FormatError("trailing bytes after payload")
 
     if profile_code not in _PROFILE_NAME:
         raise FormatError(f"unknown profile code {profile_code}")
-    threshold = Threshold(value=t_value, t=int(t), epsilon=eps, p=p, sample_count=int(t_samples), seed=int(t_seed))
+    threshold = Threshold(value=t_value, t=t, epsilon=eps, p=p, sample_count=t_samples, seed=t_seed)
     # checksum-valid bytes must still pass the checks derived parameters pass
     try:
         lattice = LatticeParams(
-            w=w, t=int(t), num_shifts=int(num_shifts), delta=delta, delta_fail=delta_fail, saturated=bool(saturated)
+            w=w, t=t, num_shifts=num_shifts, delta=delta, delta_fail=delta_fail, saturated=bool(saturated)
         )
         scheme = SchemeParams(
             c=c,
             p=p,
             r=r,
             w=w,
-            t=int(t),
+            t=t,
             epsilon=eps,
             delta_fail=delta_fail,
             threshold=threshold,
@@ -488,7 +479,7 @@ def load_index(path: str) -> LshIndex:
             knobs=Knobs(kappa_w=kappa_w, kappa_t=kappa_t, kappa_eps=kappa_eps),
             overrides=tuple(overrides),
         )
-        params = IndexParams(k=int(k), l=int(l), seed=int(root_seed), max_candidates=int(max_candidates) or None)
+        params = IndexParams(k=k, l=l, seed=root_seed, max_candidates=max_candidates or None)
     except ContractViolation as exc:
         raise FormatError(f"invalid header value: {exc}") from None
     return LshIndex(scheme=scheme, params=params, points=points, ids=ids, tables=tables)

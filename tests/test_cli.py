@@ -279,6 +279,28 @@ class TestBench:
         assert rows(bench_out) == rows(query_out)
         assert len(rows(bench_out)) == 7  # header and the six planted queries
 
+    @pytest.mark.parametrize(
+        "queries_text, truth, code",
+        [
+            ("x0,x1,x2,x3,x4\n0,0,nan,0,0\n", None, 1),
+            ("x0,x1\n0.0,0.0\n", None, 1),
+            ("x0,x1,x2,x3,x4\n0,0,0,0,0\n", "missing.truth.csv", 2),
+        ],
+        ids=["nan-query", "wrong-dimension", "missing-truth"],
+    )
+    def test_bad_inputs_rejected_before_build(self, instance, tmp_path, monkeypatch, queries_text, truth, code):
+        def no_build(*args, **kwargs):
+            raise AssertionError("bench built an index before rejecting its inputs")
+
+        monkeypatch.setattr("lplsh.cli.build", no_build)
+        queries = tmp_path / "q.csv"
+        queries.write_text(queries_text)
+        argv = ["bench", "--data", instance + ".fvecs", "--queries", str(queries),
+                "--out", str(tmp_path / "bench.csv"), "--seed", "2", "--k", "1", "--l", "2", *FAST_SCHEME]
+        if truth:
+            argv += ["--truth", str(tmp_path / truth)]
+        assert main(argv) == code
+
 
 class TestRho:
     def test_sweep_csv(self, tmp_path, capsys):

@@ -1,5 +1,7 @@
 """Norms, residual inequalities, directions, and ball sampling."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -57,9 +59,15 @@ class TestLpNorm:
             lp_norm(np.ones(3), LpSpace(1.5, 2))
 
     def test_nan_propagates(self):
-        assert np.isnan(lp_norm(np.array([np.nan, 1.0]), LpSpace(1.5, 2)))
-        out = lp_norm(np.array([[0.0, 0.0], [np.nan, 0.0], [3.0, 4.0]]), LpSpace(2.0, 2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.isnan(lp_norm(np.array([np.nan, 1.0]), LpSpace(1.5, 2)))
+            assert lp_norm(np.array([np.inf, 1.0]), LpSpace(1.5, 2)) == np.inf
+            rows = [[0.0, 0.0], [np.nan, 0.0], [3.0, 4.0], [np.inf, 1.0], [-np.inf, 0.0], [np.inf, -np.inf],
+                    [np.inf, np.nan]]
+            out = lp_norm(np.array(rows), LpSpace(2.0, 2))
         assert out[0] == 0.0 and np.isnan(out[1]) and out[2] == 5.0
+        assert (out[3:6] == np.inf).all() and np.isnan(out[6])
 
     @given(x=vectors(5), y=vectors(5), p=P_VALUES)
     @settings(max_examples=150, deadline=None)

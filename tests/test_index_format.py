@@ -1,0 +1,207 @@
+"""Index file layout: the shared-header save/load against the field-by-field code it replaced.
+
+`reference_save_bytes` and `reference_load_bytes` are `save_index` and
+`load_index` as they were written before the header layout was declared
+once as a `struct.Struct`: one `struct.pack` per field group into a growing
+`bytearray`, and mirrored `take(...)` calls on load. The refactored save
+must write the same bytes, and the refactored load must return the same
+fields. The truncation sweep cuts a saved file at every offset and re-seals
+the checksum, so every bounds check of the loader is reached.
+"""
+
+import struct
+
+import numpy as np
+import pytest
+
+from lplsh import ContractViolation, FormatError, IndexParams, build, derive_params, load_index, save_index, tuned_scheme
+from lplsh.index import _OVERRIDE_FIELDS, _PROFILE_CODE, _PROFILE_NAME, MAGIC, FORMAT_VERSION, Buckets
+from lplsh.lattice import LatticeParams
+from lplsh.scheme import Knobs, SchemeParams
+from lplsh.stable import Threshold
+from lplsh.util import crc64, derive_rng
+
+from conftest import cheap_scheme
+
+
+def reference_save_bytes(index) -> bytes:
+    scheme = index.scheme
+    params = index.params
+    buf = bytearray()
+    buf += MAGIC
+    buf += struct.pack("<H", FORMAT_VERSION)
+    buf += struct.pack("<3d", scheme.p, scheme.c, scheme.r)
+    buf += struct.pack("<IQII", index.d, index.n, params.k, params.l)
+    buf += struct.pack("<Q", params.seed)
+    buf += struct.pack("<I", params.max_candidates or 0)
+    buf += struct.pack(
+        "<dIdddQBB",
+        scheme.w,
+        scheme.t,
+        scheme.epsilon,
+        scheme.lattice.delta,
+        scheme.delta_fail,
+        scheme.lattice.num_shifts,
+        int(scheme.lattice.saturated),
+        _PROFILE_CODE[scheme.profile],
+    )
+    buf += struct.pack("<3d", scheme.knobs.kappa_w, scheme.knobs.kappa_t, scheme.knobs.kappa_eps)
+    buf += struct.pack("<dQQ", scheme.threshold.value, scheme.threshold.sample_count, scheme.threshold.seed)
+    buf += struct.pack("<H", len(scheme.overrides))
+    for name, value in scheme.overrides:
+        raw = name.encode("ascii")
+        buf += struct.pack("<B", len(raw)) + raw + struct.pack("<d", value)
+    buf += index.ids.astype("<i8").tobytes()
+    buf += np.ascontiguousarray(index.points, dtype="<f8").tobytes()
+    for table in index.tables:
+        buf += struct.pack("<QQ", table.fps.size, table.positions.size)
+        buf += table.fps.astype("<u8").tobytes()
+        buf += np.diff(table.offsets).astype("<u4").tobytes()
+        buf += table.positions.astype("<u4").tobytes()
+    buf += struct.pack("<Q", crc64(buf))
+    return bytes(buf)
+
+
+def reference_load_bytes(raw: bytes):
+    """The pre-refactor parse of the file's bytes; returns (scheme, params, points, ids, tables)."""
+    if len(raw) < len(MAGIC) + 2 + 8:
+        raise FormatError("file too short to be an index")
+    if raw[: len(MAGIC)] != MAGIC:
+        raise FormatError("bad magic; not an index file")
+    (stored_crc,) = struct.unpack_from("<Q", raw, len(raw) - 8)
+    if crc64(memoryview(raw)[:-8]) != stored_crc:
+        raise FormatError("checksum mismatch; refusing to load")
+    off = len(MAGIC)
+
+    def take(fmt):
+        nonlocal off
+        size = struct.calcsize(fmt)
+        if off + size > len(raw) - 8:
+            raise FormatError("truncated header")
+        vals = struct.unpack_from(fmt, raw, off)
+        off += size
+        return vals
+
+    (version,) = take("<H")
+    if version != FORMAT_VERSION:
+        raise FormatError(f"unsupported format version {version}")
+    p, c, r = take("<3d")
+    d, n, k, l = take("<IQII")
+    (root_seed,) = take("<Q")
+    (max_candidates,) = take("<I")
+    w, t, eps, delta, delta_fail, num_shifts, saturated, profile_code = take("<dIdddQBB")
+    kappa_w, kappa_t, kappa_eps = take("<3d")
+    t_value, t_samples, t_seed = take("<dQQ")
+    (n_overrides,) = take("<H")
+    overrides = []
+    for _ in range(n_overrides):
+        (name_len,) = take("<B")
+        if off + name_len > len(raw) - 8:
+            raise FormatError("truncated override record")
+        name = raw[off : off + name_len].decode("ascii", errors="replace")
+        if name not in _OVERRIDE_FIELDS:
+            raise FormatError(f"unknown override name {name!r}")
+        off += name_len
+        (value,) = take("<d")
+        overrides.append((name, value))
+
+    def take_array(dtype, count):
+        nonlocal off
+        size = np.dtype(dtype).itemsize * count
+        if off + size > len(raw) - 8:
+            raise FormatError("truncated payload")
+        arr = np.frombuffer(raw, dtype=dtype, count=count, offset=off)
+        off += size
+        return arr
+
+    ids = take_array("<i8", n).astype(np.int64)
+    points = take_array("<f8", n * d).astype(np.float64).reshape(n, d)
+    tables = []
+    for _ in range(l):
+        n_buckets, total = take("<QQ")
+        fps = take_array("<u8", n_buckets).astype(np.uint64)
+        counts = take_array("<u4", n_buckets)
+        if int(counts.sum()) != total:
+            raise FormatError("bucket counts disagree with entry total")
+        if n_buckets > 1 and not (fps[1:] > fps[:-1]).all():
+            raise FormatError("bucket fingerprints not strictly increasing")
+        positions = take_array("<u4", total).astype(np.int64)
+        if total and int(positions.max()) >= n:
+            raise FormatError("bucket position beyond the stored points")
+        offsets = np.concatenate(([0], np.cumsum(counts.astype(np.int64))))
+        tables.append(Buckets(fps=fps, offsets=offsets, positions=positions))
+    if off != len(raw) - 8:
+        raise FormatError("trailing bytes after payload")
+    if profile_code not in _PROFILE_NAME:
+        raise FormatError(f"unknown profile code {profile_code}")
+    threshold = Threshold(value=t_value, t=int(t), epsilon=eps, p=p, sample_count=int(t_samples), seed=int(t_seed))
+    try:
+        lattice = LatticeParams(
+            w=w, t=int(t), num_shifts=int(num_shifts), delta=delta, delta_fail=delta_fail, saturated=bool(saturated)
+        )
+        scheme = SchemeParams(
+            c=c, p=p, r=r, w=w, t=int(t), epsilon=eps, delta_fail=delta_fail, threshold=threshold, lattice=lattice,
+            profile=_PROFILE_NAME[profile_code], knobs=Knobs(kappa_w=kappa_w, kappa_t=kappa_t, kappa_eps=kappa_eps),
+            overrides=tuple(overrides),
+        )
+        params = IndexParams(k=int(k), l=int(l), seed=int(root_seed), max_candidates=int(max_candidates) or None)
+    except ContractViolation as exc:
+        raise FormatError(f"invalid header value: {exc}") from None
+    return scheme, params, points, ids, tables
+
+
+def main_profile_scheme():
+    # the main profile with its derived t, eps and U; only the threshold is cheapened
+    return derive_params(2.0, 1.5, threshold_samples=10_000, u_max=64)
+
+
+def indexed(scheme, n, d=5, k=2, l=3, seed=7, max_candidates=None):
+    pts = derive_rng(0, 9700, n, d).normal(size=(n, d))
+    return build(pts, scheme, IndexParams(k=k, l=l, seed=seed, max_candidates=max_candidates))
+
+
+CASES = {
+    "tuned-overrides": lambda: indexed(tuned_scheme(2.0, 1.5, threshold_samples=10_000), n=40),
+    "pinned-w-u-budget": lambda: indexed(cheap_scheme(w=3.0, u=50), n=40, max_candidates=17),
+    "main-profile": lambda: indexed(main_profile_scheme(), n=30, k=1, l=2, max_candidates=2**32 - 1),
+    "empty": lambda: indexed(cheap_scheme(), n=0, d=3, k=1, l=1),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_save_and_load_match_reference(case, tmp_path):
+    index = CASES[case]()
+    path = tmp_path / "idx.lplsh"
+    save_index(index, str(path))
+    raw = path.read_bytes()
+    assert raw == reference_save_bytes(index)
+
+    scheme, params, points, ids, tables = reference_load_bytes(raw)
+    loaded = load_index(str(path))
+    assert loaded.scheme == scheme == index.scheme
+    assert loaded.params == params == index.params
+    for got, want in ((loaded.points, points), (loaded.ids, ids)):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert len(loaded.tables) == len(tables)
+    for got_table, want_table in zip(loaded.tables, tables):
+        for got, want in zip(got_table, want_table):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def test_every_truncation_is_a_format_error(tmp_path):
+    index = indexed(cheap_scheme(), n=20, k=2, l=3)
+    path = tmp_path / "idx.lplsh"
+    save_index(index, str(path))
+    body = path.read_bytes()[:-8]
+    cut_path = tmp_path / "cut.lplsh"
+    loaded = []
+    for cut in range(len(body)):
+        part = body[:cut]
+        cut_path.write_bytes(part + struct.pack("<Q", crc64(part)))
+        try:
+            load_index(str(cut_path))
+        except FormatError:
+            continue
+        loaded.append(cut)
+    assert len(body) > 1000
+    assert loaded == []
