@@ -184,8 +184,12 @@ def _knobs(opts: _Options) -> Knobs:
     )
 
 
-def _prepare_build(opts: _Options, cache: ThresholdCache | None):
-    """Dataset, scheme, index params and the auto-sizing pilot's estimates (empty for set k, L)."""
+def _prepare_build(opts: _Options, cache: ThresholdCache | None, queries: np.ndarray | None = None):
+    """Dataset, scheme, index params and the auto-sizing pilot's estimates (empty for set k, L).
+
+    Queries, when given, are checked against the data's dimension before
+    any scheme work.
+    """
     data_path = opts.get("data", str, required=True)
     seed = opts.get("seed", int, required=True)
     p = opts.get("p", float, required=True)
@@ -204,6 +208,8 @@ def _prepare_build(opts: _Options, cache: ThresholdCache | None):
     if points.size == 0:
         raise ContractViolation(f"dataset {data_path} is empty")
     n, d = points.shape
+    if queries is not None:
+        _check_query_dim(queries, d)
     scheme = derive_params(
         c, p, profile=profile, knobs=knobs, overrides=overrides, r=r, u_max=u_max,
         threshold_samples=threshold_samples, cache=cache,
@@ -344,9 +350,8 @@ def cmd_bench(ns: argparse.Namespace) -> int:
     out = opts.get("out", str, required=True)
     # read every input before the build, so a bad query or truth file fails fast
     queries_path, queries, truth = _read_queries(opts)
-    points, scheme, params, _ = _prepare_build(opts, None)
+    points, scheme, params, _ = _prepare_build(opts, None, queries)
     n, d = points.shape
-    _check_query_dim(queries, d)
 
     t0 = time.perf_counter()
     index = build(points, scheme, params)

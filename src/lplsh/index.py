@@ -22,7 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .geometry import ContractViolation, LpSpace, lp_norm
-from .lattice import LatticeParams, hash_batch
+from .lattice import _ROW_BLOCK, LatticeParams, ShiftedLatticeSet, hash_batch, hash_stacked, stack_first_chunks
 from .scheme import (
     _OVERRIDE_FIELDS,
     PROFILE_MAIN,
@@ -100,6 +100,11 @@ def choose_k_l(n: int, p1_hat: float, p2_hat: float, safety: float = 1.0) -> Tab
     return TableShape(k=k, l=l, rho_hat=rho, degraded=1.0 / p1_hat > math.sqrt(n))
 
 
+def _check_max_candidates(value: int | None) -> None:
+    if value is not None and not (1 <= value < 2**32):
+        raise ContractViolation(f"max_candidates must lie in [1, 2**32) when set, got {value}")
+
+
 @dataclass(frozen=True)
 class IndexParams:
     """Table shape and the root seed all hash functions derive from."""
@@ -116,8 +121,7 @@ class IndexParams:
             raise ContractViolation(f"l must be >= 1, got {self.l}")
         if not (0 <= self.seed < 2**64):
             raise ContractViolation(f"seed must lie in [0, 2**64), got {self.seed}")
-        if self.max_candidates is not None and not (1 <= self.max_candidates < 2**32):
-            raise ContractViolation(f"max_candidates must lie in [1, 2**32) when set, got {self.max_candidates}")
+        _check_max_candidates(self.max_candidates)
 
     @property
     def candidate_budget(self) -> int:
@@ -150,6 +154,20 @@ def _key_matrix(funcs: list[HashFunction], unit: np.ndarray, space_t: LpSpace) -
     return np.hstack(parts)
 
 
+def _stack_functions(funcs: list[HashFunction]) -> tuple[np.ndarray, list[ShiftedLatticeSet], np.ndarray]:
+    """All projections as one (len(funcs) * t, d) matrix, the lattice sets, and their stacked first chunks.
+
+    Every function's projection and cached first shift chunk become views
+    of the stacked arrays, so nothing is held twice.
+    """
+    projection = np.vstack([h.projection for h in funcs])
+    t = funcs[0].projection.shape[0]
+    for i, h in enumerate(funcs):
+        h.projection = projection[i * t : (i + 1) * t]
+    sets = [h.lattices for h in funcs]
+    return projection, sets, stack_first_chunks(sets)
+
+
 class LshIndex:
     """Built index: points, per-table buckets, and regenerable hash functions."""
 
@@ -173,6 +191,7 @@ class LshIndex:
         self.fingerprint_collisions = fingerprint_collisions
         self.fallback_rate = fallback_rate
         self._functions: list[list[HashFunction]] | None = None
+        self._stacked: tuple[np.ndarray, list[ShiftedLatticeSet], np.ndarray] | None = None
 
     @property
     def n(self) -> int:
@@ -190,11 +209,28 @@ class LshIndex:
             self._functions = [_table_functions(self.scheme, self.d, self.params, ell) for ell in range(self.params.l)]
         return self._functions
 
-    def _query_keys(self, queries: np.ndarray) -> list[np.ndarray]:
-        """Per-table fingerprints for a batch of queries."""
-        unit = scale_to_unit(queries, self.scheme.r)
+    def _query_keys(self, queries: np.ndarray) -> np.ndarray:
+        """Fingerprints of a batch of queries, (m, l): column ell holds table ell's.
+
+        Each group of queries is hashed under all k * l functions at once:
+        one projection, one lattice scan and one fingerprint fold. Groups
+        of about _ROW_BLOCK // (k * l) queries bound the scan's shift gather.
+        """
+        if self._stacked is None:
+            self._stacked = _stack_functions([h for funcs in self.functions() for h in funcs])
+        projection, sets, first_chunks = self._stacked
+        k, l, t = self.params.k, self.params.l, self.scheme.t
         space_t = self.scheme.space()
-        return [fingerprint_rows(_key_matrix(funcs, unit, space_t)) for funcs in self.functions()]
+        unit = scale_to_unit(queries, self.scheme.r)
+        fps = np.empty((unit.shape[0], l), dtype=np.uint64)
+        group = max(1, _ROW_BLOCK // (k * l))
+        for lo in range(0, unit.shape[0], group):
+            projected = (unit[lo : lo + group] @ projection.T).reshape(-1, t)
+            u, coords = hash_stacked(projected, sets, first_chunks, space_t)
+            # row (query, table) lists u then the t coords of each of the table's k functions
+            keys = np.concatenate((u[:, None], coords), axis=1).reshape(-1, k * (1 + t))
+            fps[lo : lo + group] = fingerprint_rows(keys).reshape(-1, l)
+        return fps
 
     def query(self, q: np.ndarray, max_candidates: int | None = None) -> QueryResult:
         return self.query_batch(np.asarray(q, dtype=np.float64)[None, :], max_candidates)[0]
@@ -210,8 +246,9 @@ class LshIndex:
             raise ContractViolation(f"queries must have shape (m, {self.d})")
         if not np.isfinite(qs).all():
             raise ContractViolation("queries must be finite (no NaN or infinity)")
+        _check_max_candidates(max_candidates)
         budget = max_candidates if max_candidates is not None else self.params.candidate_budget
-        table_fps = self._query_keys(qs)
+        query_fps = self._query_keys(qs).tolist()
         space = self.space()
         limit = self.scheme.c * self.scheme.r
         results = []
@@ -223,7 +260,7 @@ class LshIndex:
                 if len(seen) >= budget:
                     break
                 tables_probed += 1
-                bucket = self.tables[ell].get(int(table_fps[ell][qi]))
+                bucket = self.tables[ell].get(query_fps[qi][ell])
                 if bucket is None:
                     continue
                 for pos in bucket:

@@ -260,9 +260,15 @@ def first_cover(
                 rows = part[todo]
                 if not rows.size:
                     continue
-                rel = pts[rows, None, :] - (shifts if shifts.ndim == 2 else shifts[base : base + _ROW_BLOCK][todo])
-                a = np.rint(rel / spacing)
-                hit = _inside(rel - spacing * a, p, params.w)
+                part_shifts = shifts if shifts.ndim == 2 else shifts[base : base + _ROW_BLOCK]
+                if part_shifts.ndim == 3 and rows.size < part.size:  # another set resolved some rows
+                    part_shifts = part_shifts[todo]
+                rel = pts[rows, None, :] - part_shifts
+                a = rel / spacing
+                np.rint(a, out=a)
+                diff = spacing * a
+                np.subtract(rel, diff, out=diff)
+                hit = _inside(diff, p, params.w)
                 found = hit.any(axis=1)
                 hit_rows = rows[found]
                 if hit_rows.size:
@@ -292,6 +298,45 @@ def hash_batch(
     # blocks start small so the common early hits stay cheap
     [(u, coords)] = first_cover((pts,), lambda lo, b, rows: lattices.shift_block(lo, lo + b), params, space.p, 16)
     return u, coords, np.where(u > 0, u, params.num_shifts)
+
+
+def stack_first_chunks(sets: list[ShiftedLatticeSet]) -> np.ndarray:
+    """Shift chunk 0 of every set as one (len(sets), b, t) array, b = min(SHIFT_CHUNK, U).
+
+    Each set's cached chunk 0 becomes a view of its row. The sets share
+    params; they are filled one at a time, so no chunk is held twice.
+    """
+    params = sets[0].params
+    stack = np.empty((len(sets), min(SHIFT_CHUNK, params.num_shifts), params.t))
+    for row, lattices in zip(stack, sets):
+        row[...] = lattices._chunk(0)
+        lattices._chunks[0] = row
+    return stack
+
+
+def hash_stacked(
+    points: np.ndarray,
+    sets: list[ShiftedLatticeSet],
+    first_chunks: np.ndarray,
+    space: LpSpace,
+) -> tuple[np.ndarray, np.ndarray]:
+    """hash_batch's (u, coords) for row i of (n, t) points under sets[i % len(sets)], in one scan.
+
+    first_chunks is stack_first_chunks(sets); rows that scan past it
+    draw from their own set's shift_block.
+    """
+    count, chunk = len(sets), first_chunks.shape[1]
+
+    def draw(lo: int, b: int, rows: np.ndarray) -> np.ndarray:
+        owner = rows % count
+        if lo < chunk:
+            return first_chunks[owner, lo : lo + b]
+        used, inverse = np.unique(owner, return_inverse=True)
+        return np.stack([sets[i].shift_block(lo, lo + b) for i in used])[inverse]
+
+    # each row gathers its own shifts, so the first block is smaller than hash_batch's
+    [(u, coords)] = first_cover((points,), draw, sets[0].params, space.p, 8)
+    return u, coords
 
 
 def covering_fraction(

@@ -241,6 +241,14 @@ class TestQuery:
                      "--out", str(tmp_path / "res.csv")])
         assert code == 1
 
+    @pytest.mark.parametrize("bad", ["0", "-3"])
+    def test_bad_max_candidates_rejected(self, instance, built_index, tmp_path, bad):
+        out = tmp_path / "res.csv"
+        code = main(["query", "--index", built_index, "--queries", instance + ".queries.fvecs",
+                     "--out", str(out), "--max-candidates", bad])
+        assert code == 1
+        assert not out.exists()
+
     def test_missing_index(self, tmp_path):
         code = main(["query", "--index", str(tmp_path / "no.lplsh"),
                      "--queries", str(tmp_path / "no.csv"), "--out", str(tmp_path / "r.csv")])
@@ -292,7 +300,11 @@ class TestBench:
         def no_build(*args, **kwargs):
             raise AssertionError("bench built an index before rejecting its inputs")
 
+        def no_scheme(*args, **kwargs):
+            raise AssertionError("bench derived a scheme before rejecting its inputs")
+
         monkeypatch.setattr("lplsh.cli.build", no_build)
+        monkeypatch.setattr("lplsh.cli.derive_params", no_scheme)
         queries = tmp_path / "q.csv"
         queries.write_text(queries_text)
         argv = ["bench", "--data", instance + ".fvecs", "--queries", str(queries),

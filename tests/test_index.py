@@ -225,6 +225,12 @@ class TestQuery:
         assert got.answer[0] == 3
         assert got.answer[1] == 0.0
 
+    @pytest.mark.parametrize("bad", [0, -3, 2**32])
+    def test_bad_max_candidates_rejected(self, scheme, bad):
+        pts, index = small_index(scheme, d=6)
+        with pytest.raises(ContractViolation, match="max_candidates"):
+            index.query_batch(pts[:2], max_candidates=bad)
+
     def test_dimension_mismatch(self, scheme):
         _, index = small_index(scheme, d=6)
         with pytest.raises(ContractViolation):

@@ -1,0 +1,132 @@
+"""Stacked query hashing against the per-table loop it replaced.
+
+`LshIndex._query_keys` hashes a group of queries under all k*l functions
+with one projection, one lattice scan and one fingerprint fold. The
+reference below is the earlier path: per table, `_key_matrix` over freshly
+regenerated functions, then one fingerprint fold. Fingerprints and every
+`QueryResult` field must be equal.
+"""
+
+import numpy as np
+import pytest
+
+from lplsh import IndexParams, QueryResult, build
+from lplsh.geometry import lp_norm
+from lplsh.index import _key_matrix, _table_functions, fingerprint_rows
+from lplsh.lattice import _ROW_BLOCK, SHIFT_CHUNK
+from lplsh.scheme import scale_to_unit
+from lplsh.util import derive_rng
+
+from conftest import cheap_scheme
+
+
+def reference_query_keys(index, queries):
+    """Per-table fingerprints, one (m,) array per table, from the per-table key matrices."""
+    unit = scale_to_unit(queries, index.scheme.r)
+    space_t = index.scheme.space()
+    return [
+        fingerprint_rows(_key_matrix(_table_functions(index.scheme, index.d, index.params, ell), unit, space_t))
+        for ell in range(index.params.l)
+    ]
+
+
+def reference_query_batch(index, queries, budget):
+    """The query loop over reference fingerprints: table order, first-seen dedupe, budget cut."""
+    table_fps = reference_query_keys(index, queries)
+    space = index.space()
+    limit = index.scheme.c * index.scheme.r
+    results = []
+    for qi in range(queries.shape[0]):
+        seen: list[int] = []
+        tables_probed = 0
+        for ell in range(index.params.l):
+            if len(seen) >= budget:
+                break
+            tables_probed += 1
+            bucket = index.tables[ell].get(int(table_fps[ell][qi]))
+            for pos in [] if bucket is None else bucket:
+                if int(pos) not in seen:
+                    seen.append(int(pos))
+                    if len(seen) >= budget:
+                        break
+        if not seen:
+            results.append(QueryResult(None, 0, tables_probed, None))
+            continue
+        sel = np.array(seen, dtype=np.int64)
+        dists = np.asarray(lp_norm(index.points[sel] - queries[qi][None, :], space))
+        cand_ids = index.ids[sel]
+        best = np.lexsort((cand_ids, dists))[0]
+        dist = float(dists[best])
+        results.append(QueryResult((int(cand_ids[best]), dist), len(seen), tables_probed, bool(dist <= limit)))
+    return results
+
+
+def instance(seed, n=120, d=8, m=12):
+    """Clustered points (so buckets share members across tables), near queries and far misses."""
+    rng = derive_rng(0, 9900, seed)
+    centers = rng.normal(scale=4.0, size=(6, d))
+    pts = centers[rng.integers(0, 6, size=n)] + 0.3 * rng.normal(size=(n, d))
+    near = pts[rng.integers(0, n, size=m)] + 0.05 * rng.normal(size=(m, d))
+    far = np.full((2, d), 1e4) * np.array([[1.0], [-1.0]])
+    return pts, np.vstack([near, far])
+
+
+def assert_matches_reference(index, queries, max_candidates=None):
+    fps = index._query_keys(queries)
+    ref = reference_query_keys(index, queries)
+    assert fps.shape == (queries.shape[0], index.params.l)
+    for ell in range(index.params.l):
+        assert np.array_equal(fps[:, ell], ref[ell]), f"table {ell}"
+    budget = max_candidates if max_candidates is not None else index.params.candidate_budget
+    got = index.query_batch(queries, max_candidates)
+    assert got == reference_query_batch(index, queries, budget)
+    return got
+
+
+@pytest.mark.parametrize("m", [0, 1, 3])
+def test_few_queries(m):
+    pts, queries = instance(1)
+    index = build(pts, cheap_scheme(), IndexParams(k=2, l=5, seed=11))
+    assert_matches_reference(index, queries[:m])
+
+
+def test_queries_spanning_several_groups():
+    # k*l = 1024 functions: groups of 4 queries, so 14 queries make 4 groups, the last one short
+    pts, queries = instance(2)
+    index = build(pts, cheap_scheme(), IndexParams(k=8, l=128, seed=12))
+    assert _ROW_BLOCK // (8 * 128) == 4
+    got = assert_matches_reference(index, queries)
+    assert len(got) == 14
+
+
+@pytest.mark.parametrize("u", [3000, 40], ids=["past-first-chunk", "few-shifts"])
+def test_low_coverage_scan(u):
+    # delta=12 leaves about 0.2% of the torus to each shift: many rows scan
+    # beyond the first chunk (u=3000) or run out of shifts and fall back (u=40)
+    pts, queries = instance(3)
+    scheme = cheap_scheme(delta=12.0, u=u)
+    index = build(pts, scheme, IndexParams(k=2, l=40, seed=13))
+    assert_matches_reference(index, queries)
+    funcs = [h for table in index.functions() for h in table]
+    keys = np.hstack([_key_matrix([h], scale_to_unit(queries, scheme.r), scheme.space()) for h in funcs])
+    u_cols = keys[:, :: 1 + scheme.t]
+    assert (u_cols == 0).any()
+    if u > SHIFT_CHUNK:
+        assert (u_cols > SHIFT_CHUNK).any()
+
+
+def test_budget_misses_and_duplicates():
+    pts, queries = instance(4)
+    index = build(pts, cheap_scheme(), IndexParams(k=1, l=12, seed=14))
+    got = assert_matches_reference(index, queries, max_candidates=5)
+    assert any(r.answer is None and r.tables_probed == 12 for r in got)  # the far misses
+    assert any(r.candidates_examined == 5 and r.tables_probed < 12 for r in got)  # cut by the budget
+    # some query meets one point in two tables, so dedupe matters
+    fps = index._query_keys(queries)
+
+    def members(qi):
+        buckets = [index.tables[ell].get(int(fps[qi, ell])) for ell in range(12)]
+        return [int(pos) for bucket in buckets if bucket is not None for pos in bucket]
+
+    assert any(len(members(qi)) > len(set(members(qi))) for qi in range(len(queries)))
+    assert_matches_reference(index, queries)

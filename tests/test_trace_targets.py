@@ -41,3 +41,17 @@ def test_tracer_finds_every_target_and_counts_checksum_bytes(tmp_path):
     assert tracer.counts.get("util.crc64.bytes", 0) > 0
     assert np.array_equal(loaded.points, index.points)
     assert lplsh.index.save_index is save_index and lplsh.index.load_index is load_index
+
+
+def test_query_records_key_and_function_spans():
+    pts = derive_rng(0, 9801).normal(size=(20, 4))
+    index = build(pts, cheap_scheme(), IndexParams(k=2, l=3, seed=4))
+    tracer = load_tracing().Tracer().install()
+    try:
+        result = index.query(pts[0])
+    finally:
+        tracer.uninstall()
+    summary = tracer.summary()
+    assert summary.count("index.query_keys") == 1
+    assert summary.count("index.functions", under="index.query_keys") == 1
+    assert result.answer is not None and result.answer[0] == 0
