@@ -30,7 +30,7 @@ from .datasets import (
     write_vectors,
 )
 from .geometry import ContractViolation
-from .index import IndexParams, LshIndex, build, choose_k_l, load_index, save_index
+from .index import IndexParams, LshIndex, _check_max_candidates, build, choose_k_l, load_index, save_index
 from .scheme import Knobs, derive_params, evaluation_cost
 from .stable import DEFAULT_THRESHOLD_SAMPLES, ThresholdCache
 from .util import FormatError, derive_rng, wilson_interval
@@ -335,6 +335,7 @@ def cmd_query(ns: argparse.Namespace) -> int:
     index_path = opts.get("index", str, required=True)
     out = opts.get("out", str, required=True)
     max_candidates = opts.get("max_candidates", int)
+    _check_max_candidates(max_candidates)  # query_batch is skipped on an empty query file
 
     queries_path, queries, truth = _read_queries(opts)
     index = load_index(index_path)

@@ -425,12 +425,13 @@ def save_index(index: LshIndex, path: str) -> None:
             _u4_bytes(np.diff(table.offsets), "bucket sizes"),
             _u4_bytes(table.positions, "bucket positions"),
         ]
-    crc = 0
-    for part in parts:
-        crc = crc64(part, crc)
-    parts.append(_TRAILER.pack(crc))
+    # One CRC call over the joined body: crc64 is fast only on inputs of at
+    # least a few KiB, and most parts are short per-table arrays.
+    body = b"".join(parts)
+    trailer = _TRAILER.pack(crc64(body))
     with open(path, "wb") as fh:
-        fh.writelines(parts)
+        fh.write(body)
+        fh.write(trailer)
 
 
 def load_index(path: str) -> LshIndex:

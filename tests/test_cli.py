@@ -243,11 +243,14 @@ class TestQuery:
 
     @pytest.mark.parametrize("bad", ["0", "-3"])
     def test_bad_max_candidates_rejected(self, instance, built_index, tmp_path, bad):
-        out = tmp_path / "res.csv"
-        code = main(["query", "--index", built_index, "--queries", instance + ".queries.fvecs",
-                     "--out", str(out), "--max-candidates", bad])
-        assert code == 1
-        assert not out.exists()
+        no_rows = tmp_path / "none.csv"
+        no_rows.write_text("x0,x1,x2,x3,x4\n")
+        for queries in (instance + ".queries.fvecs", str(no_rows)):
+            out = tmp_path / "res.csv"
+            code = main(["query", "--index", built_index, "--queries", queries,
+                         "--out", str(out), "--max-candidates", bad])
+            assert code == 1
+            assert not out.exists()
 
     def test_missing_index(self, tmp_path):
         code = main(["query", "--index", str(tmp_path / "no.lplsh"),
