@@ -146,10 +146,16 @@ def _table_functions(scheme: SchemeParams, d: int, params: IndexParams, ell: int
 
 
 def _key_matrix(funcs: list[HashFunction], unit: np.ndarray, space_t: LpSpace) -> np.ndarray:
-    """Bucket keys of unit-frame rows: per function, the lattice index u then the t cell coordinates."""
+    """Bucket keys of unit-frame rows: per function, the lattice index u then the t cell coordinates.
+
+    One matmul projects the rows under every function; function i owns
+    columns [i * t, (i + 1) * t).
+    """
+    t = space_t.dim
+    projected = unit @ np.vstack([h.projection for h in funcs]).T
     parts = []
-    for h in funcs:
-        u, coords, _ = hash_batch(h.project(unit), h.lattices, space_t)
+    for i, h in enumerate(funcs):
+        u, coords, _ = hash_batch(projected[:, i * t : (i + 1) * t], h.lattices, space_t)
         parts += [u[:, None], coords]
     return np.hstack(parts)
 
@@ -485,6 +491,8 @@ def load_index(path: str) -> LshIndex:
         counts = take_array("<u4", n_buckets)
         if int(counts.sum()) != total:
             raise FormatError("bucket counts disagree with entry total")
+        if n_buckets and int(counts.min()) == 0:
+            raise FormatError("empty bucket")
         if n_buckets > 1 and not (fps[1:] > fps[:-1]).all():
             raise FormatError("bucket fingerprints not strictly increasing")
         positions = take_array("<u4", total).astype(np.int64)

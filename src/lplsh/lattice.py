@@ -166,26 +166,43 @@ class HashValue:
 
 
 def _abs_pow(v: np.ndarray, p: float) -> np.ndarray:
-    """v**p elementwise for v >= 0; sqrt chains for the common quarter-power p."""
+    """v**p elementwise for v >= 0, written over v; sqrt chains for the common quarter-power p."""
     if p == 2.0:
-        return v * v
+        return np.multiply(v, v, out=v)
     if p == 1.5:
-        return v * np.sqrt(v)
+        return np.multiply(v, np.sqrt(v), out=v)
     if p == 1.25:
-        return v * np.sqrt(np.sqrt(v))
+        s = np.sqrt(v)
+        return np.multiply(v, np.sqrt(s, out=s), out=v)
     if p == 1.75:
         s = np.sqrt(v)
-        return v * s * np.sqrt(s)
-    return np.power(v, p)
+        np.multiply(v, s, out=v)
+        return np.multiply(v, np.sqrt(s, out=s), out=v)
+    return np.power(v, p, out=v)
 
 
-def _inside(diff: np.ndarray, p: float, w: float) -> np.ndarray:
-    """Membership test ||diff||_p <= w via sum(|diff|^p) <= w^p over the last axis.
+def _column_sum(cols: list[np.ndarray]) -> np.ndarray:
+    """Sum of equal-shape arrays, bit-identical to np.stack(cols, -1).sum(axis=-1).
 
-    Coordinates here are bounded by the lattice spacing, so the powers stay
-    well conditioned without rescaling.
+    numpy adds a contiguous last axis left to right only up to 7 terms;
+    from 8 on it sums pairwise, so longer lists are stacked and left to
+    numpy. The first array is overwritten.
     """
-    return _abs_pow(np.abs(diff), p).sum(axis=-1) <= w**p
+    if len(cols) >= 8:
+        return np.stack(cols, axis=-1).sum(axis=-1)
+    total = cols[0]
+    for col in cols[1:]:
+        total += col
+    return total
+
+
+def _inside(dist: list[np.ndarray], p: float, w: float) -> np.ndarray:
+    """Membership test ||diff||_p <= w via sum_j |diff_j|^p <= w^p, given dist[j] = |diff_j|.
+
+    The arrays in dist are overwritten. Coordinates here are bounded by the
+    lattice spacing, so the powers stay well conditioned without rescaling.
+    """
+    return _column_sum([_abs_pow(v, p) for v in dist]) <= w**p
 
 
 def locate(x: np.ndarray, u: int, lattices: ShiftedLatticeSet, space: LpSpace) -> np.ndarray | None:
@@ -206,7 +223,8 @@ def locate(x: np.ndarray, u: int, lattices: ShiftedLatticeSet, space: LpSpace) -
     rel = xa - shift
     a = np.rint(rel / params.spacing)
     diff = rel - params.spacing * a
-    if _inside(diff, space.p, params.w):
+    # one length-1 array per coordinate: the scan's column arithmetic
+    if _inside(list(np.abs(diff)[:, None]), space.p, params.w)[0]:
         return a.astype(np.int64)
     return None
 
@@ -239,6 +257,9 @@ def first_cover(
     needs: one (b', t) block for all rows or one (len(rows), b', t) block.
     Blocks start at `block` shifts and grow x4 up to SHIFT_CHUNK.
     Returns (u, coords) per set; u = 0 and zero coords mean fallback.
+
+    Each coordinate is handled as its own contiguous (rows, b) array, and
+    the ball test sums the t per-coordinate terms in numpy's own order.
     """
     n, t = point_sets[0].shape
     spacing, total = params.spacing, params.num_shifts
@@ -263,18 +284,24 @@ def first_cover(
                 part_shifts = shifts if shifts.ndim == 2 else shifts[base : base + _ROW_BLOCK]
                 if part_shifts.ndim == 3 and rows.size < part.size:  # another set resolved some rows
                     part_shifts = part_shifts[todo]
-                rel = pts[rows, None, :] - part_shifts
-                a = rel / spacing
-                np.rint(a, out=a)
-                diff = spacing * a
-                np.subtract(rel, diff, out=diff)
-                hit = _inside(diff, p, params.w)
+                sub = pts[rows]
+                cells, dist = [], []
+                for j in range(t):
+                    rel = sub[:, j, None] - part_shifts[..., j]
+                    a = rel / spacing
+                    np.rint(a, out=a)
+                    # rel becomes |rel - spacing * a|
+                    np.subtract(rel, spacing * a, out=rel)
+                    cells.append(a)
+                    dist.append(np.abs(rel, out=rel))
+                hit = _inside(dist, p, params.w)
                 found = hit.any(axis=1)
                 hit_rows = rows[found]
                 if hit_rows.size:
                     first = hit.argmax(axis=1)[found]
                     u[hit_rows] = lo + first + 1
-                    coords[hit_rows] = a[found, first]
+                    for j, a in enumerate(cells):
+                        coords[hit_rows, j] = a[found, first]
         lo += shifts.shape[-2]
         block = min(block * 4, SHIFT_CHUNK)
     return out
@@ -296,7 +323,7 @@ def hash_batch(
     if pts.ndim != 2 or pts.shape[1] != params.t:
         raise ContractViolation(f"points must have shape (n, {params.t}), got {pts.shape}")
     # blocks start small so the common early hits stay cheap
-    [(u, coords)] = first_cover((pts,), lambda lo, b, rows: lattices.shift_block(lo, lo + b), params, space.p, 16)
+    [(u, coords)] = first_cover((pts,), lambda lo, b, rows: lattices.shift_block(lo, lo + b), params, space.p, 4)
     return u, coords, np.where(u > 0, u, params.num_shifts)
 
 
@@ -334,7 +361,6 @@ def hash_stacked(
         used, inverse = np.unique(owner, return_inverse=True)
         return np.stack([sets[i].shift_block(lo, lo + b) for i in used])[inverse]
 
-    # each row gathers its own shifts, so the first block is smaller than hash_batch's
     [(u, coords)] = first_cover((points,), draw, sets[0].params, space.p, 8)
     return u, coords
 

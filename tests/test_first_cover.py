@@ -1,19 +1,41 @@
-"""Differential tests: the shared lattice-scan kernel against the two loops it replaced.
+"""Differential tests: the shared lattice-scan kernel against the loops it replaced.
 
 The reference functions below are the scans `lattice.hash_batch` (seeded
 shifts, one point set) and `collisions._lattice_stage` (fresh shifts per
 trial, x and y sharing them) as they were written before both became
-callers of `lattice.first_cover`. The kernel must return the same arrays
-and, for the lab, draw the same random numbers in the same order.
+callers of `lattice.first_cover`, with the ball test they used then
+(`reference_inside`: the (rows, b, t) array of |diff|^p summed over its
+last axis). The kernel, which works one coordinate at a time, must return
+the same arrays and, for the lab, draw the same random numbers in the same
+order.
 """
+
+import math
 
 import numpy as np
 import pytest
 
 from lplsh import LatticeParams, LpSpace, make_lattices
 from lplsh.collisions import _ELEM_BUDGET, _lattice_stage
-from lplsh.lattice import _ROW_BLOCK, SHIFT_CHUNK, _inside, hash_batch
+from lplsh.lattice import _ROW_BLOCK, SHIFT_CHUNK, _column_sum, hash_batch, hash_stacked, locate, stack_first_chunks
 from lplsh.util import derive_rng
+
+
+def reference_abs_pow(v, p):
+    if p == 2.0:
+        return v * v
+    if p == 1.5:
+        return v * np.sqrt(v)
+    if p == 1.25:
+        return v * np.sqrt(np.sqrt(v))
+    if p == 1.75:
+        s = np.sqrt(v)
+        return v * s * np.sqrt(s)
+    return np.power(v, p)
+
+
+def reference_inside(diff, p, w):
+    return reference_abs_pow(np.abs(diff), p).sum(axis=-1) <= w**p
 
 
 def reference_hash_batch(points, lattices, space, chunk=SHIFT_CHUNK):
@@ -34,7 +56,7 @@ def reference_hash_batch(points, lattices, space, chunk=SHIFT_CHUNK):
             rows = unresolved[base : base + _ROW_BLOCK]
             rel = pts[rows, None, :] - shifts[None, :, :]
             a = np.rint(rel / spacing)
-            hit = _inside(rel - spacing * a, space.p, params.w)
+            hit = reference_inside(rel - spacing * a, space.p, params.w)
             found = hit.any(axis=1)
             first = hit.argmax(axis=1)
             probes[rows] += np.where(found, first + 1, b)
@@ -70,7 +92,7 @@ def reference_lattice_stage(xp, yp, params, p, rng):
             rows = active[todo]
             rel = pts[rows, None, :] - shifts[todo]
             aa = np.rint(rel / spacing)
-            hit = _inside(rel - spacing * aa, p, w)
+            hit = reference_inside(rel - spacing * aa, p, w)
             found = hit.any(axis=1)
             if found.any():
                 first = hit.argmax(axis=1)
@@ -149,3 +171,124 @@ def test_lattice_stage_broadcast_pair_matches_reference():
     got = _lattice_stage(xp, yp, params, 1.5, rng_got)
     assert all(np.array_equal(a, b) for a, b in zip(want, got))
     assert rng_got.bit_generator.state == rng_want.bit_generator.state
+
+
+def reference_hash_stacked(points, sets, space):
+    """Row i hashed alone under sets[i % len(sets)]."""
+    n, t = points.shape
+    u = np.zeros(n, dtype=np.int64)
+    coords = np.zeros((n, t), dtype=np.int64)
+    for owner, lattices in enumerate(sets):
+        rows = np.arange(owner, n, len(sets))
+        u[rows], coords[rows], _ = reference_hash_batch(points[rows], lattices, space)
+    return u, coords
+
+
+def planted_points(sets, n, p, rng):
+    """(n, t) rows for sets[i % len(sets)] and a 1-based target lattice per row.
+
+    A third of the rows sit on the boundary of their target's ball, where
+    the summation order decides membership; a third lie well inside it;
+    the rest are uniform. Targets run over all U, so scans pass the first
+    chunk.
+    """
+    params = sets[0].params
+    t, w, spacing = params.t, params.w, params.spacing
+    owner = np.arange(n) % len(sets)
+    target = rng.integers(0, params.num_shifts, size=n)
+    centres = np.stack([sets[o].shift_block(u, u + 1)[0] for o, u in zip(owner, target)])
+    centres += spacing * rng.integers(-3, 4, size=(n, t))
+    direction = rng.uniform(-1.0, 1.0, size=(n, t))
+    direction /= (np.abs(direction) ** p).sum(axis=1, keepdims=True) ** (1.0 / p)
+    third = n // 3
+    points = rng.uniform(-3.0 * spacing, 3.0 * spacing, size=(n, t))
+    points[:third] = centres[:third] + w * direction[:third]
+    points[third : 2 * third] = centres[third : 2 * third] + 0.5 * w * direction[third : 2 * third]
+    return points, target + 1
+
+
+# t below, at and above numpy's 8-term switch to pairwise summation; p with
+# each sqrt chain of _abs_pow, and 1.3 for its generic np.power branch
+GRID_T = [1, 3, 7, 8, 9, 16]
+GRID_P = [1.25, 1.3, 1.5, 2.0]
+
+
+def grid_params(t, p):
+    """U past one shift chunk, and a spacing at which one lattice covers
+    at most about 1/500 of space, so first hits spread over all of U."""
+    ball = (2.0 * math.gamma(1.0 + 1.0 / p)) ** t / math.gamma(1.0 + t / p)
+    delta = max(3.0, (500.0 * ball) ** (1.0 / t))
+    return LatticeParams(w=1.0, t=t, num_shifts=SHIFT_CHUNK + 476, delta=delta)
+
+
+@pytest.mark.parametrize("p", GRID_P)
+@pytest.mark.parametrize("t", GRID_T)
+def test_shared_block_scan_matches_reference(t, p):
+    lattices = make_lattices(grid_params(t, p), seed=31 + t)
+    space = LpSpace(p, t)
+    pts, targets = planted_points([lattices], 240, p, derive_rng(1, 9305, t))
+    want = reference_hash_batch(pts, lattices, space)
+    got = hash_batch(pts, lattices, space)
+    for w_arr, g_arr in zip(want, got):
+        assert w_arr.dtype == g_arr.dtype and w_arr.shape == g_arr.shape
+        assert np.array_equal(w_arr, g_arr)
+    # locate decides membership with the scan's arithmetic
+    for x, target, u, coords in zip(pts, targets, got[0], got[1]):
+        cell = locate(x, int(target), lattices, space)
+        if u == target:
+            assert np.array_equal(cell, coords)
+        elif u == 0 or u > target:
+            assert cell is None
+    assert (got[0] > SHIFT_CHUNK).any()
+    if t >= 7:
+        assert (got[0] == 0).any()
+
+
+@pytest.mark.parametrize("p", GRID_P)
+@pytest.mark.parametrize("t", GRID_T)
+def test_per_row_block_scan_matches_reference(t, p):
+    # hash_stacked hands the kernel one (rows, b, t) shift block per row
+    sets = [make_lattices(grid_params(t, p), seed=41 + 3 * t + i) for i in range(3)]
+    space = LpSpace(p, t)
+    pts, _ = planted_points(sets, 240, p, derive_rng(1, 9306, t))
+    want = reference_hash_stacked(pts, sets, space)
+    got = hash_stacked(pts, sets, stack_first_chunks(sets), space)
+    for w_arr, g_arr in zip(want, got):
+        assert w_arr.dtype == g_arr.dtype and w_arr.shape == g_arr.shape
+        assert np.array_equal(w_arr, g_arr)
+    assert (got[0] > SHIFT_CHUNK).any()
+    if t >= 7:
+        assert (got[0] == 0).any()
+
+
+@pytest.mark.parametrize("p", GRID_P)
+@pytest.mark.parametrize("t", GRID_T)
+def test_lab_scan_matches_reference(t, p):
+    params = LatticeParams(w=1.0, t=t, num_shifts=300, delta=3.0)
+    data = derive_rng(0, 9307, t)
+    xp = data.normal(size=(150, t))
+    yp = xp + data.normal(scale=0.5, size=(150, t))
+    rng_want = derive_rng(6, 9308)
+    rng_got = derive_rng(6, 9308)
+    want = reference_lattice_stage(xp, yp, params, p, rng_want)
+    got = _lattice_stage(xp, yp, params, p, rng_got)
+    for w_arr, g_arr in zip(want, got):
+        assert w_arr.dtype == g_arr.dtype and w_arr.shape == g_arr.shape
+        assert np.array_equal(w_arr, g_arr)
+    assert rng_got.bit_generator.state == rng_want.bit_generator.state
+
+
+@pytest.mark.parametrize("t", [1, 2, 3, 7, 8, 9, 16, 17, 129])
+def test_column_sum_matches_last_axis_sum(t):
+    rng = derive_rng(0, 9309, t)
+    # magnitudes over 8 decades, so the order of the additions shows in the last bits
+    cols = [rng.uniform(0.0, 1.0, size=(64, 50)) * 10.0 ** rng.integers(-4, 4, size=(64, 50)) for _ in range(t)]
+    want = np.stack(cols, axis=-1).sum(axis=-1)
+    left_to_right = cols[0].copy()
+    for col in cols[1:]:
+        left_to_right = left_to_right + col
+    got = _column_sum([col.copy() for col in cols])
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    # from 8 terms on numpy's order is not left to right
+    assert np.array_equal(left_to_right, want) == (t < 8)

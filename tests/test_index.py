@@ -381,6 +381,24 @@ class TestPersistence:
         with pytest.raises(FormatError, match="position"):
             load_index(self._forge(scheme, tmp_path, patch))
 
+    def test_empty_bucket_rejected(self, scheme, tmp_path):
+        _, index = small_index(scheme, n=5)
+        table = index.tables[-1]
+        n_buckets, total = table.fps.size, table.positions.size
+
+        def patch(body):
+            # append a zero-size bucket, with the largest fingerprint, to the last table
+            at = len(body) - (16 + 12 * n_buckets + 4 * total)
+            body[at:] = (
+                struct.pack("<QQ", n_buckets + 1, total)
+                + struct.pack(f"<{n_buckets + 1}Q", *table.fps.tolist(), 2**64 - 1)
+                + struct.pack(f"<{n_buckets + 1}I", *np.diff(table.offsets).tolist(), 0)
+                + table.positions.astype("<u4").tobytes()
+            )
+
+        with pytest.raises(FormatError, match="empty bucket"):
+            load_index(self._forge(scheme, tmp_path, patch))
+
     def test_invalid_header_value_is_format_error(self, scheme, tmp_path):
         def patch(body):
             body[self.W_AT : self.W_AT + 8] = struct.pack("<d", -1.0)
