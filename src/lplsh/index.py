@@ -483,6 +483,8 @@ def load_index(path: str) -> LshIndex:
         overrides.append((name, value))
 
     ids = take_array("<i8", n).astype(np.int64)
+    if np.unique(ids).size != n:
+        raise FormatError("duplicate ids")
     points = take_array("<f8", n * d).astype(np.float64).reshape(n, d)
     tables = []
     for _ in range(l):

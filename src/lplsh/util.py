@@ -43,16 +43,6 @@ def binomial_se(successes: int, trials: int) -> float:
     return float(np.sqrt(max(phat * (1.0 - phat), 1.0 / trials) / trials))
 
 
-def two_proportion_z(k1: int, n1: int, k2: int, n2: int) -> float:
-    """z statistic for H1: p1 > p2 (unpooled)."""
-    p1 = k1 / n1
-    p2 = k2 / n2
-    var = p1 * (1.0 - p1) / n1 + p2 * (1.0 - p2) / n2
-    if var <= 0.0:
-        var = 1.0 / n1 + 1.0 / n2  # degenerate 0/1 proportions: fall back to worst-case scale
-    return float((p1 - p2) / np.sqrt(var))
-
-
 # CRC-64/XZ (reflected poly 0xC96C5795D7870F42, init and xorout all-ones).
 _CRC64_POLY = 0xC96C5795D7870F42
 _CRC64_MASK = 0xFFFFFFFFFFFFFFFF

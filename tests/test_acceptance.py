@@ -1,53 +1,36 @@
 """Acceptance criteria, one test per criterion, at the stated budgets.
 
-Each test appends a PASS/FAIL line to the summary section that conftest
-prints at the end of the run. Statistical gates use 3-sigma slack (or the
-stated confidence level) at the stated sample sizes; all randomness is
-seeded, so the suite is deterministic.
+C01-C08 and C11 are `lplsh verify` suites: each test runs its suite at
+level full, seed 0 (lplsh.verify holds the criterion's code, bounds and
+trial counts). Each test appends a PASS/FAIL line to the summary section
+that conftest prints at the end of the run. Statistical gates use 3-sigma
+slack (or the stated confidence level) at the stated sample sizes; all
+randomness is seeded, so the suite is deterministic.
 """
 
-import itertools
 import math
 import time
 
 import numpy as np
-import pytest
-from scipy import stats
 
 from lplsh import (
     IndexParams,
     Knobs,
-    LatticeParams,
     LpSpace,
-    StableParams,
     build,
     choose_k_l,
     compare_estimators,
-    compute_num_shifts,
-    compute_threshold,
-    convexity_residual,
-    covering_fraction,
     estimate_collision,
-    fit_tail_constant,
     generate_planted,
-    geometric_collision,
     linear_scan_nn,
     lp_norm,
-    load_index,
-    make_lattices,
-    sample_stable,
-    save_index,
-    smoothness_residual,
-    tail_probability_bounds,
     tuned_scheme,
-    validate_concentration,
-    write_rho_csv,
 )
-from lplsh.collisions import RHO_CSV_COLUMNS, rho_sweep
 from lplsh.scheme import derive_params
 from lplsh.util import derive_rng
+from lplsh.verify import SUITES
 
-from conftest import ACCEPTANCE_LINES, cheap_scheme
+from conftest import ACCEPTANCE_LINES
 
 
 def report(num: int, ok: bool, budget: float, elapsed: float, detail: str) -> None:
@@ -55,230 +38,46 @@ def report(num: int, ok: bool, budget: float, elapsed: float, detail: str) -> No
     ACCEPTANCE_LINES.append(f"C{num:02d} {status} {detail} [{elapsed:.1f}s/{budget:.0f}s]")
 
 
-def test_c01_geometry_residuals():
-    budget = 30.0
+def check_suite(num: int, suite: str, budget: float) -> None:
+    """Criterion `num` is verify's `suite` at full, seed 0, within `budget` seconds."""
     start = time.monotonic()
-    rng = derive_rng(0, 9601)
-    n = 100_000
-    worst = math.inf
-    for p, d in itertools.product((1.25, 1.5, 1.75, 2.0), (2, 10, 100)):
-        space = LpSpace(p, d)
-        x = rng.normal(size=(n, d))
-        y = rng.normal(size=(n, d))
-        worst = min(
-            worst,
-            float(np.min(smoothness_residual(x, y, space))),
-            float(np.min(convexity_residual(x, y, space))),
-        )
+    passed, detail = SUITES[suite]("full", 0)
     elapsed = time.monotonic() - start
-    ok = worst >= -1e-9 and elapsed < budget
-    report(1, ok, budget, elapsed, f"residual floor {worst:.2e} over 12 (p, d) grids x 1e5 pairs")
-    assert worst >= -1e-9
+    report(num, passed and elapsed < budget, budget, elapsed, detail)
+    assert passed, detail
     assert elapsed < budget
+
+
+def test_c01_geometry_residuals():
+    check_suite(1, "geometry_residuals", 30.0)
 
 
 def test_c02_stability_law():
-    budget = 60.0
-    start = time.monotonic()
-    rng = derive_rng(0, 9602)
-    n = 100_000
-    d = 32
-    min_pvalue = 1.0
-    for p in (1.2, 1.5, 1.8):
-        x = rng.normal(size=d)
-        norm = float(np.power(np.abs(x), p).sum() ** (1.0 / p))
-        a = sample_stable(StableParams(p), rng, size=(n, d))
-        proj = a @ x
-        ref = norm * sample_stable(StableParams(p), rng, size=n)
-        min_pvalue = min(min_pvalue, float(stats.ks_2samp(proj, ref).pvalue))
-    var = float(np.var(sample_stable(StableParams(2.0), rng, size=1_000_000)))
-    elapsed = time.monotonic() - start
-    ok = min_pvalue >= 0.01 and abs(var - 2.0) <= 0.02 and elapsed < budget
-    report(2, ok, budget, elapsed,
-           f"KS min p-value {min_pvalue:.3f} (level 0.01), gaussian variance {var:.4f}")
-    assert min_pvalue >= 0.01
-    assert abs(var - 2.0) <= 0.02
-    assert elapsed < budget
+    check_suite(2, "stable_law", 60.0)
 
 
 def test_c03_tail_shape():
-    budget = 120.0
-    start = time.monotonic()
-    fit = fit_tail_constant(StableParams(1.5), 10_000_000, derive_rng(0, 9603))
-    lower, upper = tail_probability_bounds(fit.grid_m, StableParams(1.5), fit.constants)
-    sandwich = bool(np.all(lower <= fit.tail_prob) and np.all(fit.tail_prob <= upper))
-    elapsed = time.monotonic() - start
-    ok = (not fit.constants.degenerate) and fit.flatness <= 0.15 and sandwich and elapsed < budget
-    report(3, ok, budget, elapsed,
-           f"scaled tail flat to {100 * fit.flatness:.1f}% over M in [10, 100], "
-           f"sandwich holds at all {fit.grid_m.size} grid points")
-    assert not fit.constants.degenerate
-    assert fit.flatness <= 0.15
-    assert sandwich
-    assert elapsed < budget
+    check_suite(3, "tail_bounds", 120.0)
 
 
 def test_c04_covering():
-    budget = 30.0
-    start = time.monotonic()
-    n = 10_000
-    count = compute_num_shifts(2, 1.5, 4.0, 0.05)
-    params = LatticeParams(w=1.0, t=2, num_shifts=count.u, delta_fail=0.05, saturated=count.saturated)
-    covered = covering_fraction(make_lattices(params, seed=1), LpSpace(1.5, 2), n, derive_rng(0, 9604))
-    uncovered = 1.0 - covered
-    bound = 0.05 + 3.0 * math.sqrt(0.05 * 0.95 / n)
-    single = LatticeParams(w=1.0, t=1, num_shifts=1)
-    frac1 = covering_fraction(make_lattices(single, seed=2), LpSpace(1.5, 1), n, derive_rng(0, 9614))
-    half_slack = 3.0 * math.sqrt(0.25 / n)
-    elapsed = time.monotonic() - start
-    ok = uncovered <= bound and abs(frac1 - 0.5) <= half_slack and elapsed < budget
-    report(4, ok, budget, elapsed,
-           f"uncovered {uncovered:.4f} <= {bound:.4f} at U={count.u}, "
-           f"single-shift coverage {frac1:.3f} vs 0.5")
-    assert uncovered <= bound
-    assert abs(frac1 - 0.5) <= half_slack
-    assert elapsed < budget
+    check_suite(4, "covering", 30.0)
 
 
 def test_c05_disjointness():
-    budget = 10.0
-    start = time.monotonic()
-    rng = derive_rng(0, 9605)
-    n = 10_000
-    violations = 0
-    for t in (1, 2, 3, 4):
-        params = LatticeParams(w=1.0, t=t, num_shifts=5)
-        lattices = make_lattices(params, seed=t)
-        spacing = params.spacing
-        pts = rng.uniform(-2.0 * spacing, 2.0 * spacing, size=(n, t))
-        offsets = np.array(list(itertools.product((-1, 0, 1), repeat=t)), dtype=np.float64)
-        for u in range(1, 6):
-            rel = pts - lattices.shifts[u - 1][None, :]
-            base = np.rint(rel / spacing)
-            centers = (base[:, None, :] + offsets[None, :, :]) * spacing
-            inside = (np.abs(rel[:, None, :] - centers) ** 1.5).sum(axis=2) <= 1.0
-            violations += int((inside.sum(axis=1) > 1).sum())
-    elapsed = time.monotonic() - start
-    ok = violations == 0 and elapsed < budget
-    report(5, ok, budget, elapsed,
-           f"{violations} multi-ball hits over 3^t neighborhoods, 1e4 points, t in 1..4")
-    assert violations == 0
-    assert elapsed < budget
+    check_suite(5, "disjointness", 10.0)
 
 
 def test_c06_concentration():
-    budget = 120.0
-    start = time.monotonic()
-    p = StableParams(1.5)
-    trials = 1_000
-    n_thresh = 2_000_000
-
-    def eps_for(t: int) -> float:
-        return math.log(math.log(t)) / math.log(t)
-
-    t0 = 64
-    eps0 = eps_for(t0)
-    thr0 = compute_threshold(t0, eps0, p, n_samples=n_thresh, seed=0)
-    high = validate_concentration(t0, eps0, p, thr0, trials, derive_rng(0, 9606))
-    high_bound = 0.5 + 3.0 * math.sqrt(0.25 / trials)
-
-    low_rates = []
-    for t in (16, 64, 256):
-        eps = eps_for(t)
-        thr = compute_threshold(t, eps, p, n_samples=n_thresh, seed=0)
-        got = validate_concentration(t, eps, p, thr, trials, derive_rng(0, 9616, t))
-        low_rates.append(got.rate_low)
-    monotone = low_rates[0] >= low_rates[1] >= low_rates[2]
-    elapsed = time.monotonic() - start
-    ok = high.rate_high <= high_bound and monotone and elapsed < budget
-    report(6, ok, budget, elapsed,
-           f"high-event rate {high.rate_high:.3f} <= {high_bound:.3f} at t=64; "
-           f"low-event rates {', '.join(f'{r:.4f}' for r in low_rates)} over t=16,64,256")
-    assert high.rate_high <= high_bound
-    assert monotone
-    assert elapsed < budget
+    check_suite(6, "concentration", 120.0)
 
 
 def test_c07_collision_identities():
-    budget = 120.0
-    start = time.monotonic()
-    rng = derive_rng(0, 9607)
-    scheme = cheap_scheme()
-    sure = estimate_collision(scheme, d=16, distance=0.0, trials=2_000, rng=rng)
-
-    # 1-d overlap: two radius-w intervals at distance s intersect in 2w - s
-    # and cover 2w + s, so the volume ratio is (2w - s)/(2w + s)
-    space1 = LpSpace(1.5, 1)
-    max_z_closed = 0.0
-    w = 1.0
-    for dist in (0.25, 0.5, 1.0, 1.5, 1.9):
-        got = geometric_collision(np.zeros(1), np.array([dist]), w, space1, 40_000, rng)
-        expected = (2.0 * w - dist) / (2.0 * w + dist)
-        max_z_closed = max(max_z_closed, abs(got.value - expected) / got.std_error)
-
-    max_z_methods = 0.0
-    for t in (1, 2, 3):
-        space = LpSpace(1.5, t)
-        y = np.zeros(t)
-        y[0] = 1.0
-        a = geometric_collision(np.zeros(t), y, 1.2, space, 40_000, rng, method="q_form")
-        b = geometric_collision(np.zeros(t), y, 1.2, space, 40_000, rng, method="union")
-        max_z_methods = max(max_z_methods, abs(a.value - b.value) / math.hypot(a.std_error, b.std_error))
-
-    elapsed = time.monotonic() - start
-    ok = sure.p_hat == 1.0 and max_z_closed <= 3.0 and max_z_methods <= 3.0 and elapsed < budget
-    report(7, ok, budget, elapsed,
-           f"p(0)={sure.p_hat:.1f} exactly; closed-form max z {max_z_closed:.2f}, "
-           f"estimator max z {max_z_methods:.2f} (3-sigma gates)")
-    assert sure.p_hat == 1.0
-    assert max_z_closed <= 3.0
-    assert max_z_methods <= 3.0
-    assert elapsed < budget
+    check_suite(7, "collision_identities", 120.0)
 
 
-def test_c08_sensitivity_and_rho_ordering(tmp_path):
-    budget = 600.0
-    start = time.monotonic()
-    trials = 4_000
-    reports = rho_sweep(
-        1.5,
-        [2.0, 5.0],
-        d=32,
-        trials=trials,
-        rng=derive_rng(0, 9608),
-        profile="remark",
-        knobs=Knobs(kappa_w=1.8),
-        overrides={"t": 3.0, "delta": 3.0, "delta_fail": 1e-3},
-        derive_kwargs={"threshold_samples": 1_000_000},
-    )
-    r2, r5 = reports
-    assert all(rep.t <= 32 and rep.num_shifts <= 100_000 for rep in reports)
-
-    def gap_z(rep):
-        se = math.hypot(rep.p1.std_error, rep.p2.std_error)
-        return (rep.p1.p_hat - rep.p2.p_hat) / se
-
-    z2, z5 = gap_z(r2), gap_z(r5)
-    sens_ok = min(z2, z5) > 2.326  # one-sided 99%
-    rho_lt_one = all(rep.rho_hat + 1.645 * rep.rho_se < 1.0 for rep in reports)
-    ordering = r5.rho_hat < r2.rho_hat + 1.645 * (r2.rho_se + r5.rho_se)
-
-    path = tmp_path / "rho.csv"
-    write_rho_csv(reports, str(path))
-    header = path.read_text().splitlines()[0].split(",")
-    columns_ok = (header == list(RHO_CSV_COLUMNS)
-                  and {"inv_c", "inv_cp", "lncsq_over_cp"} <= set(header))
-    elapsed = time.monotonic() - start
-    ok = sens_ok and rho_lt_one and ordering and columns_ok and elapsed < budget
-    report(8, ok, budget, elapsed,
-           f"p1>p2 at z={z2:.1f} (c=2) and z={z5:.1f} (c=5); "
-           f"rho {r2.rho_hat:.3f} (c=2) > {r5.rho_hat:.3f} (c=5), both < 1 at 95%; "
-           f"reference columns present")
-    assert sens_ok
-    assert rho_lt_one
-    assert ordering
-    assert columns_ok
-    assert elapsed < budget
+def test_c08_sensitivity_and_rho_ordering():
+    check_suite(8, "sensitivity", 600.0)
 
 
 def test_c09_cross_estimator_agreement():
@@ -355,45 +154,5 @@ def test_c10_end_to_end_recall():
     assert query_s < query_budget
 
 
-def test_c11_determinism_and_persistence(tmp_path):
-    budget = 120.0
-    start = time.monotonic()
-    rng = derive_rng(0, 9611)
-    pts = rng.normal(size=(500, 16))
-    scheme = cheap_scheme()
-    params = IndexParams(k=2, l=4, seed=21)
-
-    a_path, b_path = tmp_path / "a.lplsh", tmp_path / "b.lplsh"
-    save_index(build(pts, scheme, params), str(a_path))
-    save_index(build(pts, scheme, params), str(b_path))
-    rebuild_identical = a_path.read_bytes() == b_path.read_bytes()
-
-    index = build(pts, scheme, params)
-    loaded = load_index(str(a_path))
-    queries = rng.normal(size=(100, 16))
-    roundtrip_identical = loaded.query_batch(queries) == index.query_batch(queries)
-
-    def sweep():
-        return rho_sweep(
-            1.5, [2.0], d=8, trials=400, rng=derive_rng(0, 9621),
-            profile="remark", knobs=Knobs(kappa_w=1.8),
-            overrides={"t": 3.0, "delta": 3.0, "delta_fail": 1e-2},
-            derive_kwargs={"threshold_samples": 10_000},
-        )
-
-    c_path = tmp_path / "rho.csv"
-    write_rho_csv(sweep(), str(c_path))
-    first = c_path.read_bytes()
-    write_rho_csv(sweep(), str(c_path))
-    csv_identical = c_path.read_bytes() == first
-
-    elapsed = time.monotonic() - start
-    ok = rebuild_identical and roundtrip_identical and csv_identical and elapsed < budget
-    report(11, ok, budget, elapsed,
-           f"rebuild byte-identical={int(rebuild_identical)}, "
-           f"save/load identical on 100 queries={int(roundtrip_identical)}, "
-           f"rho rerun byte-identical={int(csv_identical)}")
-    assert rebuild_identical
-    assert roundtrip_identical
-    assert csv_identical
-    assert elapsed < budget
+def test_c11_determinism_and_persistence():
+    check_suite(11, "index_roundtrip", 120.0)

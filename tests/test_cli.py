@@ -395,3 +395,9 @@ class TestVerify:
         assert elapsed < 60.0
         assert "ok 17/17 suites" in captured
         assert "FAIL" not in captured
+
+    def test_bad_level_in_config_file_is_contract_error(self, tmp_path, capsys):
+        cfg = tmp_path / "verify.cfg"
+        cfg.write_text("level=bogus\n")
+        assert main(["verify", "--config", str(cfg)]) == 1
+        assert "level must be quick or full" in capsys.readouterr().err

@@ -399,6 +399,15 @@ class TestPersistence:
         with pytest.raises(FormatError, match="empty bucket"):
             load_index(self._forge(scheme, tmp_path, patch))
 
+    def test_duplicate_ids_rejected(self, scheme, tmp_path):
+        def patch(body):
+            # the ids 0..4 are stored as consecutive i8; give point 1 the id 0
+            at = body.index(struct.pack("<5q", 0, 1, 2, 3, 4))
+            body[at + 8 : at + 16] = struct.pack("<q", 0)
+
+        with pytest.raises(FormatError, match="duplicate ids"):
+            load_index(self._forge(scheme, tmp_path, patch))
+
     def test_invalid_header_value_is_format_error(self, scheme, tmp_path):
         def patch(body):
             body[self.W_AT : self.W_AT + 8] = struct.pack("<d", -1.0)
