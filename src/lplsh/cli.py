@@ -310,6 +310,8 @@ def _read_queries(opts: _Options):
     truth_path = opts.get("truth", str)
     queries = read_vectors(queries_path)
     truth = read_truth_csv(truth_path) if truth_path else None
+    if truth is not None and truth[0].size != queries.shape[0]:
+        raise ContractViolation(f"truth file {truth_path} has {truth[0].size} rows for {queries.shape[0]} queries")
     return queries_path, queries, truth
 
 

@@ -76,6 +76,25 @@ class Buckets(NamedTuple):
         return self.positions[self.offsets[i] : self.offsets[i + 1]]
 
 
+class FlatTables(NamedTuple):
+    """All l tables in one CSR; every table holds each of the n points exactly once.
+
+    Table ell owns buckets bounds[ell]:bounds[ell + 1] of fps, its local
+    offsets are offsets[bounds[ell] + ell : bounds[ell + 1] + ell + 1],
+    and its positions are row ell of positions.
+    """
+
+    fps: np.ndarray  # uint64, each table's ascending fingerprints, table after table
+    bounds: np.ndarray  # int64, l + 1
+    offsets: np.ndarray  # int64, len(fps) + l; each table's run starts at 0 and ends at n
+    positions: np.ndarray  # int64, C-contiguous (l, n)
+
+    def table(self, ell: int) -> Buckets:
+        """Table ell as views of the flat arrays."""
+        lo, hi = int(self.bounds[ell]), int(self.bounds[ell + 1])
+        return Buckets(self.fps[lo:hi], self.offsets[lo + ell : hi + ell + 1], self.positions[ell])
+
+
 class TableShape(NamedTuple):
     k: int
     l: int
@@ -175,7 +194,7 @@ def _stack_functions(funcs: list[HashFunction]) -> tuple[np.ndarray, list[Shifte
 
 
 class LshIndex:
-    """Built index: points, per-table buckets, and regenerable hash functions."""
+    """Built index: points, the tables' flat CSR, and regenerable hash functions."""
 
     def __init__(
         self,
@@ -183,7 +202,7 @@ class LshIndex:
         params: IndexParams,
         points: np.ndarray,
         ids: np.ndarray,
-        tables: list[Buckets],
+        flat: FlatTables,
         avg_probes: float | None = None,
         fingerprint_collisions: int = 0,
         fallback_rate: float | None = None,
@@ -192,7 +211,8 @@ class LshIndex:
         self.params = params
         self.points = points
         self.ids = ids
-        self.tables = tables
+        self.flat = flat
+        self.tables = [flat.table(ell) for ell in range(params.l)]
         self.avg_probes = avg_probes
         self.fingerprint_collisions = fingerprint_collisions
         self.fallback_rate = fallback_rate
@@ -244,8 +264,13 @@ class LshIndex:
     def query_batch(self, queries: np.ndarray, max_candidates: int | None = None) -> list[QueryResult]:
         """Probe one bucket per table per query, in table order, under a candidate budget.
 
+        A query's candidates are its buckets' points in (table, position)
+        order, each counted at its first occurrence, cut at the budget; a
+        table is probed while fewer than budget candidates precede it.
         The answer is the closest candidate examined (ties to the smaller
         id); it is in contract when its exact distance is at most c * r.
+        Queries are looked up in groups of about _ROW_BLOCK // l, so the
+        lookup's temporaries do not grow with the batch.
         """
         qs = np.asarray(queries, dtype=np.float64)
         if qs.ndim != 2 or qs.shape[1] != self.d:
@@ -254,45 +279,66 @@ class LshIndex:
             raise ContractViolation("queries must be finite (no NaN or infinity)")
         _check_max_candidates(max_candidates)
         budget = max_candidates if max_candidates is not None else self.params.candidate_budget
-        query_fps = self._query_keys(qs).tolist()
-        space = self.space()
-        limit = self.scheme.c * self.scheme.r
-        results = []
-        for qi in range(qs.shape[0]):
-            seen: list[int] = []
-            seen_set: set[int] = set()
-            tables_probed = 0
-            for ell in range(self.params.l):
-                if len(seen) >= budget:
-                    break
-                tables_probed += 1
-                bucket = self.tables[ell].get(query_fps[qi][ell])
-                if bucket is None:
-                    continue
-                for pos in bucket:
-                    pos = int(pos)
-                    if pos not in seen_set:
-                        seen_set.add(pos)
-                        seen.append(pos)
-                        if len(seen) >= budget:
-                            break
-            if not seen:
-                results.append(QueryResult(None, 0, tables_probed, None))
-                continue
-            sel = np.array(seen, dtype=np.int64)
-            dists = np.asarray(lp_norm(self.points[sel] - qs[qi][None, :], space))
-            cand_ids = self.ids[sel]
-            best = np.lexsort((cand_ids, dists))[0]
-            dist = float(dists[best])
-            results.append(
-                QueryResult(
-                    answer=(int(cand_ids[best]), dist),
-                    candidates_examined=len(seen),
-                    tables_probed=tables_probed,
-                    in_contract=bool(dist <= limit),
-                )
-            )
+        query_fps = self._query_keys(qs)
+        group = max(1, _ROW_BLOCK // self.params.l)
+        results: list[QueryResult] = []
+        for lo in range(0, qs.shape[0], group):
+            results += self._lookup(qs[lo : lo + group], query_fps[lo : lo + group], budget)
         return results
+
+    def _lookup(self, qs: np.ndarray, query_fps: np.ndarray, budget: int) -> list[QueryResult]:
+        """Results of a group of queries from their (m, l) fingerprints, all tables at once."""
+        flat, l, n = self.flat, self.params.l, self.n
+        m = qs.shape[0]
+        # pair (query, table) is query * l + table; find the first bucket whose
+        # fingerprint is >= the key inside each pair's table segment
+        keys = query_fps.ravel()
+        lo = np.tile(flat.bounds[:-1], m)
+        end = np.tile(flat.bounds[1:], m)
+        hi = end
+        for _ in range(int(np.diff(flat.bounds).max()).bit_length()):
+            mid = (lo + hi) >> 1
+            right = (lo < hi) & (flat.fps.take(mid, mode="clip") < keys)
+            lo = np.where(right, mid + 1, lo)
+            hi = np.where(right, hi, mid)
+        pair = np.flatnonzero(lo < end)
+        pair = pair[flat.fps[lo[pair]] == keys[pair]]
+        table = pair % l
+        local = lo[pair] + table
+        start = flat.offsets[local]
+        # Before any probed table a query holds fewer than budget candidates,
+        # so a bucket's first budget members always complete the budget.
+        counts = np.minimum(flat.offsets[local + 1] - start, budget)
+        # every hit bucket's members, in (query, table, within-bucket) order
+        member_pair = np.repeat(pair, counts)
+        slots = np.repeat(table * n + start - (np.cumsum(counts) - counts), counts) + np.arange(member_pair.size)
+        member_pos = flat.positions.ravel()[slots]
+        member_query = member_pair // l
+        # a candidate is a (query, point) at its first occurrence
+        _, first = np.unique(member_query * n + member_pos, return_index=True)
+        is_new = np.zeros(member_pair.size, dtype=bool)
+        is_new[first] = True
+        new_pair, new_query, new_pos = member_pair[is_new], member_query[is_new], member_pos[is_new]
+        per_query = np.bincount(new_query, minlength=m)
+        rank = np.arange(new_query.size) - np.repeat(np.cumsum(per_query) - per_query, per_query)
+        per_pair = np.bincount(new_pair, minlength=m * l).reshape(m, l)
+        tables_probed = ((np.cumsum(per_pair, axis=1) - per_pair) < budget).sum(axis=1)
+        examined = np.minimum(per_query, budget)
+
+        kept = rank < budget
+        cand_query, cand_pos = new_query[kept], new_pos[kept]
+        dists = np.asarray(lp_norm(self.points[cand_pos] - qs[cand_query], self.space()))
+        cand_ids = self.ids[cand_pos]
+        order = np.lexsort((cand_ids, dists, cand_query))
+        best = order[np.flatnonzero(np.diff(cand_query[order], prepend=-1))]
+        answers: list[tuple[int, float] | None] = [None] * m
+        for qi, cand_id, dist in zip(cand_query[best].tolist(), cand_ids[best].tolist(), dists[best].tolist()):
+            answers[qi] = (cand_id, dist)
+        limit = self.scheme.c * self.scheme.r
+        return [
+            QueryResult(answer, count, probed, None if answer is None else answer[1] <= limit)
+            for answer, count, probed in zip(answers, examined.tolist(), tables_probed.tolist())
+        ]
 
 
 def build(
@@ -320,7 +366,9 @@ def build(
             raise ContractViolation("ids must be unique")
     unit = scale_to_unit(pts, scheme.r)
     space_t = scheme.space()
-    tables: list[Buckets] = []
+    table_fps: list[np.ndarray] = []
+    table_offsets: list[np.ndarray] = []
+    positions = np.empty((params.l, n), dtype=np.int64)
     probe_total = 0
     fallback_total = 0
     collisions = 0
@@ -339,23 +387,28 @@ def build(
             starts = np.concatenate(([0], np.flatnonzero(np.diff(sorted_fps)) + 1))
         else:
             starts = np.empty(0, dtype=np.int64)
-        offsets = np.concatenate((starts, [n])).astype(np.int64)
         # a fingerprint collision is a bucket whose full keys are not all equal
         sorted_rows = key_mat[order]
         bad = (sorted_fps[1:] == sorted_fps[:-1]) & (sorted_rows[1:] != sorted_rows[:-1]).any(axis=1)
         if bad.any():
             owner = np.searchsorted(starts, np.flatnonzero(bad), side="right") - 1
             collisions += int(np.unique(owner).size)
-        tables.append(
-            Buckets(fps=sorted_fps[starts].copy(), offsets=offsets, positions=order.astype(np.int64, copy=False))
-        )
+        table_fps.append(sorted_fps[starts])
+        table_offsets.append(np.concatenate((starts, [n])))
+        positions[ell] = order
     hash_evals = n * params.l * params.k
+    flat = FlatTables(
+        fps=np.concatenate(table_fps),
+        bounds=np.cumsum([0] + [t.size for t in table_fps], dtype=np.int64),
+        offsets=np.concatenate(table_offsets),
+        positions=positions,
+    )
     return LshIndex(
         scheme=scheme,
         params=params,
         points=pts,
         ids=ids_arr,
-        tables=tables,
+        flat=flat,
         avg_probes=probe_total / hash_evals if hash_evals else 0.0,
         fingerprint_collisions=collisions,
         fallback_rate=fallback_total / hash_evals if hash_evals else 0.0,
@@ -486,24 +539,40 @@ def load_index(path: str) -> LshIndex:
     if np.unique(ids).size != n:
         raise FormatError("duplicate ids")
     points = take_array("<f8", n * d).astype(np.float64).reshape(n, d)
-    tables = []
+    # First pass over the table headers: each table's payload offset and
+    # bucket count, so the flat arrays are allocated once and filled in place.
+    table_at, bounds = [], [0]
     for _ in range(l):
         n_buckets, total = _TABLE_HEADER.unpack_from(raw, claim(_TABLE_HEADER.size, "header"))
-        fps = take_array("<u8", n_buckets).astype(np.uint64)
-        counts = take_array("<u4", n_buckets)
-        if int(counts.sum()) != total:
-            raise FormatError("bucket counts disagree with entry total")
-        if n_buckets and int(counts.min()) == 0:
-            raise FormatError("empty bucket")
-        if n_buckets > 1 and not (fps[1:] > fps[:-1]).all():
-            raise FormatError("bucket fingerprints not strictly increasing")
-        positions = take_array("<u4", total).astype(np.int64)
-        if total and int(positions.max()) >= n:
-            raise FormatError("bucket position beyond the stored points")
-        offsets = np.concatenate(([0], np.cumsum(counts.astype(np.int64))))
-        tables.append(Buckets(fps=fps, offsets=offsets, positions=positions))
+        if total != n:
+            raise FormatError(f"table entry total {total} differs from the point count {n}")
+        table_at.append(claim(12 * n_buckets + 4 * total, "payload"))
+        bounds.append(bounds[-1] + n_buckets)
     if off != end:
         raise FormatError("trailing bytes after payload")
+    flat = FlatTables(
+        fps=np.empty(bounds[-1], dtype=np.uint64),
+        bounds=np.array(bounds, dtype=np.int64),
+        offsets=np.empty(bounds[-1] + l, dtype=np.int64),
+        positions=np.empty((l, n), dtype=np.int64),
+    )
+    for ell, at in enumerate(table_at):
+        lo, hi = bounds[ell], bounds[ell + 1]
+        fps = flat.fps[lo:hi]
+        fps[:] = np.frombuffer(raw, dtype="<u8", count=hi - lo, offset=at)
+        counts = np.frombuffer(raw, dtype="<u4", count=hi - lo, offset=at + 8 * (hi - lo))
+        if int(counts.sum()) != n:
+            raise FormatError("bucket counts disagree with entry total")
+        if hi > lo and int(counts.min()) == 0:
+            raise FormatError("empty bucket")
+        if hi - lo > 1 and not (fps[1:] > fps[:-1]).all():
+            raise FormatError("bucket fingerprints not strictly increasing")
+        offsets = flat.offsets[lo + ell : hi + ell + 1]
+        offsets[0] = 0
+        np.cumsum(counts, dtype=np.int64, out=offsets[1:])
+        flat.positions[ell] = np.frombuffer(raw, dtype="<u4", count=n, offset=at + 12 * (hi - lo))
+        if n and int(flat.positions[ell].max()) >= n:
+            raise FormatError("bucket position beyond the stored points")
 
     if profile_code not in _PROFILE_NAME:
         raise FormatError(f"unknown profile code {profile_code}")
@@ -530,7 +599,7 @@ def load_index(path: str) -> LshIndex:
         params = IndexParams(k=k, l=l, seed=root_seed, max_candidates=max_candidates or None)
     except ContractViolation as exc:
         raise FormatError(f"invalid header value: {exc}") from None
-    return LshIndex(scheme=scheme, params=params, points=points, ids=ids, tables=tables)
+    return LshIndex(scheme=scheme, params=params, points=points, ids=ids, flat=flat)
 
 
 # -- radius ladder -------------------------------------------------------

@@ -193,9 +193,12 @@ class TestBuild:
 class TestQuery:
     def test_self_query_all_exact(self, instance, built_index, tmp_path, capsys):
         out = str(tmp_path / "res.csv")
+        # every data point is its own nearest neighbor
+        truth = tmp_path / "self.truth.csv"
+        truth.write_text("query_id,answer_id,distance\n" + "".join(f"{i},{i},0.0\n" for i in range(60)))
         assert main([
             "query", "--index", built_index, "--queries", instance + ".fvecs",
-            "--truth", instance + ".truth.csv", "--out", out,
+            "--truth", str(truth), "--out", out,
             "--max-candidates", "60",
         ]) == 0
         echoed = echo_map(capsys.readouterr().out)
@@ -252,6 +255,21 @@ class TestQuery:
             assert code == 1
             assert not out.exists()
 
+    def test_truth_rows_must_match_queries(self, instance, built_index, tmp_path, monkeypatch, capsys):
+        def no_load(*args, **kwargs):
+            raise AssertionError("query loaded the index before rejecting its truth file")
+
+        monkeypatch.setattr("lplsh.cli.load_index", no_load)
+        truth = tmp_path / "three.truth.csv"
+        with open(instance + ".truth.csv") as fh:
+            truth.write_text("".join(fh.readlines()[:-3]))
+        out = tmp_path / "res.csv"
+        code = main(["query", "--index", built_index, "--queries", instance + ".queries.fvecs",
+                     "--truth", str(truth), "--out", str(out)])
+        assert code == 1
+        assert "3 rows for 6 queries" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_index(self, tmp_path):
         code = main(["query", "--index", str(tmp_path / "no.lplsh"),
                      "--queries", str(tmp_path / "no.csv"), "--out", str(tmp_path / "r.csv")])
@@ -295,9 +313,10 @@ class TestBench:
         [
             ("x0,x1,x2,x3,x4\n0,0,nan,0,0\n", None, 1),
             ("x0,x1\n0.0,0.0\n", None, 1),
-            ("x0,x1,x2,x3,x4\n0,0,0,0,0\n", "missing.truth.csv", 2),
+            ("x0,x1,x2,x3,x4\n0,0,0,0,0\n", "missing", 2),
+            ("x0,x1,x2,x3,x4\n0,0,0,0,0\n", "three-rows", 1),
         ],
-        ids=["nan-query", "wrong-dimension", "missing-truth"],
+        ids=["nan-query", "wrong-dimension", "missing-truth", "truth-rows-differ"],
     )
     def test_bad_inputs_rejected_before_build(self, instance, tmp_path, monkeypatch, queries_text, truth, code):
         def no_build(*args, **kwargs):
@@ -313,7 +332,10 @@ class TestBench:
         argv = ["bench", "--data", instance + ".fvecs", "--queries", str(queries),
                 "--out", str(tmp_path / "bench.csv"), "--seed", "2", "--k", "1", "--l", "2", *FAST_SCHEME]
         if truth:
-            argv += ["--truth", str(tmp_path / truth)]
+            truth_path = tmp_path / f"{truth}.truth.csv"
+            if truth == "three-rows":
+                truth_path.write_text("query_id,answer_id,distance\n0,1,1.0\n1,2,1.0\n2,3,1.0\n")
+            argv += ["--truth", str(truth_path)]
         assert main(argv) == code
 
 

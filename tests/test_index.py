@@ -283,6 +283,17 @@ class TestPersistence:
         qs = rng.normal(size=(100, 6))
         assert loaded.query_batch(qs) == index.query_batch(qs)
 
+    def test_tables_are_views_of_the_flat_storage(self, scheme, tmp_path):
+        _, index = small_index(scheme, n=80, l=3)
+        path = tmp_path / "idx.lplsh"
+        save_index(index, str(path))
+        for idx in (index, load_index(str(path))):
+            wholes = (idx.flat.fps, idx.flat.offsets, idx.flat.positions)
+            for table in idx.tables:
+                for got, whole, dtype in zip(table, wholes, (np.uint64, np.int64, np.int64)):
+                    assert got.dtype == dtype
+                    assert np.shares_memory(got, whole)
+
     def test_rebuild_and_save_byte_identical(self, scheme, tmp_path):
         a_path, b_path = tmp_path / "a.lplsh", tmp_path / "b.lplsh"
         _, a = small_index(scheme, seed=11)
@@ -397,6 +408,32 @@ class TestPersistence:
             )
 
         with pytest.raises(FormatError, match="empty bucket"):
+            load_index(self._forge(scheme, tmp_path, patch))
+
+    @pytest.mark.parametrize("change", ["repeat", "drop"])
+    def test_entry_total_other_than_n_rejected(self, scheme, tmp_path, change):
+        _, index = small_index(scheme, n=5)
+        table = index.tables[-1]
+        fps, sizes, positions = table.fps, np.diff(table.offsets), table.positions
+        if change == "repeat":
+            # the last bucket lists its last point twice
+            sizes = np.append(sizes[:-1], sizes[-1] + 1)
+            positions = np.append(positions, positions[-1])
+        else:
+            # the last bucket and its points are gone
+            fps, sizes, positions = fps[:-1], sizes[:-1], positions[: table.offsets[-2]]
+        n_buckets, total = table.fps.size, table.positions.size
+
+        def patch(body):
+            at = len(body) - (16 + 12 * n_buckets + 4 * total)
+            body[at:] = (
+                struct.pack("<QQ", fps.size, positions.size)
+                + fps.astype("<u8").tobytes()
+                + sizes.astype("<u4").tobytes()
+                + positions.astype("<u4").tobytes()
+            )
+
+        with pytest.raises(FormatError, match="entry total"):
             load_index(self._forge(scheme, tmp_path, patch))
 
     def test_duplicate_ids_rejected(self, scheme, tmp_path):

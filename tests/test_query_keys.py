@@ -1,16 +1,18 @@
-"""Stacked query hashing against the per-table loop it replaced.
+"""Stacked query hashing and grouped lookup against the per-table loops they replaced.
 
 `LshIndex._query_keys` hashes a group of queries under all k*l functions
-with one projection, one lattice scan and one fingerprint fold. The
-reference below is the earlier path: per table, `_key_matrix` over freshly
-regenerated functions, then one fingerprint fold. Fingerprints and every
-`QueryResult` field must be equal.
+with one projection, one lattice scan and one fingerprint fold;
+`LshIndex.query_batch` then looks a group of queries up in all l tables at
+once. The reference below is the earlier path: per table, `_key_matrix`
+over freshly regenerated functions and one fingerprint fold, then one
+`Buckets.get` per (query, table). Fingerprints and every `QueryResult`
+field must be equal.
 """
 
 import numpy as np
 import pytest
 
-from lplsh import IndexParams, QueryResult, build
+from lplsh import IndexParams, QueryResult, build, load_index, save_index
 from lplsh.geometry import lp_norm
 from lplsh.index import _key_matrix, _table_functions, fingerprint_rows
 from lplsh.lattice import _ROW_BLOCK, SHIFT_CHUNK
@@ -130,3 +132,72 @@ def test_budget_misses_and_duplicates():
 
     assert any(len(members(qi)) > len(set(members(qi))) for qi in range(len(queries)))
     assert_matches_reference(index, queries)
+
+
+def test_ties_go_to_the_smaller_permuted_id():
+    # every point twice: the copies share every bucket and every distance
+    pts, queries = instance(5, n=60)
+    ids = derive_rng(0, 9901).permutation(1000)[:120]
+    index = build(np.vstack([pts, pts]), cheap_scheme(), IndexParams(k=2, l=6, seed=15), ids=ids)
+    got = assert_matches_reference(index, queries)
+    answered = [r.answer[0] for r in got if r.answer is not None]
+    assert answered
+    pos = {int(i): p for p, i in enumerate(ids)}
+    for answer_id in answered:
+        p = pos[answer_id]
+        assert answer_id == min(ids[p % 60], ids[p % 60 + 60])
+    # the smaller id sits on the second copy for some answers, so it is not positional
+    assert any(pos[answer_id] >= 60 for answer_id in answered)
+
+
+def test_budget_of_one_cuts_a_multi_member_bucket():
+    pts, queries = instance(6)
+    index = build(pts, cheap_scheme(), IndexParams(k=1, l=4, seed=16))
+    got = assert_matches_reference(index, queries, max_candidates=1)
+    fps = index._query_keys(queries)
+    first_hits = [index.tables[0].get(int(fps[qi, 0])) for qi in range(len(queries))]
+    cut = [qi for qi, bucket in enumerate(first_hits) if bucket is not None and bucket.size > 1]
+    assert cut
+    for qi in cut:
+        assert (got[qi].candidates_examined, got[qi].tables_probed) == (1, 1)
+
+
+@pytest.mark.parametrize("max_candidates", [None, 3])
+def test_bucket_of_points_already_seen(max_candidates):
+    # three copies of one point, far from the rest, fill the query's bucket in every table
+    pts, queries = instance(7)
+    far = np.full((3, pts.shape[1]), 50.0)
+    index = build(np.vstack([pts, far]), cheap_scheme(), IndexParams(k=2, l=5, seed=17))
+    copies = [pts.shape[0], pts.shape[0] + 1, pts.shape[0] + 2]
+    fps = index._query_keys(far[:1])
+    assert all(index.tables[ell].get(int(fps[0, ell])).tolist() == copies for ell in range(5))
+    (got,) = assert_matches_reference(index, far[:1], max_candidates)
+    # every later table adds nothing; it counts as probed until the budget is met
+    assert got.candidates_examined == 3
+    assert got.tables_probed == (5 if max_candidates is None else 1)
+
+
+def test_empty_index():
+    _, queries = instance(8)
+    index = build(np.empty((0, queries.shape[1])), cheap_scheme(), IndexParams(k=2, l=4, seed=18))
+    got = assert_matches_reference(index, queries)
+    assert all(r == QueryResult(None, 0, 4, None) for r in got)
+
+
+def test_loaded_index_answers_as_the_saved_one(tmp_path):
+    pts, queries = instance(9)
+    index = build(pts, cheap_scheme(), IndexParams(k=1, l=8, seed=19))
+    path = str(tmp_path / "idx.lplsh")
+    save_index(index, path)
+    loaded = load_index(path)
+    for budget in (None, 4):
+        assert assert_matches_reference(loaded, queries, budget) == index.query_batch(queries, budget)
+
+
+def test_batch_spanning_several_lookup_groups():
+    # l = 600 tables: lookup groups of 6 queries, so 14 queries make 3 groups, the last one short
+    pts, queries = instance(10)
+    index = build(pts, cheap_scheme(), IndexParams(k=1, l=600, seed=20))
+    assert _ROW_BLOCK // 600 == 6
+    got = assert_matches_reference(index, queries, max_candidates=7)
+    assert len(got) == 14
