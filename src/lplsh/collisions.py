@@ -152,9 +152,11 @@ def _lattice_stage(
 
     def draw(lo: int, b: int, rows: np.ndarray) -> np.ndarray:
         b = min(b, max(16, _ELEM_BUDGET // (rows.size * t)))
-        return rng.uniform(0.0, params.spacing, size=(rows.size, b, t))
+        # drawn trial-major as always, handed over as a contiguous (t, b, rows)
+        return np.ascontiguousarray(rng.uniform(0.0, params.spacing, size=(rows.size, b, t)).T)
 
-    (ux, ax), (uy, ay) = first_cover((xp, yp), draw, params, p, 128)
+    # these block sizes set the order of the draws, so the lab keeps them
+    (ux, ax), (uy, ay) = first_cover((xp, yp), draw, params, p, 128, 4)
     return ux, ax, uy, ay
 
 

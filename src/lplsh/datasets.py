@@ -105,15 +105,15 @@ def read_vectors_csv(path: str) -> np.ndarray:
         raise FormatError(f"{path}: no header row")
     d = len(rows[0])
     body = rows[1:]
+    for i, row in enumerate(body, 1):
+        if len(row) != d:
+            raise FormatError(f"{path}: ragged rows: data row {i} has width {len(row)}, header width {d}")
     if not body:
         return np.empty((0, d), dtype=np.float64)
     try:
-        mat = np.array([[float(v) for v in row] for row in body], dtype=np.float64)
+        return np.array([[float(v) for v in row] for row in body], dtype=np.float64)
     except ValueError as exc:
         raise FormatError(f"{path}: non-numeric vector entry: {exc}") from None
-    if mat.shape[1] != d:
-        raise FormatError(f"{path}: ragged rows (header width {d})")
-    return mat
 
 
 def write_vectors(path: str, arr: np.ndarray, comments: tuple[str, ...] = ()) -> None:

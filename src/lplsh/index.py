@@ -22,7 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .geometry import ContractViolation, LpSpace, lp_norm
-from .lattice import _ROW_BLOCK, LatticeParams, ShiftedLatticeSet, hash_batch, hash_stacked, stack_first_chunks
+from .lattice import LatticeParams, ShiftedLatticeSet, hash_batch, hash_stacked, stack_prefix
 from .scheme import (
     _OVERRIDE_FIELDS,
     PROFILE_MAIN,
@@ -44,6 +44,11 @@ _FNV_OFFSET = np.uint64(0xCBF29CE484222325)
 _FNV_PRIME = np.uint64(0x100000001B3)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
+
+# (query, function) rows hashed in one scan
+_QUERY_ROWS = 16384
+# (query, table) pairs looked up at once
+_ROW_BLOCK = 4096
 
 
 def fingerprint_rows(key_mat: np.ndarray) -> np.ndarray:
@@ -180,17 +185,17 @@ def _key_matrix(funcs: list[HashFunction], unit: np.ndarray, space_t: LpSpace) -
 
 
 def _stack_functions(funcs: list[HashFunction]) -> tuple[np.ndarray, list[ShiftedLatticeSet], np.ndarray]:
-    """All projections as one (len(funcs) * t, d) matrix, the lattice sets, and their stacked first chunks.
+    """All projections as one (len(funcs) * t, d) matrix, the lattice sets, and their stacked shift prefix.
 
-    Every function's projection and cached first shift chunk become views
-    of the stacked arrays, so nothing is held twice.
+    Every function's projection becomes a view of the stacked matrix, so
+    nothing is held twice.
     """
     projection = np.vstack([h.projection for h in funcs])
     t = funcs[0].projection.shape[0]
     for i, h in enumerate(funcs):
         h.projection = projection[i * t : (i + 1) * t]
     sets = [h.lattices for h in funcs]
-    return projection, sets, stack_first_chunks(sets)
+    return projection, sets, stack_prefix(sets)
 
 
 class LshIndex:
@@ -240,19 +245,19 @@ class LshIndex:
 
         Each group of queries is hashed under all k * l functions at once:
         one projection, one lattice scan and one fingerprint fold. Groups
-        of about _ROW_BLOCK // (k * l) queries bound the scan's shift gather.
+        of about _QUERY_ROWS // (k * l) queries bound the scan's arrays.
         """
         if self._stacked is None:
             self._stacked = _stack_functions([h for funcs in self.functions() for h in funcs])
-        projection, sets, first_chunks = self._stacked
+        projection, sets, prefix = self._stacked
         k, l, t = self.params.k, self.params.l, self.scheme.t
         space_t = self.scheme.space()
         unit = scale_to_unit(queries, self.scheme.r)
         fps = np.empty((unit.shape[0], l), dtype=np.uint64)
-        group = max(1, _ROW_BLOCK // (k * l))
+        group = max(1, _QUERY_ROWS // (k * l))
         for lo in range(0, unit.shape[0], group):
             projected = (unit[lo : lo + group] @ projection.T).reshape(-1, t)
-            u, coords = hash_stacked(projected, sets, first_chunks, space_t)
+            u, coords = hash_stacked(projected, sets, prefix, space_t)
             # row (query, table) lists u then the t coords of each of the table's k functions
             keys = np.concatenate((u[:, None], coords), axis=1).reshape(-1, k * (1 + t))
             fps[lo : lo + group] = fingerprint_rows(keys).reshape(-1, l)

@@ -25,7 +25,12 @@ from .util import derive_rng
 
 DEFAULT_U_MAX = 10**6
 SHIFT_CHUNK = 1024
-_ROW_BLOCK = 4096
+# first_cover's row slices hold about this many (shift, row) pairs at most
+_SCAN_ELEMS = 1 << 18
+# the index callers' block schedule: 8 shifts first, then x1.5 up to SHIFT_CHUNK
+INDEX_BLOCKS = (8, 1.5)
+# hash_stacked's prefix: the first six blocks of that schedule, 8 + 12 + 18 + 27 + 41 + 62
+STACK_PREFIX = 168
 
 
 @dataclass(frozen=True)
@@ -113,13 +118,14 @@ class ShiftedLatticeSet:
         self.seed = int(seed)
         self._chunks: dict[int, np.ndarray] = {}
 
+    def _draw(self, j: int, rows: int) -> np.ndarray:
+        """The first `rows` shift rows of chunk j, from the chunk's own stream."""
+        return derive_rng(self.seed, j).uniform(0.0, self.params.spacing, size=(rows, self.params.t))
+
     def _chunk(self, j: int) -> np.ndarray:
         block = self._chunks.get(j)
         if block is None:
-            rng = derive_rng(self.seed, j)
-            lo = j * SHIFT_CHUNK
-            n = min(SHIFT_CHUNK, self.params.num_shifts - lo)
-            block = rng.uniform(0.0, self.params.spacing, size=(n, self.params.t))
+            block = self._draw(j, min(SHIFT_CHUNK, self.params.num_shifts - j * SHIFT_CHUNK))
             self._chunks[j] = block
         return block
 
@@ -165,17 +171,20 @@ class HashValue:
         return HashValue(0, (0,) * t)
 
 
-def _abs_pow(v: np.ndarray, p: float) -> np.ndarray:
-    """v**p elementwise for v >= 0, written over v; sqrt chains for the common quarter-power p."""
+def _abs_pow(v: np.ndarray, p: float, scratch: np.ndarray | None = None) -> np.ndarray:
+    """v**p elementwise for v >= 0, written over v; sqrt chains for the common quarter-power p.
+
+    A given scratch array of v's shape takes the chains' square roots.
+    """
     if p == 2.0:
         return np.multiply(v, v, out=v)
     if p == 1.5:
-        return np.multiply(v, np.sqrt(v), out=v)
+        return np.multiply(v, np.sqrt(v, out=scratch), out=v)
     if p == 1.25:
-        s = np.sqrt(v)
+        s = np.sqrt(v, out=scratch)
         return np.multiply(v, np.sqrt(s, out=s), out=v)
     if p == 1.75:
-        s = np.sqrt(v)
+        s = np.sqrt(v, out=scratch)
         np.multiply(v, s, out=v)
         return np.multiply(v, np.sqrt(s, out=s), out=v)
     return np.power(v, p, out=v)
@@ -196,15 +205,6 @@ def _column_sum(cols: list[np.ndarray]) -> np.ndarray:
     return total
 
 
-def _inside(dist: list[np.ndarray], p: float, w: float) -> np.ndarray:
-    """Membership test ||diff||_p <= w via sum_j |diff_j|^p <= w^p, given dist[j] = |diff_j|.
-
-    The arrays in dist are overwritten. Coordinates here are bounded by the
-    lattice spacing, so the powers stay well conditioned without rescaling.
-    """
-    return _column_sum([_abs_pow(v, p) for v in dist]) <= w**p
-
-
 def locate(x: np.ndarray, u: int, lattices: ShiftedLatticeSet, space: LpSpace) -> np.ndarray | None:
     """Cell coordinates of x in lattice u (1-based), or None if its ball misses x.
 
@@ -219,14 +219,11 @@ def locate(x: np.ndarray, u: int, lattices: ShiftedLatticeSet, space: LpSpace) -
     xa = np.asarray(x, dtype=np.float64)
     if xa.shape != (params.t,):
         raise ContractViolation(f"x must have shape ({params.t},), got {xa.shape}")
-    shift = lattices.shift_block(u - 1, u)[0]
-    rel = xa - shift
-    a = np.rint(rel / params.spacing)
-    diff = rel - params.spacing * a
-    # one length-1 array per coordinate: the scan's column arithmetic
-    if _inside(list(np.abs(diff)[:, None]), space.p, params.w)[0]:
-        return a.astype(np.int64)
-    return None
+    shift = lattices.shift_block(u - 1, u)
+    # the scan's own test and cell arithmetic, on one row and one shift
+    if not _covered(xa[:, None], shift.T[:, :, None], params, space.p)[0, 0]:
+        return None
+    return np.rint((xa - shift[0]) / params.spacing).astype(np.int64)
 
 
 def hash_point(
@@ -243,26 +240,69 @@ def hash_point(
     return value
 
 
+def _covered(cols: np.ndarray, shifts: np.ndarray, params: LatticeParams, p: float) -> np.ndarray:
+    """(b, rows) test ||x - shift - spacing * cell||_p <= w of each row x of cols (t, rows) against its b shifts.
+
+    shifts is (t, b, c): laid out as a (rows / c, c) grid, row r sees
+    shifts[:, :, r % c]. Each coordinate's rel, cell and power term are
+    (b, rows) arrays with the rows on the contiguous axis, computed in
+    place in two buffers per coordinate. Coordinates here are bounded by
+    the lattice spacing, so the powers stay well conditioned without
+    rescaling.
+    """
+    t, b, c = shifts.shape
+    spacing = params.spacing
+    terms = np.empty((t, b, cols.shape[1] // c, c))
+    cell = np.empty(terms.shape[1:])
+    for j in range(t):
+        rel = np.subtract(cols[j].reshape(-1, c), shifts[j, :, None, :], out=terms[j])
+        np.divide(rel, spacing, out=cell)
+        np.rint(cell, out=cell)
+        # rel becomes |rel - spacing * cell|, then its p-th power
+        np.subtract(rel, np.multiply(cell, spacing, out=cell), out=rel)
+        _abs_pow(np.abs(rel, out=rel), p, cell)
+    return _column_sum(list(terms.reshape(t, b, -1))) <= params.w**p
+
+
+def _first_hit(hit: np.ndarray) -> np.ndarray:
+    """Row of the first True in each column of the (b, rows) hit, or b where there is none."""
+    if hit.shape[0] * 200 > hit.shape[1]:
+        return np.where(hit.any(axis=0), hit.argmax(axis=0), hit.shape[0])
+    # argmax down many short columns is slow, so count each column's leading misses
+    alive = ~hit[0]
+    first = alive.astype(np.intp)
+    for row in hit[1:]:
+        alive &= ~row
+        first += alive
+    return first
+
+
 def first_cover(
     point_sets: tuple[np.ndarray, ...],
     draw: Callable[[int, int, np.ndarray], np.ndarray],
     params: LatticeParams,
     p: float,
     block: int,
+    growth: float,
 ) -> list[tuple[np.ndarray, np.ndarray]]:
     """Smallest covering lattice for every row of every (n, t) point set.
 
     Row i of every set sees the same shifts, which draw(lo, b, rows) gives
     for lattices lo, lo+1, ... (at most b) and the rows some set still
-    needs: one (b', t) block for all rows or one (len(rows), b', t) block.
-    Blocks start at `block` shifts and grow x4 up to SHIFT_CHUNK.
-    Returns (u, coords) per set; u = 0 and zero coords mean fallback.
+    needs, as a (t, b', c) array: laid out as a (len(rows) / c, c) grid,
+    row r takes column r % c. So c = 1 shares one block, c = len(rows)
+    gives every row its own, and for a single point set any other divisor
+    of len(rows) shares a block down each column of the grid.
+    Blocks start at `block` shifts and grow by `growth` (rounded up) to
+    SHIFT_CHUNK. Returns (u, coords) per set; u = 0 and zero coords mean
+    fallback.
 
-    Each coordinate is handled as its own contiguous (rows, b) array, and
-    the ball test sums the t per-coordinate terms in numpy's own order.
+    The work arrays are (shifts, rows); the ball test sums the t
+    per-coordinate terms in numpy's own order, and a row's hit is its
+    first True along the shift axis.
     """
     n, t = point_sets[0].shape
-    spacing, total = params.spacing, params.num_shifts
+    total = params.num_shifts
     out = [(np.zeros(n, dtype=np.int64), np.zeros((n, t), dtype=np.int64)) for _ in point_sets]
     lo = 0
     while lo < total:
@@ -273,37 +313,30 @@ def first_cover(
         if not active.size:
             break
         shifts = draw(lo, min(block, total - lo), active)
-        # row blocks bound the (rows, b, t) temporaries for large n
-        for base in range(0, active.size, _ROW_BLOCK):
-            part = active[base : base + _ROW_BLOCK]
+        b, c = shifts.shape[1:]
+        # slices of whole grid rows bound the (b, rows) temporaries
+        step = c * max(1, _SCAN_ELEMS // (b * c))
+        for base in range(0, active.size, step):
+            part = active[base : base + step]
             for pts, (u, coords) in zip(point_sets, out):
                 todo = u[part] == 0
                 rows = part[todo]
                 if not rows.size:
                     continue
-                part_shifts = shifts if shifts.ndim == 2 else shifts[base : base + _ROW_BLOCK]
-                if part_shifts.ndim == 3 and rows.size < part.size:  # another set resolved some rows
-                    part_shifts = part_shifts[todo]
-                sub = pts[rows]
-                cells, dist = [], []
-                for j in range(t):
-                    rel = sub[:, j, None] - part_shifts[..., j]
-                    a = rel / spacing
-                    np.rint(a, out=a)
-                    # rel becomes |rel - spacing * a|
-                    np.subtract(rel, spacing * a, out=rel)
-                    cells.append(a)
-                    dist.append(np.abs(rel, out=rel))
-                hit = _inside(dist, p, params.w)
-                found = hit.any(axis=1)
-                hit_rows = rows[found]
-                if hit_rows.size:
-                    first = hit.argmax(axis=1)[found]
-                    u[hit_rows] = lo + first + 1
-                    for j, a in enumerate(cells):
-                        coords[hit_rows, j] = a[found, first]
-        lo += shifts.shape[-2]
-        block = min(block * 4, SHIFT_CHUNK)
+                part_shifts = shifts
+                if c > 1 and rows.size < part.size:  # another set resolved some rows
+                    part_shifts = shifts[:, :, todo]
+                cols = np.ascontiguousarray(pts.T) if rows.size == n else np.take(pts.T, rows, axis=1)
+                first = _first_hit(_covered(cols, part_shifts, params, p))
+                found = (first < b).nonzero()[0]
+                if found.size:
+                    first = first[found]
+                    u[rows[found]] = lo + first + 1
+                    # the hit's cell, recomputed with the scan's arithmetic
+                    hit_shifts = part_shifts[:, first, found % part_shifts.shape[2]]
+                    coords[rows[found]] = np.rint((np.take(cols, found, axis=1) - hit_shifts) / params.spacing).T
+        lo += b
+        block = min(math.ceil(block * growth), SHIFT_CHUNK)
     return out
 
 
@@ -322,46 +355,57 @@ def hash_batch(
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[1] != params.t:
         raise ContractViolation(f"points must have shape (n, {params.t}), got {pts.shape}")
-    # blocks start small so the common early hits stay cheap
-    [(u, coords)] = first_cover((pts,), lambda lo, b, rows: lattices.shift_block(lo, lo + b), params, space.p, 4)
+
+    def draw(lo: int, b: int, rows: np.ndarray) -> np.ndarray:
+        return lattices.shift_block(lo, lo + b).T[:, :, None]
+
+    [(u, coords)] = first_cover((pts,), draw, params, space.p, *INDEX_BLOCKS)
     return u, coords, np.where(u > 0, u, params.num_shifts)
 
 
-def stack_first_chunks(sets: list[ShiftedLatticeSet]) -> np.ndarray:
-    """Shift chunk 0 of every set as one (len(sets), b, t) array, b = min(SHIFT_CHUNK, U).
+def stack_prefix(sets: list[ShiftedLatticeSet]) -> np.ndarray:
+    """The first min(STACK_PREFIX, U) shifts of every set, coordinate-major: (t, P, len(sets)).
 
-    Each set's cached chunk 0 becomes a view of its row. The sets share
-    params; they are filled one at a time, so no chunk is held twice.
+    Column i equals the first P rows of sets[i]'s shift chunk 0, drawn
+    from the same stream without materialising the chunk.
     """
     params = sets[0].params
-    stack = np.empty((len(sets), min(SHIFT_CHUNK, params.num_shifts), params.t))
-    for row, lattices in zip(stack, sets):
-        row[...] = lattices._chunk(0)
-        lattices._chunks[0] = row
-    return stack
+    size = min(STACK_PREFIX, params.num_shifts)
+    prefix = np.empty((params.t, size, len(sets)))
+    for i, lattices in enumerate(sets):
+        prefix[:, :, i] = lattices._draw(0, size).T
+    return prefix
 
 
 def hash_stacked(
     points: np.ndarray,
     sets: list[ShiftedLatticeSet],
-    first_chunks: np.ndarray,
+    prefix: np.ndarray,
     space: LpSpace,
 ) -> tuple[np.ndarray, np.ndarray]:
     """hash_batch's (u, coords) for row i of (n, t) points under sets[i % len(sets)], in one scan.
 
-    first_chunks is stack_first_chunks(sets); rows that scan past it
-    draw from their own set's shift_block.
+    prefix is stack_prefix(sets). While every row still scans, the rows
+    form an (n / len(sets), len(sets)) grid and each prefix block is
+    shared down its columns with no gather; later, unresolved rows gather
+    their set's prefix column, and rows past the prefix draw from their
+    own set's shift_block.
     """
-    count, chunk = len(sets), first_chunks.shape[1]
+    n, count, size = points.shape[0], len(sets), prefix.shape[1]
 
     def draw(lo: int, b: int, rows: np.ndarray) -> np.ndarray:
+        if lo < size and rows.size == n and n % count == 0:
+            return prefix[:, lo : lo + b]
+        # bound the per-row block
+        b = max(1, min(b, _SCAN_ELEMS // rows.size))
         owner = rows % count
-        if lo < chunk:
-            return first_chunks[owner, lo : lo + b]
+        if lo < size:
+            return np.take(prefix[:, lo : lo + b], owner, axis=2)
         used, inverse = np.unique(owner, return_inverse=True)
-        return np.stack([sets[i].shift_block(lo, lo + b) for i in used])[inverse]
+        blocks = np.stack([sets[i].shift_block(lo, lo + b).T for i in used], axis=-1)
+        return np.take(blocks, inverse, axis=2)
 
-    [(u, coords)] = first_cover((points,), draw, sets[0].params, space.p, 8)
+    [(u, coords)] = first_cover((points,), draw, sets[0].params, space.p, *INDEX_BLOCKS)
     return u, coords
 
 

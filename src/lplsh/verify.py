@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy import stats
 
 from . import collisions as clab
 from .geometry import (
@@ -100,6 +99,9 @@ def _norm_suite(level: str, seed: int) -> tuple[bool, str]:
 
 
 def _stable_law_suite(level: str, seed: int) -> tuple[bool, str]:
+    # the suite is scipy's only user; importing it here keeps `import lplsh` light
+    from scipy import stats
+
     rng = derive_rng(seed, 9602)
     n = 100_000 if level == "full" else 20_000
     d = 32

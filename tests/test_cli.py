@@ -168,6 +168,14 @@ class TestBuild:
         assert code == 1
         assert "empty" in capsys.readouterr().err
 
+    def test_ragged_dataset_is_format_error(self, tmp_path, capsys):
+        data = tmp_path / "ragged.csv"
+        data.write_text("x0,x1\n1.0,2.0\n3.0\n")
+        code = main(["build", "--data", str(data), "--out", str(tmp_path / "x.lplsh"),
+                     "--seed", "1", "--k", "1", "--l", "1", *FAST_SCHEME])
+        assert code == 2
+        assert "ragged rows: data row 2 has width 1" in capsys.readouterr().err
+
     def test_candidate_budget_beyond_u4(self, instance, tmp_path, capsys):
         code = main(["build", "--data", instance + ".fvecs", "--out", str(tmp_path / "x.lplsh"),
                      "--seed", "1", "--k", "1", "--l", "1", "--max-candidates", "5000000000",

@@ -106,10 +106,22 @@ class TestVectorsCsv:
         with pytest.raises(FormatError, match="ragged"):
             read_vectors_csv(str(path))
 
+    def test_rows_of_different_widths(self, tmp_path):
+        path = tmp_path / "vecs.csv"
+        path.write_text("x0,x1\n1.0,2.0\n# comment\n3.0,4.0,5.0\n6.0,7.0\n")
+        with pytest.raises(FormatError, match="ragged rows: data row 2 has width 3, header width 2"):
+            read_vectors_csv(str(path))
+
     def test_non_numeric(self, tmp_path):
         path = tmp_path / "vecs.csv"
         path.write_text("x0,x1\n1.0,oops\n")
         with pytest.raises(FormatError):
+            read_vectors_csv(str(path))
+
+    def test_empty_field(self, tmp_path):
+        path = tmp_path / "vecs.csv"
+        path.write_text("x0,x1,x2\n1.0,,3.0\n")
+        with pytest.raises(FormatError, match="non-numeric vector entry"):
             read_vectors_csv(str(path))
 
     def test_dispatch_by_extension(self, rng, tmp_path):

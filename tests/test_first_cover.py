@@ -5,20 +5,27 @@ shifts, one point set) and `collisions._lattice_stage` (fresh shifts per
 trial, x and y sharing them) as they were written before both became
 callers of `lattice.first_cover`, with the ball test they used then
 (`reference_inside`: the (rows, b, t) array of |diff|^p summed over its
-last axis). The kernel, which works one coordinate at a time, must return
-the same arrays and, for the lab, draw the same random numbers in the same
-order.
+last axis). The kernel, which works on (shifts, rows) arrays one
+coordinate at a time, must return the same arrays and, for the lab, draw
+the same random numbers in the same order; a golden digest of the lab's
+output pins its draw sizes as well. `hash_stacked`'s shift prefix must be
+the head of every set's first shift chunk, bit for bit.
 """
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
+import lplsh.lattice
 from lplsh import LatticeParams, LpSpace, make_lattices
 from lplsh.collisions import _ELEM_BUDGET, _lattice_stage
-from lplsh.lattice import _ROW_BLOCK, SHIFT_CHUNK, _column_sum, hash_batch, hash_stacked, locate, stack_first_chunks
+from lplsh.lattice import SHIFT_CHUNK, STACK_PREFIX, _column_sum, hash_batch, hash_stacked, locate, stack_prefix
 from lplsh.util import derive_rng
+
+# rows per slice of the reference loops, which predate the kernel's element budget
+ROW_BLOCK = 4096
 
 
 def reference_abs_pow(v, p):
@@ -52,8 +59,8 @@ def reference_hash_batch(points, lattices, space, chunk=SHIFT_CHUNK):
     while lo < params.num_shifts and unresolved.size:
         shifts = lattices.shift_block(lo, lo + cb)
         b = shifts.shape[0]
-        for base in range(0, unresolved.size, _ROW_BLOCK):
-            rows = unresolved[base : base + _ROW_BLOCK]
+        for base in range(0, unresolved.size, ROW_BLOCK):
+            rows = unresolved[base : base + ROW_BLOCK]
             rel = pts[rows, None, :] - shifts[None, :, :]
             a = np.rint(rel / spacing)
             hit = reference_inside(rel - spacing * a, space.p, params.w)
@@ -106,11 +113,11 @@ def reference_lattice_stage(xp, yp, params, p, rng):
 
 # (case, lattice params, rows): tiny U leaves fallback rows; delta=8 puts
 # the mean first hit past the first block; the last case has more rows
-# than one row block.
+# than one of the reference's row blocks.
 INDEX_CASES = [
     ("fallback", LatticeParams(w=1.0, t=3, num_shifts=3, delta=4.0), 800),
     ("past-first-block", LatticeParams(w=1.0, t=3, num_shifts=2000, delta=8.0), 600),
-    ("many-rows", LatticeParams(w=1.0, t=2, num_shifts=400, delta=6.0), _ROW_BLOCK + 904),
+    ("many-rows", LatticeParams(w=1.0, t=2, num_shifts=400, delta=6.0), ROW_BLOCK + 904),
 ]
 
 
@@ -134,7 +141,7 @@ def test_hash_batch_matches_reference(case, params, n):
 LAB_CASES = [
     ("fallback", LatticeParams(w=1.0, t=3, num_shifts=3, delta=4.0), 700),
     ("past-first-block", LatticeParams(w=1.0, t=3, num_shifts=3000, delta=8.0), 900),
-    ("many-rows", LatticeParams(w=1.0, t=3, num_shifts=3000, delta=8.0), _ROW_BLOCK + 404),
+    ("many-rows", LatticeParams(w=1.0, t=3, num_shifts=3000, delta=8.0), ROW_BLOCK + 404),
 ]
 
 
@@ -247,12 +254,12 @@ def test_shared_block_scan_matches_reference(t, p):
 @pytest.mark.parametrize("p", GRID_P)
 @pytest.mark.parametrize("t", GRID_T)
 def test_per_row_block_scan_matches_reference(t, p):
-    # hash_stacked hands the kernel one (rows, b, t) shift block per row
+    # hash_stacked shares its first block down the grid's columns, then hands the kernel one block per row
     sets = [make_lattices(grid_params(t, p), seed=41 + 3 * t + i) for i in range(3)]
     space = LpSpace(p, t)
     pts, _ = planted_points(sets, 240, p, derive_rng(1, 9306, t))
     want = reference_hash_stacked(pts, sets, space)
-    got = hash_stacked(pts, sets, stack_first_chunks(sets), space)
+    got = hash_stacked(pts, sets, stack_prefix(sets), space)
     for w_arr, g_arr in zip(want, got):
         assert w_arr.dtype == g_arr.dtype and w_arr.shape == g_arr.shape
         assert np.array_equal(w_arr, g_arr)
@@ -292,3 +299,87 @@ def test_column_sum_matches_last_axis_sum(t):
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
     # from 8 terms on numpy's order is not left to right
     assert np.array_equal(left_to_right, want) == (t < 8)
+
+
+@pytest.mark.parametrize("queries", [1, 7], ids=["one-query", "many-queries"])
+def test_stacked_rows_past_the_prefix_match_reference(queries):
+    # one "query" is one grid row of len(sets) rows; delta=8 at t=3 puts the
+    # mean first hit near 220 shifts, past the 168-shift prefix
+    params = LatticeParams(w=1.0, t=3, num_shifts=SHIFT_CHUNK + 300, delta=8.0)
+    sets = [make_lattices(params, seed=61 + i) for i in range(40)]
+    space = LpSpace(1.5, 3)
+    pts, _ = planted_points(sets, 40 * queries, 1.5, derive_rng(1, 9312, queries))
+    want = reference_hash_stacked(pts, sets, space)
+    got = hash_stacked(pts, sets, stack_prefix(sets), space)
+    for w_arr, g_arr in zip(want, got):
+        assert w_arr.dtype == g_arr.dtype and w_arr.shape == g_arr.shape
+        assert np.array_equal(w_arr, g_arr)
+    assert (got[0] > STACK_PREFIX).any() and ((got[0] > 0) & (got[0] <= 8)).any()
+
+
+@pytest.mark.parametrize("u", [SHIFT_CHUNK + 300, 100], ids=["long", "u-below-prefix"])
+def test_prefix_is_the_head_of_chunk_zero(u):
+    params = LatticeParams(w=1.0, t=4, num_shifts=u, delta=5.0)
+    sets = [make_lattices(params, seed=71 + i) for i in range(6)]
+    prefix = stack_prefix(sets)
+    size = min(STACK_PREFIX, u)
+    assert prefix.shape == (4, size, 6)
+    # the prefix did not materialise any chunk
+    assert all(not lattices._chunks for lattices in sets)
+    for i, lattices in enumerate(sets):
+        head = np.ascontiguousarray(prefix[:, :, i].T)
+        assert np.array_equal(head.view(np.uint64), lattices._chunk(0)[:size].view(np.uint64))
+
+
+def test_small_row_slices_match_reference(monkeypatch):
+    # a tiny element budget cuts the shared block's rows, the grid's rows and
+    # the per-row blocks into many slices
+    monkeypatch.setattr(lplsh.lattice, "_SCAN_ELEMS", 50)
+    params = LatticeParams(w=1.0, t=3, num_shifts=600, delta=6.0)
+    sets = [make_lattices(params, seed=81 + i) for i in range(7)]
+    space = LpSpace(1.5, 3)
+    pts, _ = planted_points(sets, 7 * 30, 1.5, derive_rng(1, 9313))
+    for want, got in [
+        (reference_hash_batch(pts, sets[0], space), hash_batch(pts, sets[0], space)),
+        (reference_hash_stacked(pts, sets, space), hash_stacked(pts, sets, stack_prefix(sets), space)),
+    ]:
+        assert all(np.array_equal(w_arr, g_arr) for w_arr, g_arr in zip(want, got))
+
+
+# sha256 of _lattice_stage's (u_x, a_x, u_y, a_y) bytes and the generator's
+# state after it, recorded before the kernel moved to (shifts, rows) arrays.
+# The lab's draw sizes set its random stream, so any drift in them moves
+# the digest. Cases: capped per-trial blocks (4500 trials), fallbacks, t=8.
+LAB_GOLDEN = [
+    (
+        "capped",
+        LatticeParams(w=1.0, t=3, num_shifts=3000, delta=8.0),
+        4500,
+        "af3b5e45dee8b5b19ccef6360549a5f08b8aac55ac8a121480b68b6622fd8721",
+    ),
+    (
+        "fallback",
+        LatticeParams(w=1.0, t=3, num_shifts=3, delta=4.0),
+        700,
+        "d3299e939b8a198146afafe784b652a1276a1646194eea9b2de57c904a74f83d",
+    ),
+    (
+        "t8",
+        LatticeParams(w=1.0, t=8, num_shifts=2000, delta=3.0),
+        300,
+        "e960791f9c72bc426b4689791b44dbb7ab28830137dd45dcabae6caf84cb94df",
+    ),
+]
+
+
+@pytest.mark.parametrize("case,params,n,digest", LAB_GOLDEN, ids=[c[0] for c in LAB_GOLDEN])
+def test_lattice_stage_golden_digest(case, params, n, digest):
+    data = derive_rng(1, 9310)
+    xp = data.normal(size=(n, params.t))
+    yp = xp + data.normal(scale=0.5, size=(n, params.t))
+    rng = derive_rng(1, 9311)
+    h = hashlib.sha256()
+    for arr in _lattice_stage(xp, yp, params, 1.5, rng):
+        h.update(np.ascontiguousarray(arr).tobytes())
+    h.update(str(rng.bit_generator.state["state"]).encode())
+    assert h.hexdigest() == digest

@@ -14,8 +14,8 @@ import pytest
 
 from lplsh import IndexParams, QueryResult, build, load_index, save_index
 from lplsh.geometry import lp_norm
-from lplsh.index import _key_matrix, _table_functions, fingerprint_rows
-from lplsh.lattice import _ROW_BLOCK, SHIFT_CHUNK
+from lplsh.index import _QUERY_ROWS, _ROW_BLOCK, _key_matrix, _table_functions, fingerprint_rows
+from lplsh.lattice import SHIFT_CHUNK
 from lplsh.scheme import scale_to_unit
 from lplsh.util import derive_rng
 
@@ -93,12 +93,12 @@ def test_few_queries(m):
 
 
 def test_queries_spanning_several_groups():
-    # k*l = 1024 functions: groups of 4 queries, so 14 queries make 4 groups, the last one short
-    pts, queries = instance(2)
+    # k*l = 1024 functions: groups of 16 queries, so 42 queries make 3 groups, the last one short
+    pts, queries = instance(2, m=40)
     index = build(pts, cheap_scheme(), IndexParams(k=8, l=128, seed=12))
-    assert _ROW_BLOCK // (8 * 128) == 4
+    assert _QUERY_ROWS // (8 * 128) == 16
     got = assert_matches_reference(index, queries)
-    assert len(got) == 14
+    assert len(got) == 42
 
 
 @pytest.mark.parametrize("u", [3000, 40], ids=["past-first-chunk", "few-shifts"])

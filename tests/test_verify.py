@@ -2,9 +2,24 @@
 the eight that no acceptance criterion runs (tests/test_acceptance.py runs
 the other nine at full)."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from lplsh.verify import SUITES
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def test_import_leaves_scipy_unloaded():
+    # only the stable-law suite needs scipy, and it imports it itself
+    code = "import sys, lplsh; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_suite_names_and_order():
