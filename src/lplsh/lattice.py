@@ -244,24 +244,20 @@ def _covered(cols: np.ndarray, shifts: np.ndarray, params: LatticeParams, p: flo
     """(b, rows) test ||x - shift - spacing * cell||_p <= w of each row x of cols (t, rows) against its b shifts.
 
     shifts is (t, b, c): laid out as a (rows / c, c) grid, row r sees
-    shifts[:, :, r % c]. Each coordinate's rel, cell and power term are
-    (b, rows) arrays with the rows on the contiguous axis, computed in
-    place in two buffers per coordinate. Coordinates here are bounded by
-    the lattice spacing, so the powers stay well conditioned without
-    rescaling.
+    shifts[:, :, r % c]. rel, cell and the power terms are (t, b, rows)
+    arrays, each coordinate's (b, rows) plane with the rows on the
+    contiguous axis, computed in place in two buffers. Coordinates here
+    are bounded by the lattice spacing, so the powers stay well
+    conditioned without rescaling.
     """
     t, b, c = shifts.shape
-    spacing = params.spacing
-    terms = np.empty((t, b, cols.shape[1] // c, c))
-    cell = np.empty(terms.shape[1:])
-    for j in range(t):
-        rel = np.subtract(cols[j].reshape(-1, c), shifts[j, :, None, :], out=terms[j])
-        np.divide(rel, spacing, out=cell)
-        np.rint(cell, out=cell)
-        # rel becomes |rel - spacing * cell|, then its p-th power
-        np.subtract(rel, np.multiply(cell, spacing, out=cell), out=rel)
-        _abs_pow(np.abs(rel, out=rel), p, cell)
-    return _column_sum(list(terms.reshape(t, b, -1))) <= params.w**p
+    rel = np.subtract(cols.reshape(t, 1, -1, c), shifts[:, :, None, :])
+    cell = np.divide(rel, params.spacing)
+    np.rint(cell, out=cell)
+    # rel becomes |rel - spacing * cell|, then its p-th power
+    np.subtract(rel, np.multiply(cell, params.spacing, out=cell), out=rel)
+    _abs_pow(np.abs(rel, out=rel), p, cell)
+    return _column_sum(list(rel.reshape(t, b, -1))) <= params.w**p
 
 
 def _first_hit(hit: np.ndarray) -> np.ndarray:
@@ -304,6 +300,8 @@ def first_cover(
     n, t = point_sets[0].shape
     total = params.num_shifts
     out = [(np.zeros(n, dtype=np.int64), np.zeros((n, t), dtype=np.int64)) for _ in point_sets]
+    # coordinate-major copies, so each block gathers its rows from contiguous memory
+    point_cols = [np.ascontiguousarray(pts.T) for pts in point_sets]
     lo = 0
     while lo < total:
         pending = out[0][0] == 0
@@ -314,27 +312,28 @@ def first_cover(
             break
         shifts = draw(lo, min(block, total - lo), active)
         b, c = shifts.shape[1:]
-        # slices of whole grid rows bound the (b, rows) temporaries
+        # slices of whole grid rows bound the (t, b, rows) temporaries
         step = c * max(1, _SCAN_ELEMS // (b * c))
         for base in range(0, active.size, step):
             part = active[base : base + step]
-            for pts, (u, coords) in zip(point_sets, out):
-                todo = u[part] == 0
-                rows = part[todo]
-                if not rows.size:
-                    continue
-                part_shifts = shifts
-                if c > 1 and rows.size < part.size:  # another set resolved some rows
-                    part_shifts = shifts[:, :, todo]
-                cols = np.ascontiguousarray(pts.T) if rows.size == n else np.take(pts.T, rows, axis=1)
+            for pts_cols, (u, coords) in zip(point_cols, out):
+                rows, part_shifts = part, shifts
+                if len(out) > 1:  # another set may have resolved some of these rows
+                    todo = u[part] == 0
+                    rows = part[todo]
+                    if not rows.size:
+                        continue
+                    if c > 1 and rows.size < part.size:
+                        part_shifts = shifts[:, :, todo]
+                cols = pts_cols if rows.size == n else np.take(pts_cols, rows, axis=1)
                 first = _first_hit(_covered(cols, part_shifts, params, p))
                 found = (first < b).nonzero()[0]
                 if found.size:
-                    first = first[found]
-                    u[rows[found]] = lo + first + 1
+                    first, hit_rows = first[found], rows[found]
+                    u[hit_rows] = lo + first + 1
                     # the hit's cell, recomputed with the scan's arithmetic
                     hit_shifts = part_shifts[:, first, found % part_shifts.shape[2]]
-                    coords[rows[found]] = np.rint((np.take(cols, found, axis=1) - hit_shifts) / params.spacing).T
+                    coords[hit_rows] = np.rint((np.take(cols, found, axis=1) - hit_shifts) / params.spacing).T
         lo += b
         block = min(math.ceil(block * growth), SHIFT_CHUNK)
     return out
@@ -400,7 +399,10 @@ def hash_stacked(
         b = max(1, min(b, _SCAN_ELEMS // rows.size))
         owner = rows % count
         if lo < size:
-            return np.take(prefix[:, lo : lo + b], owner, axis=2)
+            # a flat index into the contiguous prefix, so no slice of it is copied
+            b = min(b, size - lo)
+            at = np.arange(lo * count, (lo + b) * count, count)[:, None] + owner
+            return np.take(prefix.reshape(prefix.shape[0], -1), at, axis=1)
         used, inverse = np.unique(owner, return_inverse=True)
         blocks = np.stack([sets[i].shift_block(lo, lo + b).T for i in used], axis=-1)
         return np.take(blocks, inverse, axis=2)
