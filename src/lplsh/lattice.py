@@ -26,7 +26,7 @@ from .util import derive_rng
 DEFAULT_U_MAX = 10**6
 SHIFT_CHUNK = 1024
 # first_cover's row slices hold about this many (shift, row) pairs at most
-_SCAN_ELEMS = 1 << 18
+_SCAN_ELEMS = 1 << 16
 # the index callers' block schedule: 8 shifts first, then x1.5 up to SHIFT_CHUNK
 INDEX_BLOCKS = (8, 1.5)
 # hash_stacked's prefix: the first six blocks of that schedule, 8 + 12 + 18 + 27 + 41 + 62
@@ -312,19 +312,22 @@ def first_cover(
             break
         shifts = draw(lo, min(block, total - lo), active)
         b, c = shifts.shape[1:]
-        # slices of whole grid rows bound the (t, b, rows) temporaries
-        step = c * max(1, _SCAN_ELEMS // (b * c))
+        # row slices bound the (t, b, rows) temporaries: a run of a per-row
+        # block's columns, or whole rows of a grid
+        per_row = c == active.size
+        step = max(1, _SCAN_ELEMS // b) if per_row else c * max(1, _SCAN_ELEMS // (b * c))
         for base in range(0, active.size, step):
             part = active[base : base + step]
+            block_shifts = shifts[:, :, base : base + step] if per_row else shifts
             for pts_cols, (u, coords) in zip(point_cols, out):
-                rows, part_shifts = part, shifts
+                rows, part_shifts = part, block_shifts
                 if len(out) > 1:  # another set may have resolved some of these rows
                     todo = u[part] == 0
                     rows = part[todo]
                     if not rows.size:
                         continue
-                    if c > 1 and rows.size < part.size:
-                        part_shifts = shifts[:, :, todo]
+                    if per_row and rows.size < part.size:
+                        part_shifts = block_shifts[:, :, todo]
                 cols = pts_cols if rows.size == n else np.take(pts_cols, rows, axis=1)
                 first = _first_hit(_covered(cols, part_shifts, params, p))
                 found = (first < b).nonzero()[0]
