@@ -152,8 +152,8 @@ def _lattice_stage(
 
     def draw(lo: int, b: int, rows: np.ndarray) -> np.ndarray:
         b = min(b, max(16, _ELEM_BUDGET // (rows.size * t)))
-        # drawn trial-major as always, handed over as a contiguous (t, b, rows)
-        return np.ascontiguousarray(rng.uniform(0.0, params.spacing, size=(rows.size, b, t)).T)
+        # drawn trial-major as always, handed over as a (t, b, rows) view
+        return rng.uniform(0.0, params.spacing, size=(rows.size, b, t)).T
 
     # these block sizes set the order of the draws, so the lab keeps them
     (ux, ax), (uy, ay) = first_cover((xp, yp), draw, params, p, 128, 4)

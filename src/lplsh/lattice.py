@@ -245,10 +245,12 @@ def _covered(cols: np.ndarray, shifts: np.ndarray, params: LatticeParams, p: flo
 
     shifts is (t, b, c): laid out as a (rows / c, c) grid, row r sees
     shifts[:, :, r % c]. rel, cell and the power terms are (t, b, rows)
-    arrays, each coordinate's (b, rows) plane with the rows on the
-    contiguous axis, computed in place in two buffers. Coordinates here
-    are bounded by the lattice spacing, so the powers stay well
-    conditioned without rescaling.
+    arrays computed in place in two buffers, in the memory order of the
+    operands: the rows are contiguous for shared, grid and gathered
+    blocks, while a transposed view (the lab's trial-major draws) keeps
+    its shifts contiguous, so it is never copied. Coordinates here are
+    bounded by the lattice spacing, so the powers stay well conditioned
+    without rescaling.
     """
     t, b, c = shifts.shape
     rel = np.subtract(cols.reshape(t, 1, -1, c), shifts[:, :, None, :])
