@@ -22,12 +22,11 @@ from typing import NamedTuple
 import numpy as np
 
 from .geometry import ContractViolation, LpSpace, lp_norm
-from .lattice import LatticeParams, ShiftedLatticeSet, hash_batch, hash_stacked, stack_prefix
+from .lattice import LatticeParams, ShiftedLatticeSet, hash_batch, stack_prefix
 from .scheme import (
     _OVERRIDE_FIELDS,
     PROFILE_MAIN,
     PROFILE_REMARK,
-    HashFunction,
     Knobs,
     SchemeParams,
     derive_params,
@@ -164,38 +163,38 @@ def _function_seed(root_seed: int, table: int, slot: int) -> int:
     return int(derive_rng(root_seed, 11, table, slot).integers(0, 2**63 - 1))
 
 
-def _table_functions(scheme: SchemeParams, d: int, params: IndexParams, ell: int) -> list[HashFunction]:
-    """The k hash functions of table ell, regenerated from the root seed."""
-    return [sample_hash(scheme, d, _function_seed(params.seed, ell, j)) for j in range(params.k)]
+class IndexFunctions(NamedTuple):
+    """An index's k * l hash functions in table-major order: function ell * k + j is slot j of table ell."""
+
+    projection: np.ndarray  # (k * l * t, d); function i owns rows [i * t, (i + 1) * t)
+    sets: list[ShiftedLatticeSet]
+    prefix: np.ndarray  # stack_prefix(sets)
 
 
-def _key_matrix(funcs: list[HashFunction], unit: np.ndarray, space_t: LpSpace) -> np.ndarray:
-    """Bucket keys of unit-frame rows: per function, the lattice index u then the t cell coordinates.
+def _sample_functions(scheme: SchemeParams, d: int, params: IndexParams) -> IndexFunctions:
+    """Every hash function of an index, regenerated from its root seed."""
+    k, t = params.k, scheme.t
+    projection = np.empty((k * params.l * t, d))
+    sets = []
+    for i in range(k * params.l):
+        h = sample_hash(scheme, d, _function_seed(params.seed, *divmod(i, k)))
+        projection[i * t : (i + 1) * t] = h.projection
+        sets.append(h.lattices)
+    return IndexFunctions(projection, sets, stack_prefix(sets))
 
-    One matmul projects the rows under every function; function i owns
-    columns [i * t, (i + 1) * t).
+
+def _key_rows(funcs: IndexFunctions, unit: np.ndarray, tables: range, k: int, space_t: LpSpace) -> np.ndarray:
+    """Bucket keys of unit-frame rows in a run of tables: row (point, table), tables innermost.
+
+    A row lists, for each of its table's k functions, the lattice index u
+    then the t cell coordinates. One matmul projects the rows under every
+    function of the run and one lattice scan hashes them.
     """
     t = space_t.dim
-    projected = unit @ np.vstack([h.projection for h in funcs]).T
-    parts = []
-    for i, h in enumerate(funcs):
-        u, coords, _ = hash_batch(projected[:, i * t : (i + 1) * t], h.lattices, space_t)
-        parts += [u[:, None], coords]
-    return np.hstack(parts)
-
-
-def _stack_functions(funcs: list[HashFunction]) -> tuple[np.ndarray, list[ShiftedLatticeSet], np.ndarray]:
-    """All projections as one (len(funcs) * t, d) matrix, the lattice sets, and their stacked shift prefix.
-
-    Every function's projection becomes a view of the stacked matrix, so
-    nothing is held twice.
-    """
-    projection = np.vstack([h.projection for h in funcs])
-    t = funcs[0].projection.shape[0]
-    for i, h in enumerate(funcs):
-        h.projection = projection[i * t : (i + 1) * t]
-    sets = [h.lattices for h in funcs]
-    return projection, sets, stack_prefix(sets)
+    lo, hi = tables.start * k, tables.stop * k
+    projected = (unit @ funcs.projection[lo * t : hi * t].T).reshape(-1, t)
+    u, coords, _ = hash_batch(projected, funcs.sets[lo:hi], space_t, funcs.prefix[:, :, lo:hi])
+    return np.concatenate((u[:, None], coords), axis=1).reshape(-1, k * (1 + t))
 
 
 class LshIndex:
@@ -211,6 +210,7 @@ class LshIndex:
         avg_probes: float | None = None,
         fingerprint_collisions: int = 0,
         fallback_rate: float | None = None,
+        functions: IndexFunctions | None = None,
     ):
         self.scheme = scheme
         self.params = params
@@ -221,8 +221,7 @@ class LshIndex:
         self.avg_probes = avg_probes
         self.fingerprint_collisions = fingerprint_collisions
         self.fallback_rate = fallback_rate
-        self._functions: list[list[HashFunction]] | None = None
-        self._stacked: tuple[np.ndarray, list[ShiftedLatticeSet], np.ndarray] | None = None
+        self._functions = functions
 
     @property
     def n(self) -> int:
@@ -235,9 +234,10 @@ class LshIndex:
     def space(self) -> LpSpace:
         return LpSpace(self.scheme.p, self.d)
 
-    def functions(self) -> list[list[HashFunction]]:
+    def functions(self) -> IndexFunctions:
+        """The hash functions build sampled, or for a loaded index, sampled from the seed on first use."""
         if self._functions is None:
-            self._functions = [_table_functions(self.scheme, self.d, self.params, ell) for ell in range(self.params.l)]
+            self._functions = _sample_functions(self.scheme, self.d, self.params)
         return self._functions
 
     def _query_keys(self, queries: np.ndarray) -> np.ndarray:
@@ -247,19 +247,14 @@ class LshIndex:
         one projection, one lattice scan and one fingerprint fold. Groups
         of about _QUERY_ROWS // (k * l) queries bound the scan's arrays.
         """
-        if self._stacked is None:
-            self._stacked = _stack_functions([h for funcs in self.functions() for h in funcs])
-        projection, sets, prefix = self._stacked
-        k, l, t = self.params.k, self.params.l, self.scheme.t
+        funcs = self.functions()
+        k, l = self.params.k, self.params.l
         space_t = self.scheme.space()
         unit = scale_to_unit(queries, self.scheme.r)
         fps = np.empty((unit.shape[0], l), dtype=np.uint64)
         group = max(1, _QUERY_ROWS // (k * l))
         for lo in range(0, unit.shape[0], group):
-            projected = (unit[lo : lo + group] @ projection.T).reshape(-1, t)
-            u, coords = hash_stacked(projected, sets, prefix, space_t)
-            # row (query, table) lists u then the t coords of each of the table's k functions
-            keys = np.concatenate((u[:, None], coords), axis=1).reshape(-1, k * (1 + t))
+            keys = _key_rows(funcs, unit[lo : lo + group], range(l), k, space_t)
             fps[lo : lo + group] = fingerprint_rows(keys).reshape(-1, l)
         return fps
 
@@ -371,6 +366,7 @@ def build(
             raise ContractViolation("ids must be unique")
     unit = scale_to_unit(pts, scheme.r)
     space_t = scheme.space()
+    funcs = _sample_functions(scheme, d, params)
     table_fps: list[np.ndarray] = []
     table_offsets: list[np.ndarray] = []
     positions = np.empty((params.l, n), dtype=np.int64)
@@ -378,7 +374,7 @@ def build(
     fallback_total = 0
     collisions = 0
     for ell in range(params.l):
-        key_mat = _key_matrix(_table_functions(scheme, d, params, ell), unit, space_t)
+        key_mat = _key_rows(funcs, unit, range(ell, ell + 1), params.k, space_t)
         # a hit at lattice u took u probes; a fallback (u = 0) took all U
         u = key_mat[:, :: 1 + space_t.dim]
         probe_total += int(np.where(u > 0, u, scheme.lattice.num_shifts).sum())
@@ -417,6 +413,7 @@ def build(
         avg_probes=probe_total / hash_evals if hash_evals else 0.0,
         fingerprint_collisions=collisions,
         fallback_rate=fallback_total / hash_evals if hash_evals else 0.0,
+        functions=funcs,
     )
 
 
@@ -529,6 +526,8 @@ def load_index(path: str) -> LshIndex:
      saturated, profile_code, kappa_w, kappa_t, kappa_eps, t_value, t_samples, t_seed, n_overrides) = header
     if version != FORMAT_VERSION:
         raise FormatError(f"unsupported format version {version}")
+    if d < 1:
+        raise FormatError(f"invalid header value: d must be >= 1, got {d}")
     overrides = []
     for _ in range(n_overrides):
         name_len = raw[claim(1, "header")]

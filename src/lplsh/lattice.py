@@ -29,7 +29,7 @@ SHIFT_CHUNK = 1024
 _SCAN_ELEMS = 1 << 16
 # the index callers' block schedule: 8 shifts first, then x1.5 up to SHIFT_CHUNK
 INDEX_BLOCKS = (8, 1.5)
-# hash_stacked's prefix: the first six blocks of that schedule, 8 + 12 + 18 + 27 + 41 + 62
+# stack_prefix's length: the first six blocks of that schedule, 8 + 12 + 18 + 27 + 41 + 62
 STACK_PREFIX = 168
 
 
@@ -233,7 +233,7 @@ def hash_point(
     return_probes: bool = False,
 ):
     """Hash x to (u, a) for the smallest covering lattice, else the fallback."""
-    u_arr, coords, probes = hash_batch(np.asarray(x, dtype=np.float64)[None, :], lattices, space)
+    u_arr, coords, probes = hash_batch(np.asarray(x, dtype=np.float64)[None, :], [lattices], space)
     value = HashValue(int(u_arr[0]), tuple(int(c) for c in coords[0]))
     if return_probes:
         return value, int(probes[0])
@@ -344,29 +344,6 @@ def first_cover(
     return out
 
 
-def hash_batch(
-    points: np.ndarray,
-    lattices: ShiftedLatticeSet,
-    space: LpSpace,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized smallest-covering-lattice search over the seeded shifts.
-
-    Returns (u, coords, probes): u is 0 for fallback rows, coords are the
-    cell coordinates (zeros for fallback), probes counts lattices examined
-    per point, which is u on a hit and U on a fallback.
-    """
-    params = lattices.params
-    pts = np.asarray(points, dtype=np.float64)
-    if pts.ndim != 2 or pts.shape[1] != params.t:
-        raise ContractViolation(f"points must have shape (n, {params.t}), got {pts.shape}")
-
-    def draw(lo: int, b: int, rows: np.ndarray) -> np.ndarray:
-        return lattices.shift_block(lo, lo + b).T[:, :, None]
-
-    [(u, coords)] = first_cover((pts,), draw, params, space.p, *INDEX_BLOCKS)
-    return u, coords, np.where(u > 0, u, params.num_shifts)
-
-
 def stack_prefix(sets: list[ShiftedLatticeSet]) -> np.ndarray:
     """The first min(STACK_PREFIX, U) shifts of every set, coordinate-major: (t, P, len(sets)).
 
@@ -381,30 +358,44 @@ def stack_prefix(sets: list[ShiftedLatticeSet]) -> np.ndarray:
     return prefix
 
 
-def hash_stacked(
+def hash_batch(
     points: np.ndarray,
     sets: list[ShiftedLatticeSet],
-    prefix: np.ndarray,
     space: LpSpace,
-) -> tuple[np.ndarray, np.ndarray]:
-    """hash_batch's (u, coords) for row i of (n, t) points under sets[i % len(sets)], in one scan.
+    prefix: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Smallest covering lattice of row i of (n, t) points under sets[i % len(sets)], in one scan.
 
-    prefix is stack_prefix(sets). While every row still scans, the rows
-    form an (n / len(sets), len(sets)) grid and each prefix block is
-    shared down its columns with no gather; later, unresolved rows gather
-    their set's prefix column, and rows past the prefix draw from their
-    own set's shift_block.
+    Returns (u, coords, probes): u is 0 for fallback rows, coords are the
+    cell coordinates (zeros for fallback), probes counts lattices examined
+    per point, which is u on a hit and U on a fallback. All sets share
+    one LatticeParams.
+
+    prefix, when given, is stack_prefix(sets); it is read in place of the
+    head of every set's first shift chunk. One set shares every block
+    across all rows. Several sets form an (n / len(sets), len(sets)) grid,
+    and each prefix block is shared down its columns with no gather while
+    every row still scans; later, unresolved rows gather their set's
+    prefix column, and rows past the prefix draw from their own set's
+    shift_block.
     """
-    n, count, size = points.shape[0], len(sets), prefix.shape[1]
+    params = sets[0].params
+    pts = np.asarray(points, dtype=np.float64)
+    if pts.ndim != 2 or pts.shape[1] != params.t:
+        raise ContractViolation(f"points must have shape (n, {params.t}), got {pts.shape}")
+    n, count = pts.shape[0], len(sets)
+    size = 0 if prefix is None else prefix.shape[1]
 
     def draw(lo: int, b: int, rows: np.ndarray) -> np.ndarray:
-        if lo < size and rows.size == n and n % count == 0:
+        if lo < size and (count == 1 or (rows.size == n and n % count == 0)):
             return prefix[:, lo : lo + b]
+        if count == 1:
+            return sets[0].shift_block(lo, lo + b).T[:, :, None]
         # bound the per-row block
         b = max(1, min(b, _SCAN_ELEMS // rows.size))
         owner = rows % count
         if lo < size:
-            # a flat index into the contiguous prefix, so no slice of it is copied
+            # a flat index into the prefix, so np.take copies no (t, b, len(sets)) slice of it
             b = min(b, size - lo)
             at = np.arange(lo * count, (lo + b) * count, count)[:, None] + owner
             return np.take(prefix.reshape(prefix.shape[0], -1), at, axis=1)
@@ -412,8 +403,8 @@ def hash_stacked(
         blocks = np.stack([sets[i].shift_block(lo, lo + b).T for i in used], axis=-1)
         return np.take(blocks, inverse, axis=2)
 
-    [(u, coords)] = first_cover((points,), draw, sets[0].params, space.p, *INDEX_BLOCKS)
-    return u, coords
+    [(u, coords)] = first_cover((pts,), draw, params, space.p, *INDEX_BLOCKS)
+    return u, coords, np.where(u > 0, u, params.num_shifts)
 
 
 def covering_fraction(
@@ -436,5 +427,5 @@ def covering_fraction(
         points = rng.uniform(0.0, params.spacing, size=(trials, params.t))
     if params.num_shifts == 0:
         return 0.0
-    u, _, _ = hash_batch(points, lattices, space)
+    u, _, _ = hash_batch(points, [lattices], space)
     return float((u > 0).mean())

@@ -267,7 +267,7 @@ def eval_hash(h: HashFunction, x: np.ndarray, return_probes: bool = False):
 
 def eval_hash_batch(h: HashFunction, points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Hash many points at once; returns (u, coords, probes) arrays."""
-    return hash_batch(h.project(points), h.lattices, h.scheme.space())
+    return hash_batch(h.project(points), [h.lattices], h.scheme.space())
 
 
 @dataclass(frozen=True)

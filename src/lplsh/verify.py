@@ -263,8 +263,8 @@ def _equivariance_suite(level: str, seed: int) -> tuple[bool, str]:
     rng = derive_rng(seed, 112)
     pts = rng.uniform(-8.0, 8.0, size=(n, t))
     k = rng.integers(-3, 4, size=(n, t)).astype(np.float64)
-    u0, a0, _ = hash_batch(pts, lattices, space)
-    u1, a1, _ = hash_batch(pts + params.spacing * k, lattices, space)
+    u0, a0, _ = hash_batch(pts, [lattices], space)
+    u1, a1, _ = hash_batch(pts + params.spacing * k, [lattices], space)
     same_u = u0 == u1
     hashed = u0 > 0
     coords_ok = (a1[hashed] == a0[hashed] + k[hashed].astype(np.int64)).all()

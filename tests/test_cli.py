@@ -1,5 +1,6 @@
 """End-to-end runs of the command-line surface via main(argv)."""
 
+import struct
 import time
 
 import numpy as np
@@ -9,6 +10,7 @@ from lplsh import LpSpace, linear_scan_nn, load_index, read_vectors
 from lplsh.cli import main
 from lplsh.collisions import RHO_CSV_COLUMNS
 from lplsh.datasets import read_truth_csv
+from lplsh.util import crc64
 
 FAST_SCHEME = [
     "--p", "1.5", "--c", "2", "--profile", "remark", "--kappa-w", "1.8",
@@ -282,6 +284,25 @@ class TestQuery:
         code = main(["query", "--index", str(tmp_path / "no.lplsh"),
                      "--queries", str(tmp_path / "no.csv"), "--out", str(tmp_path / "r.csv")])
         assert code == 2
+
+    def test_zero_dimension_index_is_format_error(self, built_index, tmp_path, capsys):
+        # a checksum-valid index whose header says d = 0, without the points it no longer accounts for
+        stored = load_index(built_index).points.astype("<f8").tobytes()
+        with open(built_index, "rb") as fh:
+            body = bytearray(fh.read()[:-8])
+        d_at = len(b"LPLSH") + struct.calcsize("<H3d")
+        body[d_at : d_at + 4] = struct.pack("<I", 0)
+        at = body.index(stored)
+        del body[at : at + len(stored)]
+        forged = tmp_path / "d0.lplsh"
+        forged.write_bytes(bytes(body) + struct.pack("<Q", crc64(bytes(body))))
+        queries = tmp_path / "none.csv"
+        queries.write_text("x0\n")
+        out = tmp_path / "res.csv"
+        code = main(["query", "--index", str(forged), "--queries", str(queries), "--out", str(out)])
+        assert code == 2
+        assert "invalid header value: d must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestBench:

@@ -8,8 +8,10 @@ callers of `lattice.first_cover`, with the ball test they used then
 last axis). The kernel, which works on (shifts, rows) arrays one
 coordinate at a time, must return the same arrays and, for the lab, draw
 the same random numbers in the same order; a golden digest of the lab's
-output pins its draw sizes as well. `hash_stacked`'s shift prefix must be
-the head of every set's first shift chunk, bit for bit.
+output pins its draw sizes as well. With several lattice sets, `hash_batch`
+must hash each row as the reference hashes it under its own set alone, and
+its shift prefix must be the head of every set's first shift chunk, bit for
+bit.
 """
 
 import hashlib
@@ -21,7 +23,7 @@ import pytest
 import lplsh.lattice
 from lplsh import LatticeParams, LpSpace, make_lattices
 from lplsh.collisions import _ELEM_BUDGET, _lattice_stage
-from lplsh.lattice import SHIFT_CHUNK, STACK_PREFIX, _column_sum, hash_batch, hash_stacked, locate, stack_prefix
+from lplsh.lattice import SHIFT_CHUNK, STACK_PREFIX, _column_sum, hash_batch, locate, stack_prefix
 from lplsh.util import derive_rng
 
 # rows per slice of the reference loops, which predate the kernel's element budget
@@ -128,7 +130,7 @@ def test_hash_batch_matches_reference(case, params, n):
     rng = derive_rng(0, 9301)
     pts = rng.uniform(-3.0 * params.spacing, 3.0 * params.spacing, size=(n, params.t))
     want = reference_hash_batch(pts, lattices, space)
-    got = hash_batch(pts, lattices, space)
+    got = hash_batch(pts, [lattices], space)
     for w_arr, g_arr in zip(want, got):
         assert w_arr.dtype == g_arr.dtype and w_arr.shape == g_arr.shape
         assert np.array_equal(w_arr, g_arr)
@@ -235,7 +237,7 @@ def test_shared_block_scan_matches_reference(t, p):
     space = LpSpace(p, t)
     pts, targets = planted_points([lattices], 240, p, derive_rng(1, 9305, t))
     want = reference_hash_batch(pts, lattices, space)
-    got = hash_batch(pts, lattices, space)
+    got = hash_batch(pts, [lattices], space)
     for w_arr, g_arr in zip(want, got):
         assert w_arr.dtype == g_arr.dtype and w_arr.shape == g_arr.shape
         assert np.array_equal(w_arr, g_arr)
@@ -254,12 +256,12 @@ def test_shared_block_scan_matches_reference(t, p):
 @pytest.mark.parametrize("p", GRID_P)
 @pytest.mark.parametrize("t", GRID_T)
 def test_per_row_block_scan_matches_reference(t, p):
-    # hash_stacked shares its first block down the grid's columns, then hands the kernel one block per row
+    # hash_batch shares its first block down the grid's columns, then hands the kernel one block per row
     sets = [make_lattices(grid_params(t, p), seed=41 + 3 * t + i) for i in range(3)]
     space = LpSpace(p, t)
     pts, _ = planted_points(sets, 240, p, derive_rng(1, 9306, t))
     want = reference_hash_stacked(pts, sets, space)
-    got = hash_stacked(pts, sets, stack_prefix(sets), space)
+    got = hash_batch(pts, sets, space, stack_prefix(sets))
     for w_arr, g_arr in zip(want, got):
         assert w_arr.dtype == g_arr.dtype and w_arr.shape == g_arr.shape
         assert np.array_equal(w_arr, g_arr)
@@ -310,7 +312,7 @@ def test_stacked_rows_past_the_prefix_match_reference(queries):
     space = LpSpace(1.5, 3)
     pts, _ = planted_points(sets, 40 * queries, 1.5, derive_rng(1, 9312, queries))
     want = reference_hash_stacked(pts, sets, space)
-    got = hash_stacked(pts, sets, stack_prefix(sets), space)
+    got = hash_batch(pts, sets, space, stack_prefix(sets))
     for w_arr, g_arr in zip(want, got):
         assert w_arr.dtype == g_arr.dtype and w_arr.shape == g_arr.shape
         assert np.array_equal(w_arr, g_arr)
@@ -333,15 +335,18 @@ def test_prefix_is_the_head_of_chunk_zero(u):
 
 def test_small_row_slices_match_reference(monkeypatch):
     # a tiny element budget cuts the shared block's rows, the grid's rows and
-    # the per-row blocks into many slices
+    # the per-row blocks into many slices; one set with a prefix shares its blocks too
     monkeypatch.setattr(lplsh.lattice, "_SCAN_ELEMS", 50)
     params = LatticeParams(w=1.0, t=3, num_shifts=600, delta=6.0)
     sets = [make_lattices(params, seed=81 + i) for i in range(7)]
     space = LpSpace(1.5, 3)
     pts, _ = planted_points(sets, 7 * 30, 1.5, derive_rng(1, 9313))
     for want, got in [
-        (reference_hash_batch(pts, sets[0], space), hash_batch(pts, sets[0], space)),
-        (reference_hash_stacked(pts, sets, space), hash_stacked(pts, sets, stack_prefix(sets), space)),
+        (reference_hash_batch(pts, sets[0], space), hash_batch(pts, [sets[0]], space)),
+        (reference_hash_batch(pts, sets[0], space), hash_batch(pts, [sets[0]], space, stack_prefix([sets[0]]))),
+        (reference_hash_stacked(pts, sets, space), hash_batch(pts, sets, space, stack_prefix(sets))),
+        # rows that do not fill the last grid row
+        (reference_hash_stacked(pts[:-3], sets, space), hash_batch(pts[:-3], sets, space, stack_prefix(sets))),
     ]:
         assert all(np.array_equal(w_arr, g_arr) for w_arr, g_arr in zip(want, got))
 

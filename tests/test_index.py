@@ -6,6 +6,7 @@ import struct
 import numpy as np
 import pytest
 
+import lplsh.index
 from lplsh import (
     ContractViolation,
     Knobs,
@@ -19,6 +20,7 @@ from lplsh import (
     load_index,
     radius_ladder_query,
     save_index,
+    tuned_scheme,
 )
 from lplsh.index import Buckets, fingerprint_rows
 from lplsh.util import crc64, derive_rng
@@ -269,6 +271,37 @@ class TestLinearScan:
             assert got[1] == pytest.approx(best_dist, rel=1e-9)
 
 
+class TestHashFunctions:
+    def test_build_and_queries_sample_each_function_once(self, scheme, monkeypatch):
+        calls = []
+        sample_hash = lplsh.index.sample_hash
+        monkeypatch.setattr(lplsh.index, "sample_hash", lambda *args: calls.append(args) or sample_hash(*args))
+        pts, index = small_index(scheme, k=2, l=5)
+        index.query_batch(pts[:7])
+        index.query(pts[0])
+        assert len(calls) == 2 * 5
+
+    def test_loaded_index_samples_the_built_functions(self, scheme, tmp_path):
+        _, index = small_index(scheme, k=2, l=5)
+        path = tmp_path / "idx.lplsh"
+        save_index(index, str(path))
+        loaded = load_index(str(path))
+        built, sampled = index.functions(), loaded.functions()
+        assert loaded.functions() is sampled
+        assert built.projection.shape == (2 * 5 * scheme.t, 6)
+        for want, got in ((built.projection, sampled.projection), (built.prefix, sampled.prefix)):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        assert [(s.params, s.seed) for s in sampled.sets] == [(s.params, s.seed) for s in built.sets]
+
+    def test_tuned_build_materialises_no_shift_chunk(self):
+        points = derive_rng(0, 9502).normal(scale=2.0, size=(300, 16))
+        index = build(points, tuned_scheme(2.0, 1.5, threshold_samples=10_000), IndexParams(k=3, l=5, seed=77))
+        sets = index.functions().sets
+        assert len(sets) == 15
+        assert all(not lattices._chunks for lattices in sets)
+
+
 class TestPersistence:
     def test_roundtrip_preserves_queries(self, scheme, tmp_path):
         pts, index = small_index(scheme, n=80, d=6, seed=5)
@@ -354,9 +387,10 @@ class TestPersistence:
             save_index(index, str(tmp_path / "idx.lplsh"))
 
     # Header byte offsets: the magic, then every fixed field before the
-    # profile code (after the saturated flag) and before w.
+    # profile code (after the saturated flag), before w and before d.
     PROFILE_AT = len(b"LPLSH") + struct.calcsize("<H3dIQIIQIdIdddQB")
     W_AT = len(b"LPLSH") + struct.calcsize("<H3dIQIIQI")
+    D_AT = len(b"LPLSH") + struct.calcsize("<H3d")
 
     def _forge(self, scheme, tmp_path, patch):
         """Save a small index, patch its bytes, re-seal the checksum."""
@@ -450,6 +484,19 @@ class TestPersistence:
             body[self.W_AT : self.W_AT + 8] = struct.pack("<d", -1.0)
 
         with pytest.raises(FormatError, match="w must be > 0"):
+            load_index(self._forge(scheme, tmp_path, patch))
+
+    def test_zero_dimension_is_format_error(self, scheme, tmp_path):
+        pts, _ = small_index(scheme, n=5)
+        stored = pts.astype("<f8").tobytes()
+
+        def patch(body):
+            # d = 0, and the points it no longer accounts for are cut out
+            body[self.D_AT : self.D_AT + 4] = struct.pack("<I", 0)
+            at = body.index(stored)
+            del body[at : at + len(stored)]
+
+        with pytest.raises(FormatError, match="invalid header value: d must be >= 1"):
             load_index(self._forge(scheme, tmp_path, patch))
 
     def test_file_size_accounting(self, scheme, tmp_path):

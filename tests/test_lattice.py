@@ -171,7 +171,7 @@ class TestHashPoint:
         rng = derive_rng(0, 9201)
         n = 10_000
         pts = rng.uniform(0.0, params.spacing, size=(n, t))
-        u, _, _ = hash_batch(pts, lattices, LpSpace(p, t))
+        u, _, _ = hash_batch(pts, [lattices], LpSpace(p, t))
         rate = float((u == 0).mean())
         assert rate <= delta_fail + 3.0 * binomial_se(int(delta_fail * n), n)
 
@@ -180,7 +180,7 @@ class TestHashPoint:
         lattices = make_lattices(params, seed=6)
         rng = derive_rng(0, 9202)
         pts = rng.uniform(0.0, params.spacing, size=(500, 2))
-        u, _, probes = hash_batch(pts, lattices, LpSpace(1.5, 2))
+        u, _, probes = hash_batch(pts, [lattices], LpSpace(1.5, 2))
         hit = u > 0
         assert np.array_equal(probes[hit], u[hit])
         assert (probes[~hit] == params.num_shifts).all()
@@ -190,7 +190,7 @@ class TestHashPoint:
         lattices = make_lattices(params, seed=8)
         space = LpSpace(1.5, 3)
         pts = rng.uniform(-4.0, 8.0, size=(200, 3))
-        u, coords, _ = hash_batch(pts, lattices, space)
+        u, coords, _ = hash_batch(pts, [lattices], space)
         for i in range(0, 200, 17):
             single = hash_point(pts[i], lattices, space)
             assert single.u == u[i]
@@ -202,8 +202,8 @@ class TestHashPoint:
         space = LpSpace(1.5, 2)
         pts = rng.uniform(-6.0, 6.0, size=(300, 2))
         k = rng.integers(-2, 3, size=(300, 2))
-        u0, a0, _ = hash_batch(pts, lattices, space)
-        u1, a1, _ = hash_batch(pts + params.spacing * k, lattices, space)
+        u0, a0, _ = hash_batch(pts, [lattices], space)
+        u1, a1, _ = hash_batch(pts + params.spacing * k, [lattices], space)
         assert np.array_equal(u0, u1)
         hit = u0 > 0
         assert np.array_equal(a1[hit], a0[hit] + k[hit])

@@ -3,10 +3,12 @@
 `LshIndex._query_keys` hashes a group of queries under all k*l functions
 with one projection, one lattice scan and one fingerprint fold;
 `LshIndex.query_batch` then looks a group of queries up in all l tables at
-once. The reference below is the earlier path: per table, `_key_matrix`
+once. The reference below is the earlier path: per table, `key_matrix`
 over freshly regenerated functions and one fingerprint fold, then one
 `Buckets.get` per (query, table). Fingerprints and every `QueryResult`
-field must be equal.
+field must be equal. `build` hashes each table's points with the same
+stacked scan, so its tables must equal the ones the reference keys sort
+into.
 """
 
 import numpy as np
@@ -14,12 +16,32 @@ import pytest
 
 from lplsh import IndexParams, QueryResult, build, load_index, save_index
 from lplsh.geometry import lp_norm
-from lplsh.index import _QUERY_ROWS, _ROW_BLOCK, _key_matrix, _table_functions, fingerprint_rows
-from lplsh.lattice import SHIFT_CHUNK
-from lplsh.scheme import scale_to_unit
+from lplsh.index import _QUERY_ROWS, _ROW_BLOCK, _function_seed, fingerprint_rows
+from lplsh.lattice import SHIFT_CHUNK, hash_batch
+from lplsh.scheme import sample_hash, scale_to_unit
 from lplsh.util import derive_rng
 
 from conftest import cheap_scheme
+
+
+def table_functions(scheme, d, params, ell):
+    """The k hash functions of table ell, regenerated from the root seed."""
+    return [sample_hash(scheme, d, _function_seed(params.seed, ell, j)) for j in range(params.k)]
+
+
+def key_matrix(funcs, unit, space_t):
+    """Bucket keys of unit-frame rows: per function, the lattice index u then the t cell coordinates.
+
+    One matmul projects the rows under every function; function i owns
+    columns [i * t, (i + 1) * t), hashed alone under its own lattice set.
+    """
+    t = space_t.dim
+    projected = unit @ np.vstack([h.projection for h in funcs]).T
+    parts = []
+    for i, h in enumerate(funcs):
+        u, coords, _ = hash_batch(projected[:, i * t : (i + 1) * t], [h.lattices], space_t)
+        parts += [u[:, None], coords]
+    return np.hstack(parts)
 
 
 def reference_query_keys(index, queries):
@@ -27,7 +49,7 @@ def reference_query_keys(index, queries):
     unit = scale_to_unit(queries, index.scheme.r)
     space_t = index.scheme.space()
     return [
-        fingerprint_rows(_key_matrix(_table_functions(index.scheme, index.d, index.params, ell), unit, space_t))
+        fingerprint_rows(key_matrix(table_functions(index.scheme, index.d, index.params, ell), unit, space_t))
         for ell in range(index.params.l)
     ]
 
@@ -85,6 +107,20 @@ def assert_matches_reference(index, queries, max_candidates=None):
     return got
 
 
+@pytest.mark.parametrize(
+    "k,l,scheme_kwargs",
+    [(1, 12, {}), (3, 5, {}), (2, 40, {"delta": 12.0, "u": 3000})],
+    ids=["one-function", "three-functions", "past-first-chunk"],
+)
+def test_build_tables_match_reference_keys(k, l, scheme_kwargs):
+    # build sorts every table's points by fingerprint, stably
+    pts, _ = instance(11)
+    index = build(pts, cheap_scheme(**scheme_kwargs), IndexParams(k=k, l=l, seed=21))
+    for ell, fps in enumerate(reference_query_keys(index, pts)):
+        assert np.array_equal(index.tables[ell].fps, np.unique(fps)), f"table {ell}"
+        assert np.array_equal(index.tables[ell].positions, np.argsort(fps, kind="stable")), f"table {ell}"
+
+
 @pytest.mark.parametrize("m", [0, 1, 3])
 def test_few_queries(m):
     pts, queries = instance(1)
@@ -109,8 +145,9 @@ def test_low_coverage_scan(u):
     scheme = cheap_scheme(delta=12.0, u=u)
     index = build(pts, scheme, IndexParams(k=2, l=40, seed=13))
     assert_matches_reference(index, queries)
-    funcs = [h for table in index.functions() for h in table]
-    keys = np.hstack([_key_matrix([h], scale_to_unit(queries, scheme.r), scheme.space()) for h in funcs])
+    unit = scale_to_unit(queries, scheme.r)
+    funcs = [h for ell in range(40) for h in table_functions(scheme, index.d, index.params, ell)]
+    keys = key_matrix(funcs, unit, scheme.space())
     u_cols = keys[:, :: 1 + scheme.t]
     assert (u_cols == 0).any()
     if u > SHIFT_CHUNK:

@@ -57,3 +57,19 @@ def test_query_records_key_and_function_spans():
     assert summary.count("index.query_keys") == 1
     assert summary.count("index.functions", under="index.query_keys") == 1
     assert result.answer is not None and result.answer[0] == 0
+
+
+def test_build_and_query_hash_through_hash_batch():
+    # both paths run through the one kernel, so the benchmark's hash_batch metrics measure both
+    pts = derive_rng(0, 9802).normal(size=(20, 4))
+    queries = pts[:3] + 0.01
+    scheme = cheap_scheme()
+    k, l = 2, 3
+    tracer = load_tracing().Tracer().install()
+    try:
+        assert tracer.absent == []
+        index = lplsh.index.build(pts, scheme, IndexParams(k=k, l=l, seed=5))
+        index.query_batch(queries)
+    finally:
+        tracer.uninstall()
+    assert tracer.counts["lattice.hash_batch.points"] == 20 * k * l + 3 * k * l
