@@ -30,11 +30,11 @@ from .scheme import (
     Knobs,
     SchemeParams,
     derive_params,
-    sample_hash,
+    sample_stack,
     scale_to_unit,
 )
 from .stable import Threshold
-from .util import FormatError, crc64, derive_rng
+from .util import FormatError, crc64, derive_rng, derived_generators
 
 MAGIC = b"LPLSH"
 FORMAT_VERSION = 1
@@ -123,9 +123,14 @@ def choose_k_l(n: int, p1_hat: float, p2_hat: float, safety: float = 1.0) -> Tab
     return TableShape(k=k, l=l, rho_hat=rho, degraded=1.0 / p1_hat > math.sqrt(n))
 
 
+def _is_int(value) -> bool:
+    """A Python or numpy integer; bool is not one here."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _check_max_candidates(value: int | None) -> None:
-    if value is not None and not (1 <= value < 2**32):
-        raise ContractViolation(f"max_candidates must lie in [1, 2**32) when set, got {value}")
+    if value is not None and not (_is_int(value) and 1 <= value < 2**32):
+        raise ContractViolation(f"max_candidates must be an integer in [1, 2**32) when set, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -138,6 +143,11 @@ class IndexParams:
     max_candidates: int | None = None  # None: 3 * l
 
     def __post_init__(self) -> None:
+        for name in ("k", "l", "seed"):
+            if not _is_int(getattr(self, name)):
+                raise ContractViolation(f"{name} must be an integer, got {getattr(self, name)!r}")
+            # a numpy integer would carry its width into k * l and the budget
+            object.__setattr__(self, name, int(getattr(self, name)))
         if self.k < 1:
             raise ContractViolation(f"k must be >= 1, got {self.k}")
         if self.l < 1:
@@ -145,6 +155,8 @@ class IndexParams:
         if not (0 <= self.seed < 2**64):
             raise ContractViolation(f"seed must lie in [0, 2**64), got {self.seed}")
         _check_max_candidates(self.max_candidates)
+        if self.max_candidates is not None:
+            object.__setattr__(self, "max_candidates", int(self.max_candidates))
 
     @property
     def candidate_budget(self) -> int:
@@ -159,10 +171,6 @@ class QueryResult:
     in_contract: bool | None  # None when there is no answer
 
 
-def _function_seed(root_seed: int, table: int, slot: int) -> int:
-    return int(derive_rng(root_seed, 11, table, slot).integers(0, 2**63 - 1))
-
-
 class IndexFunctions(NamedTuple):
     """An index's k * l hash functions in table-major order: function ell * k + j is slot j of table ell."""
 
@@ -172,14 +180,15 @@ class IndexFunctions(NamedTuple):
 
 
 def _sample_functions(scheme: SchemeParams, d: int, params: IndexParams) -> IndexFunctions:
-    """Every hash function of an index, regenerated from its root seed."""
-    k, t = params.k, scheme.t
-    projection = np.empty((k * params.l * t, d))
-    sets = []
-    for i in range(k * params.l):
-        h = sample_hash(scheme, d, _function_seed(params.seed, *divmod(i, k)))
-        projection[i * t : (i + 1) * t] = h.projection
-        sets.append(h.lattices)
+    """Every hash function of an index, regenerated from its root seed in four array passes.
+
+    Slot j of table ell takes its seed from the stream (root, 11, ell, j);
+    sample_stack then draws every function's projection and lattice seed,
+    and stack_prefix their shift prefixes.
+    """
+    table, slot = np.divmod(np.arange(params.k * params.l), params.k)
+    seeds = [rng.integers(0, 2**63 - 1) for rng in derived_generators(params.seed, 11, table, slot)]
+    projection, sets = sample_stack(scheme, d, seeds)
     return IndexFunctions(projection, sets, stack_prefix(sets))
 
 
@@ -359,7 +368,12 @@ def build(
     if ids is None:
         ids_arr = np.arange(n, dtype=np.int64)
     else:
-        ids_arr = np.asarray(ids, dtype=np.int64)
+        ids_arr = np.asarray(ids)
+        if ids_arr.size and (
+            ids_arr.dtype.kind not in "iu" or int(ids_arr.min()) < -(2**63) or int(ids_arr.max()) >= 2**63
+        ):
+            raise ContractViolation("ids must be integers that fit int64")
+        ids_arr = ids_arr.astype(np.int64)
         if ids_arr.shape != (n,):
             raise ContractViolation("ids must have shape (n,)")
         if np.unique(ids_arr).size != n:

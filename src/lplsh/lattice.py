@@ -21,7 +21,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .geometry import ContractViolation, LpSpace, lp_norm
-from .util import derive_rng
+from .util import derive_rng, derived_generators
 
 DEFAULT_U_MAX = 10**6
 SHIFT_CHUNK = 1024
@@ -120,7 +120,7 @@ class ShiftedLatticeSet:
 
     def _draw(self, j: int, rows: int) -> np.ndarray:
         """The first `rows` shift rows of chunk j, from the chunk's own stream."""
-        return derive_rng(self.seed, j).uniform(0.0, self.params.spacing, size=(rows, self.params.t))
+        return _shift_rows(derive_rng(self.seed, j), self.params, rows)
 
     def _chunk(self, j: int) -> np.ndarray:
         block = self._chunks.get(j)
@@ -143,6 +143,11 @@ class ShiftedLatticeSet:
     @property
     def shifts(self) -> np.ndarray:
         return self.shift_block(0, self.params.num_shifts)
+
+
+def _shift_rows(rng: np.random.Generator, params: LatticeParams, rows: int) -> np.ndarray:
+    """The next `rows` shift rows of a chunk's stream, uniform in [0, Delta*w)^t."""
+    return rng.uniform(0.0, params.spacing, size=(rows, params.t))
 
 
 def make_lattices(params: LatticeParams, seed: int) -> ShiftedLatticeSet:
@@ -348,13 +353,14 @@ def stack_prefix(sets: list[ShiftedLatticeSet]) -> np.ndarray:
     """The first min(STACK_PREFIX, U) shifts of every set, coordinate-major: (t, P, len(sets)).
 
     Column i equals the first P rows of sets[i]'s shift chunk 0, drawn
-    from the same stream without materialising the chunk.
+    from the same stream without materialising the chunk; one pass over
+    the sets re-sets one generator to each chunk-0 stream.
     """
     params = sets[0].params
     size = min(STACK_PREFIX, params.num_shifts)
     prefix = np.empty((params.t, size, len(sets)))
-    for i, lattices in enumerate(sets):
-        prefix[:, :, i] = lattices._draw(0, size).T
+    for i, rng in enumerate(derived_generators([lattices.seed for lattices in sets], 0)):
+        prefix[:, :, i] = _shift_rows(rng, params, size).T
     return prefix
 
 

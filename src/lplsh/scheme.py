@@ -34,7 +34,7 @@ from .lattice import (
     make_lattices,
 )
 from .stable import DEFAULT_THRESHOLD_SAMPLES, StableParams, Threshold, ThresholdCache, compute_threshold
-from .util import derive_rng
+from .util import derived_generators
 from . import stable as _stable
 
 PROFILE_MAIN = "main"
@@ -252,12 +252,31 @@ class HashFunction:
 
 def sample_hash(scheme: SchemeParams, d: int, seed: int) -> HashFunction:
     """Draw a hash function: A i.i.d. p-stable (t x d), A' = T^(-1/p) A."""
+    projection, [lattices] = sample_stack(scheme, d, [seed])
+    return HashFunction(scheme=scheme, d=d, seed=int(seed), projection=projection, lattices=lattices)
+
+
+def sample_stack(scheme: SchemeParams, d: int, seeds) -> tuple[np.ndarray, list[ShiftedLatticeSet]]:
+    """The hash functions of seeds (each in [0, 2**64)): their projections stacked, and their lattice sets.
+
+    Function i owns projection rows [i * t, (i + 1) * t) and sets[i], the
+    values sample_hash(scheme, d, seeds[i]) holds. One pass draws every
+    function's angles and Exp(1) draws from its projection stream, one
+    transform turns them all into stable variates, and one pass draws the
+    lattice seeds from the shift streams.
+    """
     if d < 1:
         raise ContractViolation(f"d must be >= 1, got {d}")
-    a = _stable.sample_stable(StableParams(scheme.p), derive_rng(seed, _TAG_PROJECTION), size=(scheme.t, d))
-    projection = scheme.T ** (-1.0 / scheme.p) * a
-    lattices = make_lattices(scheme.lattice, derive_rng(seed, _TAG_SHIFTS).integers(0, 2**63 - 1))
-    return HashFunction(scheme=scheme, d=d, seed=int(seed), projection=projection, lattices=lattices)
+    t = scheme.t
+    u = np.empty((len(seeds) * t, d))
+    e = np.empty_like(u)
+    for i, gen in enumerate(derived_generators(seeds, _TAG_PROJECTION)):
+        u[i * t : (i + 1) * t] = gen.uniform(-np.pi / 2.0, np.pi / 2.0, size=(t, d))
+        gen.standard_exponential(out=e[i * t : (i + 1) * t])
+    projection = _stable._cms_transform(scheme.p, u, e, out=u)
+    projection *= scheme.T ** (-1.0 / scheme.p)
+    shifts = derived_generators(seeds, _TAG_SHIFTS)
+    return projection, [make_lattices(scheme.lattice, gen.integers(0, 2**63 - 1)) for gen in shifts]
 
 
 def eval_hash(h: HashFunction, x: np.ndarray, return_probes: bool = False):

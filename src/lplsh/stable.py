@@ -23,6 +23,8 @@ from .util import derive_rng, wilson_interval
 
 DEFAULT_THRESHOLD_SAMPLES = 10_000_000
 _SAMPLE_BLOCK = 2_000_000
+# elements per step of _cms_transform
+_TRANSFORM_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -43,11 +45,31 @@ def sample_stable(params: StableParams, rng: np.random.Generator, size=None) -> 
     U ~ Uniform(-pi/2, pi/2) and E ~ Exp(1). The same formula covers p = 2,
     where it collapses to 2*sin(U)*sqrt(E) ~ N(0, 2).
     """
-    p = params.p
     u = rng.uniform(-np.pi / 2.0, np.pi / 2.0, size=size)
     e = rng.exponential(1.0, size=size)
-    out = (np.sin(p * u) / np.power(np.cos(u), 1.0 / p)) * np.power(np.cos((1.0 - p) * u) / e, (1.0 - p) / p)
+    out = _cms_transform(params.p, u, e)
     return float(out) if size is None else out
+
+
+def _cms_transform(p: float, u, e, out: np.ndarray | None = None) -> np.ndarray:
+    """sample_stable's transform of angles u and Exp(1) draws e, elementwise, into out (u itself may be out).
+
+    Runs over the flattened arrays _TRANSFORM_CHUNK elements at a time, so
+    its temporaries stay bounded whatever the size; every element gets the
+    same arithmetic as in one pass over the whole array.
+    """
+    u, e = np.asarray(u, dtype=np.float64), np.asarray(e, dtype=np.float64)
+    if out is None:
+        out = np.empty(u.shape)
+    elif not out.flags.c_contiguous:
+        raise ValueError("out must be C-contiguous")
+    flat_u, flat_e, flat_out = u.reshape(-1), e.reshape(-1), out.reshape(-1)
+    for lo in range(0, flat_u.size, _TRANSFORM_CHUNK):
+        a, x = flat_u[lo : lo + _TRANSFORM_CHUNK], flat_e[lo : lo + _TRANSFORM_CHUNK]
+        flat_out[lo : lo + _TRANSFORM_CHUNK] = (np.sin(p * a) / np.power(np.cos(a), 1.0 / p)) * np.power(
+            np.cos((1.0 - p) * a) / x, (1.0 - p) / p
+        )
+    return out
 
 
 @dataclass(frozen=True)

@@ -172,6 +172,42 @@ class TestBuild:
             with pytest.raises(ContractViolation, match="seed"):
                 IndexParams(k=1, l=1, seed=seed)
 
+    @pytest.mark.parametrize("field", ["k", "l", "seed", "max_candidates"])
+    @pytest.mark.parametrize("bad", [1.5, 2.0, True, np.bool_(True), "3", np.float64(4.0)])
+    def test_index_params_take_integers_only(self, field, bad):
+        fields = {"k": 1, "l": 1, "seed": 0, "max_candidates": None, field: bad}
+        with pytest.raises(ContractViolation, match=field):
+            IndexParams(**fields)
+
+    def test_index_params_store_numpy_integers_as_ints(self):
+        params = IndexParams(k=np.uint8(200), l=np.int64(3), seed=np.uint64(2**64 - 1), max_candidates=np.int32(9))
+        assert params == IndexParams(k=200, l=3, seed=2**64 - 1, max_candidates=9)
+        assert all(type(v) is int for v in (params.k, params.l, params.seed, params.max_candidates))
+        # a uint8 k would wrap k * l
+        assert params.k * params.l == 600
+
+    @pytest.mark.parametrize(
+        "ids",
+        [
+            [1.9, 3.2, 4.0],
+            np.array([1.0, 2.0, 3.0]),
+            [1, 2, 2**70],
+            [1, 2, -(2**63) - 1],
+            np.array([1, 2, 2**63], dtype=np.uint64),
+            [True, False, True],
+            ["1", "2", "3"],
+        ],
+    )
+    def test_ids_must_be_int64_integers(self, scheme, ids):
+        with pytest.raises(ContractViolation, match="ids"):
+            build(np.zeros((3, 2)), scheme, IndexParams(k=1, l=1, seed=0), ids=ids)
+
+    def test_ids_span_int64(self, scheme):
+        ids = [2**63 - 1, -(2**63), 0]
+        for given in (ids, np.array(ids, dtype=np.int64), np.array([2**63 - 1, 5, 0], dtype=np.uint64)):
+            index = build(np.zeros((3, 2)), scheme, IndexParams(k=1, l=1, seed=0), ids=given)
+            assert index.ids.dtype == np.int64 and index.ids.tolist() == [int(v) for v in given]
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_points_rejected(self, scheme, bad):
         pts = np.zeros((4, 2))
@@ -227,7 +263,7 @@ class TestQuery:
         assert got.answer[0] == 3
         assert got.answer[1] == 0.0
 
-    @pytest.mark.parametrize("bad", [0, -3, 2**32])
+    @pytest.mark.parametrize("bad", [0, -3, 2**32, 2.5, 3.0, True])
     def test_bad_max_candidates_rejected(self, scheme, bad):
         pts, index = small_index(scheme, d=6)
         with pytest.raises(ContractViolation, match="max_candidates"):
@@ -272,14 +308,28 @@ class TestLinearScan:
 
 
 class TestHashFunctions:
-    def test_build_and_queries_sample_each_function_once(self, scheme, monkeypatch):
+    def test_build_and_queries_sample_each_function_once(self, scheme, monkeypatch, tmp_path):
+        # every function is drawn by one sample_stack call; record the seeds of each call
         calls = []
-        sample_hash = lplsh.index.sample_hash
-        monkeypatch.setattr(lplsh.index, "sample_hash", lambda *args: calls.append(args) or sample_hash(*args))
+        sample_stack = lplsh.index.sample_stack
+
+        def recorded(scheme, d, seeds):
+            calls.append(list(seeds))
+            return sample_stack(scheme, d, seeds)
+
+        monkeypatch.setattr(lplsh.index, "sample_stack", recorded)
         pts, index = small_index(scheme, k=2, l=5)
+        assert len(calls) == 1 and len(set(calls[0])) == 2 * 5
         index.query_batch(pts[:7])
         index.query(pts[0])
-        assert len(calls) == 2 * 5
+        assert len(calls) == 1
+        path = tmp_path / "idx.lplsh"
+        save_index(index, str(path))
+        loaded = load_index(str(path))
+        assert len(calls) == 1
+        loaded.query_batch(pts[:7])
+        loaded.query(pts[0])
+        assert calls == [calls[0], calls[0]]
 
     def test_loaded_index_samples_the_built_functions(self, scheme, tmp_path):
         _, index = small_index(scheme, k=2, l=5)

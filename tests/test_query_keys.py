@@ -16,7 +16,7 @@ import pytest
 
 from lplsh import IndexParams, QueryResult, build, load_index, save_index
 from lplsh.geometry import lp_norm
-from lplsh.index import _QUERY_ROWS, _ROW_BLOCK, _function_seed, fingerprint_rows
+from lplsh.index import _QUERY_ROWS, _ROW_BLOCK, fingerprint_rows
 from lplsh.lattice import SHIFT_CHUNK, hash_batch
 from lplsh.scheme import sample_hash, scale_to_unit
 from lplsh.util import derive_rng
@@ -24,9 +24,14 @@ from lplsh.util import derive_rng
 from conftest import cheap_scheme
 
 
+def function_seed(root_seed, table, slot):
+    """The seed of slot `slot` of table `table`: the index's derivation, frozen here."""
+    return int(derive_rng(root_seed, 11, table, slot).integers(0, 2**63 - 1))
+
+
 def table_functions(scheme, d, params, ell):
     """The k hash functions of table ell, regenerated from the root seed."""
-    return [sample_hash(scheme, d, _function_seed(params.seed, ell, j)) for j in range(params.k)]
+    return [sample_hash(scheme, d, function_seed(params.seed, ell, j)) for j in range(params.k)]
 
 
 def key_matrix(funcs, unit, space_t):
