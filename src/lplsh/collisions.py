@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .datasets import format_config_value
 from .geometry import (
     BallSpec,
     ContractViolation,
@@ -116,8 +117,8 @@ def make_pair_at_distance(
     space: LpSpace, distance: float, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
     """A random pair at exact l_p distance: random base plus a scaled direction."""
-    if distance < 0:
-        raise ContractViolation(f"distance must be >= 0, got {distance}")
+    if not (0.0 <= distance < math.inf):
+        raise ContractViolation(f"distance must be >= 0 and finite, got {distance}")
     x = rng.standard_normal(space.dim)
     y = x + distance * random_lp_direction(space, rng)
     return x, y
@@ -184,6 +185,8 @@ def estimate_collision(
         raise ContractViolation(f"trials must be >= 1, got {trials}")
     if d < 1:
         raise ContractViolation(f"d must be >= 1, got {d}")
+    if not (0.0 <= distance < math.inf):
+        raise ContractViolation(f"distance must be >= 0 and finite, got {distance}")
     space = LpSpace(scheme.p, d)
     stable = StableParams(scheme.p)
     scale = scheme.T ** (-1.0 / scheme.p) / scheme.r
@@ -489,18 +492,12 @@ def rho_rows(reports: list[RhoReport]) -> list[dict[str, object]]:
     return rows
 
 
-def format_csv_value(value: object) -> str:
-    if isinstance(value, float):
-        return format(value, ".12g")
-    return str(value)
-
-
 def write_rho_csv(reports: list[RhoReport], path: str, header_comments: list[str] | None = None) -> None:
     """Write the sweep as CSV: comment lines, then the exact schema columns."""
     lines = [f"# {c}" for c in (header_comments or [])]
     lines.append(",".join(RHO_CSV_COLUMNS))
     for row in rho_rows(reports):
-        lines.append(",".join(format_csv_value(row[col]) for col in RHO_CSV_COLUMNS))
+        lines.append(",".join(format_config_value(row[col]) for col in RHO_CSV_COLUMNS))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 

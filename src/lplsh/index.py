@@ -481,7 +481,7 @@ def save_index(index: LshIndex, path: str) -> None:
             MAGIC,
             _HEADER.pack(
                 FORMAT_VERSION, scheme.p, scheme.c, scheme.r, index.d, index.n, params.k, params.l, params.seed,
-                params.max_candidates or 0, scheme.w, scheme.t, scheme.epsilon, lattice.delta, scheme.delta_fail,
+                params.max_candidates or 0, lattice.w, lattice.t, threshold.epsilon, lattice.delta, lattice.delta_fail,
                 lattice.num_shifts, int(lattice.saturated), _PROFILE_CODE[scheme.profile],
                 knobs.kappa_w, knobs.kappa_t, knobs.kappa_eps, threshold.value, threshold.sample_count, threshold.seed,
                 len(scheme.overrides),
@@ -594,22 +594,16 @@ def load_index(path: str) -> LshIndex:
 
     if profile_code not in _PROFILE_NAME:
         raise FormatError(f"unknown profile code {profile_code}")
-    threshold = Threshold(value=t_value, t=t, epsilon=eps, p=p, sample_count=t_samples, seed=t_seed)
     # checksum-valid bytes must still pass the checks derived parameters pass
     try:
-        lattice = LatticeParams(
-            w=w, t=t, num_shifts=num_shifts, delta=delta, delta_fail=delta_fail, saturated=bool(saturated)
-        )
         scheme = SchemeParams(
             c=c,
             p=p,
             r=r,
-            w=w,
-            t=t,
-            epsilon=eps,
-            delta_fail=delta_fail,
-            threshold=threshold,
-            lattice=lattice,
+            threshold=Threshold(value=t_value, t=t, epsilon=eps, p=p, sample_count=t_samples, seed=t_seed),
+            lattice=LatticeParams(
+                w=w, t=t, num_shifts=num_shifts, delta=delta, delta_fail=delta_fail, saturated=bool(saturated)
+            ),
             profile=_PROFILE_NAME[profile_code],
             knobs=Knobs(kappa_w=kappa_w, kappa_t=kappa_t, kappa_eps=kappa_eps),
             overrides=tuple(overrides),

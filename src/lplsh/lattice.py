@@ -51,12 +51,12 @@ class LatticeParams:
     saturated: bool = False
 
     def __post_init__(self) -> None:
-        if self.w <= 0:
-            raise ContractViolation(f"w must be > 0, got {self.w}")
+        if not (0.0 < self.w < math.inf):
+            raise ContractViolation(f"w must be > 0 and finite, got {self.w}")
         if self.t < 1:
             raise ContractViolation(f"t must be >= 1, got {self.t}")
-        if self.delta < 3.0:
-            raise ContractViolation(f"delta must be >= 3, got {self.delta}")
+        if not (3.0 <= self.delta < math.inf):
+            raise ContractViolation(f"delta must be >= 3 and finite, got {self.delta}")
         if not (0.0 < self.delta_fail < 1.0):
             raise ContractViolation(f"delta_fail must lie in (0, 1), got {self.delta_fail}")
         if self.num_shifts < 0:
@@ -90,7 +90,7 @@ def compute_num_shifts(
         raise ContractViolation(f"t must be >= 1, got {t}")
     if not (1.0 < p <= 2.0):
         raise ContractViolation(f"p must lie in (1, 2], got {p}")
-    if delta < 3.0:
+    if not (delta >= 3.0):
         raise ContractViolation(f"delta must be >= 3, got {delta}")
     if not (0.0 < delta_fail < 1.0):
         raise ContractViolation(f"delta_fail must lie in (0, 1), got {delta_fail}")
@@ -431,6 +431,8 @@ def covering_fraction(
         if trials < 1:
             raise ContractViolation(f"trials must be >= 1, got {trials}")
         points = rng.uniform(0.0, params.spacing, size=(trials, params.t))
+    elif len(points) == 0:
+        raise ContractViolation("covering_fraction needs at least one point")
     if params.num_shifts == 0:
         return 0.0
     u, _, _ = hash_batch(points, [lattices], space)

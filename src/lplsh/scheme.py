@@ -57,8 +57,8 @@ class Knobs:
 
     def __post_init__(self) -> None:
         for name in ("kappa_w", "kappa_t", "kappa_eps"):
-            if getattr(self, name) <= 0:
-                raise ContractViolation(f"{name} must be > 0")
+            if not (0.0 < getattr(self, name) < math.inf):
+                raise ContractViolation(f"{name} must be > 0 and finite, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)
@@ -67,16 +67,14 @@ class SchemeParams:
 
     r is the inner radius the scheme is calibrated for (callers rescale
     inputs to the unit-radius frame before hashing). overrides records which
-    fields were pinned by hand rather than derived.
+    fields were pinned by hand rather than derived. Each derived value has
+    one owner: w, t, delta_fail and U live in lattice, epsilon and T in
+    threshold, and the scheme reads them from there.
     """
 
     c: float
     p: float
     r: float
-    w: float
-    t: int
-    epsilon: float
-    delta_fail: float
     threshold: Threshold
     lattice: LatticeParams
     profile: str
@@ -84,18 +82,35 @@ class SchemeParams:
     overrides: tuple[tuple[str, float], ...] = ()
 
     def __post_init__(self) -> None:
-        if self.c <= 1.0:
-            raise ContractViolation(f"c must be > 1, got {self.c}")
+        if not (1.0 < self.c < math.inf):
+            raise ContractViolation(f"c must be > 1 and finite, got {self.c}")
         if not (1.0 < self.p <= 2.0):
             raise ContractViolation(f"p must lie in (1, 2], got {self.p}")
-        if self.r <= 0:
-            raise ContractViolation(f"r must be > 0, got {self.r}")
+        if not (0.0 < self.r < math.inf):
+            raise ContractViolation(f"r must be > 0 and finite, got {self.r}")
         if self.t < 2:
             raise ContractViolation(f"t must be >= 2, got {self.t}")
-        if not (0.0 < self.epsilon < 1.0):
-            raise ContractViolation(f"epsilon must lie in (0, 1), got {self.epsilon}")
+        made_for = (self.threshold.t, self.threshold.p)
+        if made_for != (self.t, self.p):
+            raise ContractViolation(f"threshold is for (t, p) = {made_for}, the scheme has {(self.t, self.p)}")
         if self.profile not in (PROFILE_MAIN, PROFILE_REMARK):
             raise ContractViolation(f"unknown profile {self.profile!r}")
+
+    @property
+    def w(self) -> float:
+        return self.lattice.w
+
+    @property
+    def t(self) -> int:
+        return self.lattice.t
+
+    @property
+    def delta_fail(self) -> float:
+        return self.lattice.delta_fail
+
+    @property
+    def epsilon(self) -> float:
+        return self.threshold.epsilon
 
     @property
     def T(self) -> float:
@@ -150,8 +165,8 @@ def derive_params(
     cache: ThresholdCache | None = None,
 ) -> SchemeParams:
     """Derive the full scheme for approximation factor c in l_p."""
-    if c <= 1.0:
-        raise ContractViolation(f"c must be > 1, got {c}")
+    if not (1.0 < c < math.inf):
+        raise ContractViolation(f"c must be > 1 and finite, got {c}")
     if profile not in (PROFILE_MAIN, PROFILE_REMARK):
         raise ContractViolation(f"unknown profile {profile!r}")
     ov = dict(overrides or {})
@@ -164,14 +179,14 @@ def derive_params(
         profile = PROFILE_REMARK
 
     if "u_max" in ov:
-        u_max = int(ov["u_max"])
+        u_max = _integral(ov, "u_max")
     if "delta" in ov:
         delta = float(ov["delta"])
 
     w = float(ov.get("w", knobs.kappa_w * (c * math.log(c) if profile == PROFILE_MAIN else c)))
-    if w <= 0:
-        raise ContractViolation(f"derived w must be > 0, got {w}")
-    t = int(ov.get("t", math.ceil(knobs.kappa_t * w**p)))
+    if not (0.0 < w < math.inf):
+        raise ContractViolation(f"derived w must be > 0 and finite, got {w}")
+    t = _integral(ov, "t") if "t" in ov else math.ceil(knobs.kappa_t * w**p)
     if t < 2:
         raise ContractViolation(f"derived t={t} < 2; increase kappa_t or override t")
     if "eps" in ov:
@@ -187,7 +202,7 @@ def derive_params(
     delta_fail = float(ov.get("delta_fail", math.exp(-t)))
 
     if "u" in ov:
-        u, saturated = int(ov["u"]), False
+        u, saturated = _integral(ov, "u"), False
         if u > u_max:
             u, saturated = u_max, True
     else:
@@ -202,29 +217,30 @@ def derive_params(
             t, epsilon, StableParams(p), n_samples=threshold_samples, seed=threshold_seed, cache=cache
         )
 
-    lattice = LatticeParams(
-        w=w, t=t, num_shifts=u, delta=delta, delta_fail=delta_fail, saturated=saturated
-    )
     return SchemeParams(
         c=c,
         p=p,
         r=r,
-        w=w,
-        t=t,
-        epsilon=epsilon,
-        delta_fail=delta_fail,
         threshold=threshold,
-        lattice=lattice,
+        lattice=LatticeParams(w=w, t=t, num_shifts=u, delta=delta, delta_fail=delta_fail, saturated=saturated),
         profile=profile,
         knobs=knobs,
         overrides=tuple(sorted((k, float(v)) for k, v in ov.items())),
     )
 
 
+def _integral(ov: dict[str, float], key: str) -> int:
+    """An integer-valued override; a fraction, NaN or inf is refused rather than truncated."""
+    value = float(ov[key])
+    if not value.is_integer():
+        raise ContractViolation(f"override {key} must be an integer, got {value}")
+    return int(value)
+
+
 def scale_to_unit(points: np.ndarray, r: float) -> np.ndarray:
     """Rescale so the target inner radius r becomes 1."""
-    if r <= 0:
-        raise ContractViolation(f"r must be > 0, got {r}")
+    if not (0.0 < r < math.inf):
+        raise ContractViolation(f"r must be > 0 and finite, got {r}")
     return np.asarray(points, dtype=np.float64) / r
 
 

@@ -140,6 +140,12 @@ class Threshold:
     sample_count: int
     seed: int
 
+    def __post_init__(self) -> None:
+        if not (0.0 < self.value < math.inf):
+            raise ContractViolation(f"threshold must be > 0 and finite, got {self.value}")
+        if not (0.0 < self.epsilon < 1.0):
+            raise ContractViolation(f"epsilon must lie in (0, 1), got {self.epsilon}")
+
 
 class ThresholdCache:
     """JSON-lines cache of computed thresholds, keyed by the full parameter tuple.
@@ -365,27 +371,17 @@ def validate_concentration(
     high_factor = 2.0 ** ((4.0 + p) / 2.0) / epsilon
     high_cut = high_factor * tval
 
-    if x is None:
-        sums = np.empty(trials)
-        done = 0
-        while done < trials:
-            block = min(max(_SAMPLE_BLOCK // max(t, 1), 1), trials - done)
-            draws = sample_stable(params, rng, size=(block, t))
-            sums[done : done + block] = np.power(np.abs(draws), p).sum(axis=1)
-            done += block
-        norm_pow = 1.0
-    else:
-        xa = np.asarray(x, dtype=np.float64)
-        d = xa.shape[0]
-        norm_pow = float(np.power(np.abs(xa), p).sum())
-        sums = np.empty(trials)
-        done = 0
-        while done < trials:
-            block = min(max(_SAMPLE_BLOCK // max(t * d, 1), 1), trials - done)
-            a = sample_stable(params, rng, size=(block, t, d))
-            proj = np.einsum("btd,d->bt", a, xa)
-            sums[done : done + block] = np.power(np.abs(proj), p).sum(axis=1)
-            done += block
+    xa = np.ones(1) if x is None else np.asarray(x, dtype=np.float64)
+    d = xa.shape[0]
+    norm_pow = float(np.power(np.abs(xa), p).sum())
+    sums = np.empty(trials)
+    done = 0
+    while done < trials:
+        block = min(max(_SAMPLE_BLOCK // max(t * d, 1), 1), trials - done)
+        a = sample_stable(params, rng, size=(block, t, d))
+        proj = np.einsum("btd,d->bt", a, xa)
+        sums[done : done + block] = np.power(np.abs(proj), p).sum(axis=1)
+        done += block
 
     low_hits = int((sums < tval * norm_pow).sum())
     high_hits = int((sums > high_cut * norm_pow).sum())

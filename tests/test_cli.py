@@ -199,6 +199,26 @@ class TestBuild:
                      "--k", "1", "--l", "1", "--p", "1.5", "--c", "1.0"])
         assert code == 1
 
+    @pytest.mark.parametrize(("flags", "message"), [
+        (["--r", "nan"], "r must be > 0 and finite, got nan"),
+        (["--r", "inf"], "r must be > 0 and finite, got inf"),
+        (["--c", "inf"], "c must be > 1 and finite, got inf"),
+        (["--kappa-w", "inf"], "kappa_w must be > 0 and finite, got inf"),
+        (["--override", "w=inf"], "derived w must be > 0 and finite, got inf"),
+        (["--override", "delta=inf"], "delta must be >= 3 and finite, got inf"),
+        (["--override", "threshold=nan"], "threshold must be > 0 and finite, got nan"),
+        (["--override", "threshold=inf"], "threshold must be > 0 and finite, got inf"),
+        (["--override", "threshold=0"], "threshold must be > 0 and finite, got 0.0"),
+        (["--override", "threshold=-1"], "threshold must be > 0 and finite, got -1.0"),
+    ])
+    def test_non_finite_or_non_positive_value_rejected(self, instance, tmp_path, capsys, flags, message):
+        out = tmp_path / "x.lplsh"
+        code = main(["build", "--data", instance + ".fvecs", "--out", str(out), "--seed", "1",
+                     "--k", "1", "--l", "1", *FAST_SCHEME, *flags])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
 
 class TestQuery:
     def test_self_query_all_exact(self, instance, built_index, tmp_path, capsys):
@@ -278,6 +298,26 @@ class TestQuery:
                      "--truth", str(truth), "--out", str(out)])
         assert code == 1
         assert "3 rows for 6 queries" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(("at", "message"), [
+        (struct.calcsize("<H2d"), "r must be > 0 and finite, got nan"),
+        (struct.calcsize("<H3dIQIIQIdIdddQBB3d"), "threshold must be > 0 and finite, got nan"),
+    ])
+    def test_non_finite_header_value_is_format_error(self, built_index, tmp_path, capsys, at, message):
+        # a checksum-valid index whose header holds NaN for r or for the threshold T
+        with open(built_index, "rb") as fh:
+            body = bytearray(fh.read()[:-8])
+        at += len(b"LPLSH")
+        body[at : at + 8] = struct.pack("<d", float("nan"))
+        forged = tmp_path / "nan.lplsh"
+        forged.write_bytes(bytes(body) + struct.pack("<Q", crc64(bytes(body))))
+        queries = tmp_path / "none.csv"
+        queries.write_text("x0,x1,x2,x3,x4\n")
+        out = tmp_path / "res.csv"
+        code = main(["query", "--index", str(forged), "--queries", str(queries), "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == f"format error: invalid header value: {message}\n"
         assert not out.exists()
 
     def test_missing_index(self, tmp_path):
@@ -408,6 +448,14 @@ class TestRho:
         echoed = echo_map(capsys.readouterr().out)
         assert echoed["trials"] == "100"  # explicit flag wins over the file
         assert echoed["d"] == "6"
+
+    def test_non_finite_c_rejected(self, tmp_path, capsys):
+        out = tmp_path / "r.csv"
+        code = main(["rho", "--p", "1.5", "--c-list", "inf", "--d", "6", "--trials", "200", "--seed", "0",
+                     "--threshold-samples", "10000", "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == "error: c must be > 1 and finite, got inf\n"
+        assert not out.exists()
 
     def test_invalid_c_list(self, tmp_path, capsys):
         code = main(["rho", "--p", "1.5", "--c-list", "2,x", "--seed", "0",

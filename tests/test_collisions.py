@@ -48,6 +48,11 @@ class TestMakePair:
         with pytest.raises(ContractViolation):
             make_pair_at_distance(LpSpace(1.5, 4), -1.0, derive_rng(0, 9402))
 
+    @pytest.mark.parametrize("distance", [math.nan, math.inf])
+    def test_non_finite_distance_rejected(self, distance):
+        with pytest.raises(ContractViolation, match="distance must be >= 0 and finite"):
+            make_pair_at_distance(LpSpace(1.5, 4), distance, derive_rng(0, 9402))
+
 
 class TestEstimateCollision:
     def test_zero_distance_collides_surely(self):
@@ -93,6 +98,11 @@ class TestEstimateCollision:
             estimate_collision(scheme, d=8, distance=1.0, trials=0, rng=rng)
         with pytest.raises(ContractViolation):
             estimate_collision(scheme, d=0, distance=1.0, trials=10, rng=rng)
+
+    @pytest.mark.parametrize("distance", [-1.0, math.nan, math.inf, -math.inf])
+    def test_negative_or_non_finite_distance_rejected(self, distance):
+        with pytest.raises(ContractViolation, match="distance must be >= 0 and finite"):
+            estimate_collision(cheap_scheme(), d=8, distance=distance, trials=10, rng=derive_rng(0, 9409))
 
 
 class TestProjectedCollision:

@@ -1,5 +1,6 @@
 """Multi-table index: sizing, build, query, persistence, radius ladder."""
 
+import dataclasses
 import math
 import struct
 
@@ -366,6 +367,18 @@ class TestPersistence:
         qs = rng.normal(size=(100, 6))
         assert loaded.query_batch(qs) == index.query_batch(qs)
 
+    def test_replaced_scheme_roundtrips(self, scheme, tmp_path):
+        # the file stores the values the index hashed with, so a loaded index answers alike
+        moved = dataclasses.replace(scheme, r=2.5)
+        pts, index = small_index(moved, n=80, d=6, seed=5)
+        path = tmp_path / "idx.lplsh"
+        save_index(index, str(path))
+        loaded = load_index(str(path))
+        assert loaded.scheme == moved
+        qs = np.concatenate([pts[:20] + 0.1, derive_rng(0, 9502).normal(size=(20, 6)) * 3.0])
+        assert np.array_equal(loaded._query_keys(qs), index._query_keys(qs))
+        assert loaded.query_batch(qs) == index.query_batch(qs)
+
     def test_tables_are_views_of_the_flat_storage(self, scheme, tmp_path):
         _, index = small_index(scheme, n=80, l=3)
         path = tmp_path / "idx.lplsh"
@@ -441,6 +454,9 @@ class TestPersistence:
     PROFILE_AT = len(b"LPLSH") + struct.calcsize("<H3dIQIIQIdIdddQB")
     W_AT = len(b"LPLSH") + struct.calcsize("<H3dIQIIQI")
     D_AT = len(b"LPLSH") + struct.calcsize("<H3d")
+    # and before r and before the threshold value
+    R_AT = len(b"LPLSH") + struct.calcsize("<H2d")
+    T_AT = len(b"LPLSH") + struct.calcsize("<H3dIQIIQIdIdddQBB3d")
 
     def _forge(self, scheme, tmp_path, patch):
         """Save a small index, patch its bytes, re-seal the checksum."""
@@ -534,6 +550,15 @@ class TestPersistence:
             body[self.W_AT : self.W_AT + 8] = struct.pack("<d", -1.0)
 
         with pytest.raises(FormatError, match="w must be > 0"):
+            load_index(self._forge(scheme, tmp_path, patch))
+
+    @pytest.mark.parametrize(("at", "message"), [("R_AT", "r must be > 0"), ("T_AT", "threshold must be > 0")])
+    def test_non_finite_header_value_is_format_error(self, scheme, tmp_path, at, message):
+        def patch(body):
+            offset = getattr(self, at)
+            body[offset : offset + 8] = struct.pack("<d", math.nan)
+
+        with pytest.raises(FormatError, match=f"invalid header value: {message}"):
             load_index(self._forge(scheme, tmp_path, patch))
 
     def test_zero_dimension_is_format_error(self, scheme, tmp_path):

@@ -140,7 +140,7 @@ def reference_load_bytes(raw: bytes):
             w=w, t=int(t), num_shifts=int(num_shifts), delta=delta, delta_fail=delta_fail, saturated=bool(saturated)
         )
         scheme = SchemeParams(
-            c=c, p=p, r=r, w=w, t=int(t), epsilon=eps, delta_fail=delta_fail, threshold=threshold, lattice=lattice,
+            c=c, p=p, r=r, threshold=threshold, lattice=lattice,
             profile=_PROFILE_NAME[profile_code], knobs=Knobs(kappa_w=kappa_w, kappa_t=kappa_t, kappa_eps=kappa_eps),
             overrides=tuple(overrides),
         )

@@ -215,6 +215,11 @@ class TestCoveringFraction:
         got = covering_fraction(make_lattices(params, seed=0), LpSpace(1.5, 2), 100, rng)
         assert got == 0.0
 
+    def test_empty_point_set_rejected(self, rng):
+        params = LatticeParams(w=1.0, t=2, num_shifts=4)
+        with pytest.raises(ContractViolation, match="at least one point"):
+            covering_fraction(make_lattices(params, seed=0), LpSpace(1.5, 2), 1, rng, points=np.empty((0, 2)))
+
     def test_single_shift_one_dim(self):
         # one lattice of unit balls with spacing 4 covers exactly half the line
         params = LatticeParams(w=1.0, t=1, num_shifts=1)

@@ -1,5 +1,6 @@
 """Parameter derivation and hash-function sampling/evaluation."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -16,6 +17,9 @@ from lplsh import (
     sample_hash,
     scale_to_unit,
 )
+from lplsh.lattice import LatticeParams
+from lplsh.scheme import SchemeParams
+from lplsh.stable import Threshold
 from lplsh.util import derive_rng
 
 from conftest import cheap_scheme
@@ -118,6 +122,90 @@ class TestDeriveParams:
         assert "t=" in items["overrides"]
 
 
+class TestOneOwnerPerValue:
+    def test_scheme_reads_its_owners(self):
+        params = pinned(3.0, 1.5, overrides={"w": 2.5, "t": 4, "eps": 0.3, "delta_fail": 0.01})
+        assert [f.name for f in dataclasses.fields(SchemeParams)] == [
+            "c", "p", "r", "threshold", "lattice", "profile", "knobs", "overrides"
+        ]
+        assert (params.w, params.t, params.delta_fail) == (2.5, 4, 0.01)
+        assert (params.w, params.t, params.delta_fail) == (
+            params.lattice.w, params.lattice.t, params.lattice.delta_fail
+        )
+        assert params.epsilon == params.threshold.epsilon == 0.3
+        assert params.threshold.t == params.t
+
+    @pytest.mark.parametrize("name", ["w", "t", "epsilon", "delta_fail"])
+    def test_derived_values_cannot_be_set_apart_from_their_owner(self, name):
+        params = pinned(3.0, 1.5)
+        with pytest.raises(TypeError):
+            dataclasses.replace(params, **{name: 1.0})
+        with pytest.raises(AttributeError):
+            setattr(params, name, 1.0)
+
+    @pytest.mark.parametrize("change", [{"t": 5}, {"p": 1.25}])
+    def test_threshold_for_other_t_or_p_rejected(self, change):
+        params = pinned(3.0, 1.5)
+        other = dataclasses.replace(params.threshold, **change)
+        with pytest.raises(ContractViolation, match=r"threshold is for \(t, p\)"):
+            dataclasses.replace(params, threshold=other)
+
+
+NON_FINITE = [math.nan, math.inf, -math.inf]
+
+
+class TestNonFiniteValuesRejected:
+    @pytest.mark.parametrize("c", [*NON_FINITE, 1.0])
+    def test_c(self, c):
+        with pytest.raises(ContractViolation, match="c must be > 1 and finite"):
+            pinned(c, 1.5)
+        with pytest.raises(ContractViolation, match="c must be > 1 and finite"):
+            dataclasses.replace(pinned(3.0, 1.5), c=c)
+
+    @pytest.mark.parametrize("r", [*NON_FINITE, 0.0])
+    def test_r(self, r):
+        with pytest.raises(ContractViolation, match="r must be > 0 and finite"):
+            pinned(3.0, 1.5, r=r)
+
+    @pytest.mark.parametrize("kappa", ["kappa_w", "kappa_t", "kappa_eps"])
+    @pytest.mark.parametrize("value", [*NON_FINITE, 0.0])
+    def test_knobs(self, kappa, value):
+        with pytest.raises(ContractViolation, match=f"{kappa} must be > 0 and finite"):
+            Knobs(**{kappa: value})
+
+    @pytest.mark.parametrize("value", NON_FINITE)
+    def test_override_w(self, value):
+        with pytest.raises(ContractViolation, match="derived w must be > 0 and finite"):
+            pinned(3.0, 1.5, overrides={"w": value})
+        with pytest.raises(ContractViolation, match="w must be > 0 and finite"):
+            LatticeParams(w=value, t=2, num_shifts=4)
+
+    def test_derived_w_checked_before_t(self):
+        # c * ln c overflows to inf, which ceil(kappa_t * w^p) would raise on
+        with pytest.raises(ContractViolation, match="derived w must be > 0 and finite"):
+            pinned(1e308, 1.5)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_override_delta(self, value):
+        with pytest.raises(ContractViolation, match="delta must be >= 3"):
+            pinned(3.0, 1.5, overrides={"delta": value})
+        with pytest.raises(ContractViolation, match="delta must be >= 3"):
+            LatticeParams(w=1.0, t=2, num_shifts=4, delta=value)
+
+    @pytest.mark.parametrize("value", [*NON_FINITE, 0.0, -1.0])
+    def test_override_threshold(self, value):
+        with pytest.raises(ContractViolation, match="threshold must be > 0 and finite"):
+            pinned(3.0, 1.5, overrides={"threshold": value})
+        with pytest.raises(ContractViolation, match="threshold must be > 0 and finite"):
+            Threshold(value=value, t=3, epsilon=0.5, p=1.5, sample_count=0, seed=0)
+
+    @pytest.mark.parametrize("key", ["t", "u", "u_max"])
+    @pytest.mark.parametrize("value", [*NON_FINITE, 3.5])
+    def test_integer_overrides(self, key, value):
+        with pytest.raises(ContractViolation, match=f"override {key} must be an integer"):
+            pinned(3.0, 1.5, overrides={key: value})
+
+
 class TestScaleToUnit:
     def test_roundtrip(self, rng):
         pts = rng.normal(size=(20, 5)) * 10.0
@@ -126,8 +214,9 @@ class TestScaleToUnit:
         assert np.max(np.abs(back - pts)) <= 1e-12 * np.max(np.abs(pts))
 
     def test_radius_validation(self):
-        with pytest.raises(ContractViolation):
-            scale_to_unit(np.ones(3), 0.0)
+        for r in (0.0, *NON_FINITE):
+            with pytest.raises(ContractViolation):
+                scale_to_unit(np.ones(3), r)
 
 
 class TestSampleHash:
