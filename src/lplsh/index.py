@@ -46,6 +46,8 @@ _MIX2 = np.uint64(0x94D049BB133111EB)
 
 # (query, function) rows hashed in one scan
 _QUERY_ROWS = 16384
+# (point, function) rows build hashes in one scan: a run of whole tables
+_BUILD_ROWS = 1 << 16
 # (query, table) pairs looked up at once
 _ROW_BLOCK = 4096
 
@@ -387,30 +389,37 @@ def build(
     probe_total = 0
     fallback_total = 0
     collisions = 0
-    for ell in range(params.l):
-        key_mat = _key_rows(funcs, unit, range(ell, ell + 1), params.k, space_t)
-        # a hit at lattice u took u probes; a fallback (u = 0) took all U
-        u = key_mat[:, :: 1 + space_t.dim]
-        probe_total += int(np.where(u > 0, u, scheme.lattice.num_shifts).sum())
-        fallback_total += int((u == 0).sum())
-        fps = fingerprint_rows(key_mat)
-        # stable sort keeps equal-fingerprint rows in original order, so
-        # positions come out ascending within each bucket
-        order = np.argsort(fps, kind="stable")
-        sorted_fps = fps[order]
-        if n:
-            starts = np.concatenate(([0], np.flatnonzero(np.diff(sorted_fps)) + 1))
-        else:
-            starts = np.empty(0, dtype=np.int64)
-        # a fingerprint collision is a bucket whose full keys are not all equal
-        sorted_rows = key_mat[order]
-        bad = (sorted_fps[1:] == sorted_fps[:-1]) & (sorted_rows[1:] != sorted_rows[:-1]).any(axis=1)
-        if bad.any():
-            owner = np.searchsorted(starts, np.flatnonzero(bad), side="right") - 1
-            collisions += int(np.unique(owner).size)
-        table_fps.append(sorted_fps[starts])
-        table_offsets.append(np.concatenate((starts, [n])))
-        positions[ell] = order
+    width = params.k * (1 + space_t.dim)
+    group = max(1, _BUILD_ROWS // max(1, n * params.k))
+    for lo in range(0, params.l, group):
+        tables = range(lo, min(lo + group, params.l))
+        keys = _key_rows(funcs, unit, tables, params.k, space_t).reshape(n, len(tables), width)
+        for ell in tables:
+            # a copy, so no table's rows keep the group's keys alive into the next group's scan
+            key_mat = np.ascontiguousarray(keys[:, ell - lo])
+            # a hit at lattice u took u probes; a fallback (u = 0) took all U
+            u = key_mat[:, :: 1 + space_t.dim]
+            probe_total += int(np.where(u > 0, u, scheme.lattice.num_shifts).sum())
+            fallback_total += int((u == 0).sum())
+            fps = fingerprint_rows(key_mat)
+            # stable sort keeps equal-fingerprint rows in original order, so
+            # positions come out ascending within each bucket
+            order = np.argsort(fps, kind="stable")
+            sorted_fps = fps[order]
+            if n:
+                starts = np.concatenate(([0], np.flatnonzero(np.diff(sorted_fps)) + 1))
+            else:
+                starts = np.empty(0, dtype=np.int64)
+            # a fingerprint collision is a bucket whose full keys are not all equal
+            sorted_rows = key_mat[order]
+            bad = (sorted_fps[1:] == sorted_fps[:-1]) & (sorted_rows[1:] != sorted_rows[:-1]).any(axis=1)
+            if bad.any():
+                owner = np.searchsorted(starts, np.flatnonzero(bad), side="right") - 1
+                collisions += int(np.unique(owner).size)
+            table_fps.append(sorted_fps[starts])
+            table_offsets.append(np.concatenate((starts, [n])))
+            positions[ell] = order
+        del keys
     hash_evals = n * params.l * params.k
     flat = FlatTables(
         fps=np.concatenate(table_fps),

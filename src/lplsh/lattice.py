@@ -15,7 +15,10 @@ beyond (params, seed).
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -27,6 +30,15 @@ DEFAULT_U_MAX = 10**6
 SHIFT_CHUNK = 1024
 # first_cover's row slices hold about this many (shift, row) pairs at most
 _SCAN_ELEMS = 1 << 16
+# rows each worker of a threaded hash_batch call takes at least: smaller
+# shares (a query group holds at most about 16k rows) lose more to the
+# workers' shared interpreter lock than they gain
+_WORKER_ROWS = 1 << 14
+# workers of a threaded hash_batch call at most, the count measured (on a
+# 2-CPU host): each worker's slice budget is _SCAN_ELEMS // workers, so more
+# workers mean smaller slices and more interpreter work per shift, and the
+# affinity mask does not see a container's CPU quota
+_MAX_WORKERS = 2
 # the index callers' block schedule: 8 shifts first, then x1.5 up to SHIFT_CHUNK
 INDEX_BLOCKS = (8, 1.5)
 # stack_prefix's length: the first six blocks of that schedule, 8 + 12 + 18 + 27 + 41 + 62
@@ -305,24 +317,44 @@ def first_cover(
     first True along the shift axis.
     """
     n, t = point_sets[0].shape
-    total = params.num_shifts
     out = [(np.zeros(n, dtype=np.int64), np.zeros((n, t), dtype=np.int64)) for _ in point_sets]
+    _scan(point_sets, out, draw, params, p, range(params.num_shifts), block, growth, _SCAN_ELEMS)
+    return out
+
+
+def _scan(
+    point_sets: tuple[np.ndarray, ...],
+    out: list[tuple[np.ndarray, np.ndarray]],
+    draw: Callable[[int, int, np.ndarray], np.ndarray],
+    params: LatticeParams,
+    p: float,
+    span: range,
+    block: int,
+    growth: float,
+    elems: int,
+) -> int:
+    """first_cover's scan over the lattices in span, for the rows still at u = 0 in out, written in place.
+
+    Row slices hold about elems (shift, row) pairs at most. Returns the
+    block size the schedule reached.
+    """
+    n = point_sets[0].shape[0]
     # coordinate-major copies, so each block gathers its rows from contiguous memory
     point_cols = [np.ascontiguousarray(pts.T) for pts in point_sets]
-    lo = 0
-    while lo < total:
+    lo = span.start
+    while lo < span.stop:
         pending = out[0][0] == 0
         for u, _ in out[1:]:
             pending |= u == 0
         active = pending.nonzero()[0]
         if not active.size:
             break
-        shifts = draw(lo, min(block, total - lo), active)
+        shifts = draw(lo, min(block, span.stop - lo), active)
         b, c = shifts.shape[1:]
         # row slices bound the (t, b, rows) temporaries: a run of a per-row
         # block's columns, or whole rows of a grid
         per_row = c == active.size
-        step = max(1, _SCAN_ELEMS // b) if per_row else c * max(1, _SCAN_ELEMS // (b * c))
+        step = max(1, elems // b) if per_row else c * max(1, elems // (b * c))
         for base in range(0, active.size, step):
             part = active[base : base + step]
             block_shifts = shifts[:, :, base : base + step] if per_row else shifts
@@ -346,7 +378,12 @@ def first_cover(
                     coords[hit_rows] = np.rint((np.take(cols, found, axis=1) - hit_shifts) / params.spacing).T
         lo += b
         block = min(math.ceil(block * growth), SHIFT_CHUNK)
-    return out
+    return block
+
+
+def _cpus() -> int:
+    """CPUs this process may run on."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
 def stack_prefix(sets: list[ShiftedLatticeSet]) -> np.ndarray:
@@ -362,6 +399,42 @@ def stack_prefix(sets: list[ShiftedLatticeSet]) -> np.ndarray:
     for i, rng in enumerate(derived_generators([lattices.seed for lattices in sets], 0)):
         prefix[:, :, i] = _shift_rows(rng, params, size).T
     return prefix
+
+
+def _grid_block(
+    sets: list[ShiftedLatticeSet],
+    prefix: np.ndarray | None,
+    m: int,
+    elems: int,
+    lo: int,
+    b: int,
+    rows: np.ndarray,
+) -> np.ndarray:
+    """hash_batch's draw for a run of m rows that starts a grid row; rows are local to the run.
+
+    One set shares every block. Several sets share each prefix block
+    down the grid's columns while all m rows still scan; later, each
+    pending row gathers its own set's prefix column, and past the prefix
+    its own set's shift_block, in blocks of about elems (shift, row)
+    pairs at most.
+    """
+    count = len(sets)
+    size = 0 if prefix is None else prefix.shape[1]
+    if lo < size and (count == 1 or (rows.size == m and m % count == 0)):
+        return prefix[:, lo : lo + b]
+    if count == 1:
+        return sets[0].shift_block(lo, lo + b).T[:, :, None]
+    # bound the per-row block
+    b = max(1, min(b, elems // rows.size))
+    owner = rows % count
+    if lo < size:
+        # a flat index into the prefix, so np.take copies no (t, b, len(sets)) slice of it
+        b = min(b, size - lo)
+        at = np.arange(lo * count, (lo + b) * count, count)[:, None] + owner
+        return np.take(prefix.reshape(prefix.shape[0], -1), at, axis=1)
+    used, inverse = np.unique(owner, return_inverse=True)
+    blocks = np.stack([sets[i].shift_block(lo, lo + b).T for i in used], axis=-1)
+    return np.take(blocks, inverse, axis=2)
 
 
 def hash_batch(
@@ -384,6 +457,15 @@ def hash_batch(
     every row still scans; later, unresolved rows gather their set's
     prefix column, and rows past the prefix draw from their own set's
     shift_block.
+
+    A call with a prefix and whole grid rows scans the prefix on the CPUs
+    the process may run on, at most _MAX_WORKERS of them, with at least
+    _WORKER_ROWS rows per worker: the calling thread and a pool that
+    lives for the call. Each worker
+    takes a contiguous run of grid rows and a share of the slice budget,
+    reads only the prefix, runs only private code and writes its rows of
+    u and coords in place. Rows still pending at the prefix end resume
+    on the calling thread.
     """
     params = sets[0].params
     pts = np.asarray(points, dtype=np.float64)
@@ -391,25 +473,28 @@ def hash_batch(
         raise ContractViolation(f"points must have shape (n, {params.t}), got {pts.shape}")
     n, count = pts.shape[0], len(sets)
     size = 0 if prefix is None else prefix.shape[1]
+    u = np.zeros(n, dtype=np.int64)
+    coords = np.zeros((n, params.t), dtype=np.int64)
+    block, growth = INDEX_BLOCKS
+    lo = 0
+    workers = min(_cpus(), _MAX_WORKERS, n // count, n // _WORKER_ROWS) if size and n % count == 0 else 1
+    if workers > 1:
+        elems = _SCAN_ELEMS // workers
+        cuts = [n // count * i // workers * count for i in range(workers + 1)]
 
-    def draw(lo: int, b: int, rows: np.ndarray) -> np.ndarray:
-        if lo < size and (count == 1 or (rows.size == n and n % count == 0)):
-            return prefix[:, lo : lo + b]
-        if count == 1:
-            return sets[0].shift_block(lo, lo + b).T[:, :, None]
-        # bound the per-row block
-        b = max(1, min(b, _SCAN_ELEMS // rows.size))
-        owner = rows % count
-        if lo < size:
-            # a flat index into the prefix, so np.take copies no (t, b, len(sets)) slice of it
-            b = min(b, size - lo)
-            at = np.arange(lo * count, (lo + b) * count, count)[:, None] + owner
-            return np.take(prefix.reshape(prefix.shape[0], -1), at, axis=1)
-        used, inverse = np.unique(owner, return_inverse=True)
-        blocks = np.stack([sets[i].shift_block(lo, lo + b).T for i in used], axis=-1)
-        return np.take(blocks, inverse, axis=2)
+        def scan_prefix(start: int, stop: int) -> int:
+            draw = partial(_grid_block, sets, prefix, stop - start, elems)
+            run = [(u[start:stop], coords[start:stop])]
+            return _scan((pts[start:stop],), run, draw, params, space.p, range(size), *INDEX_BLOCKS, elems)
 
-    [(u, coords)] = first_cover((pts,), draw, params, space.p, *INDEX_BLOCKS)
+        # the calling thread scans the first run while the pool scans the others
+        with ThreadPoolExecutor(workers - 1) as pool:
+            others = pool.map(scan_prefix, cuts[1:-1], cuts[2:])
+            block = max(scan_prefix(cuts[0], cuts[1]), *others)
+        lo = size
+    if not u.all():
+        draw = partial(_grid_block, sets, prefix, n, _SCAN_ELEMS)
+        _scan((pts,), [(u, coords)], draw, params, space.p, range(lo, params.num_shifts), block, growth, _SCAN_ELEMS)
     return u, coords, np.where(u > 0, u, params.num_shifts)
 
 

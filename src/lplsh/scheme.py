@@ -186,7 +186,13 @@ def derive_params(
     w = float(ov.get("w", knobs.kappa_w * (c * math.log(c) if profile == PROFILE_MAIN else c)))
     if not (0.0 < w < math.inf):
         raise ContractViolation(f"derived w must be > 0 and finite, got {w}")
-    t = _integral(ov, "t") if "t" in ov else math.ceil(knobs.kappa_t * w**p)
+    if "t" in ov:
+        t = _integral(ov, "t")
+    else:
+        try:
+            t = math.ceil(knobs.kappa_t * w**p)
+        except OverflowError:
+            raise ContractViolation(f"w={w} is too large: t = ceil(kappa_t * w**p) overflows; override t") from None
     if t < 2:
         raise ContractViolation(f"derived t={t} < 2; increase kappa_t or override t")
     if "eps" in ov:

@@ -219,6 +219,17 @@ class TestBuild:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
+    def test_w_too_large_for_t_rejected(self, instance, tmp_path, capsys):
+        # w**p overflows while t is derived from it (no t override here)
+        out = tmp_path / "x.lplsh"
+        code = main(["build", "--data", instance + ".fvecs", "--out", str(out), "--seed", "1",
+                     "--k", "1", "--l", "1", "--p", "1.5", "--c", "2", "--override", "w=1e300"])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: w=1e+300 is too large: t = ceil(kappa_t * w**p) overflows; override t\n"
+        )
+        assert not out.exists()
+
 
 class TestQuery:
     def test_self_query_all_exact(self, instance, built_index, tmp_path, capsys):

@@ -11,11 +11,12 @@ the same random numbers in the same order; a golden digest of the lab's
 output pins its draw sizes as well. With several lattice sets, `hash_batch`
 must hash each row as the reference hashes it under its own set alone, and
 its shift prefix must be the head of every set's first shift chunk, bit for
-bit.
+bit, and a scan split over threads must hash as the unsplit one.
 """
 
 import hashlib
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -388,3 +389,93 @@ def test_lattice_stage_golden_digest(case, params, n, digest):
         h.update(np.ascontiguousarray(arr).tobytes())
     h.update(str(rng.bit_generator.state["state"]).encode())
     assert h.hexdigest() == digest
+
+
+def reference_covered(cols, shifts, params, p):
+    """The frozen ball test on rows x of cols (t, rows), each against its own (b, t) shifts: (b, rows)."""
+    t, b, c = shifts.shape
+    shift = np.transpose(shifts, (2, 1, 0))[np.arange(cols.shape[1]) % c]
+    rel = cols.T[:, None, :] - shift
+    a = np.rint(rel / params.spacing)
+    # a C-order (rows, b, t) difference, so the sum runs along a contiguous last axis as in the reference scan
+    return reference_inside(np.ascontiguousarray(rel - params.spacing * a), p, params.w).T
+
+
+@pytest.mark.parametrize("p", GRID_P)
+@pytest.mark.parametrize("t", [3, 8])
+@pytest.mark.parametrize(
+    "per_set,sets", [(40, 6), (6, 40), (7, 7), (300, 1)], ids=["more-points-than-sets", "more-sets-than-points", "square", "one-set"]
+)
+def test_covered_matches_reference_ball_test(t, p, per_set, sets):
+    # a grid block of several sets' shifts, each shared down its set's column
+    # of points, against a gather of every row's own shifts
+    params = grid_params(t, p)
+    shifts = stack_prefix([make_lattices(params, seed=91 + i) for i in range(sets)])[:, 8:20]
+    # each row inside, on or outside the boundary of a ball of one of its set's 12 shifts
+    rng = derive_rng(1, 9314, t, sets)
+    rows = per_set * sets
+    centres = shifts[:, rng.integers(0, 12, size=rows), np.arange(rows) % sets].T
+    centres += params.spacing * rng.integers(-3, 4, size=(rows, t))
+    direction = rng.uniform(-1.0, 1.0, size=(rows, t))
+    direction /= (np.abs(direction) ** p).sum(axis=1, keepdims=True) ** (1.0 / p)
+    radius = params.w * rng.choice([0.5, 1.0, 1.5], size=(rows, 1))
+    cols = np.ascontiguousarray((centres + radius * direction).T)
+    got = lplsh.lattice._covered(cols, shifts, params, p)
+    want = reference_covered(cols, shifts, params, p)
+    assert got.shape == want.shape == (12, per_set * sets)
+    assert np.array_equal(got, want)
+    assert got.any() and not got.all()
+
+
+def test_threaded_scan_matches_reference(monkeypatch):
+    # a call of three workers' minimum rows with a prefix splits its grid rows
+    # over three workers, and rows past the prefix resume on the calling thread
+    scans = []
+    scan = lplsh.lattice._scan
+
+    def recording(point_sets, out, draw, params, p, span, *rest):
+        scans.append((threading.get_ident(), point_sets[0].shape[0], span))
+        return scan(point_sets, out, draw, params, p, span, *rest)
+
+    monkeypatch.setattr(lplsh.lattice, "_scan", recording)
+    monkeypatch.setattr(lplsh.lattice, "_cpus", lambda: 3)
+    monkeypatch.setattr(lplsh.lattice, "_MAX_WORKERS", 3)
+    params = LatticeParams(w=1.0, t=3, num_shifts=SHIFT_CHUNK + 300, delta=8.0)
+    sets = [make_lattices(params, seed=101 + i) for i in range(8)]
+    space = LpSpace(1.5, 3)
+    n = 3 * lplsh.lattice._WORKER_ROWS
+    pts, _ = planted_points(sets, n, 1.5, derive_rng(1, 9315))
+    want = reference_hash_stacked(pts, sets, space)
+    got = hash_batch(pts, sets, space, stack_prefix(sets))
+    assert all(np.array_equal(w_arr, g_arr) for w_arr, g_arr in zip(want, got))
+    assert (got[0] > STACK_PREFIX).any()
+    # three workers (the calling thread one of them) over contiguous runs of
+    # whole grid rows, then the tail on the calling thread
+    *workers, tail = scans
+    sizes = sorted(rows for _, rows, _ in workers)
+    assert len(sizes) == 3 and sum(sizes) == n and sizes[-1] - sizes[0] <= 8 and all(s % 8 == 0 for s in sizes)
+    assert all(span == range(STACK_PREFIX) for _, _, span in workers)
+    assert sum(ident != threading.get_ident() for ident, _, _ in workers) == 2
+    assert tail == (threading.get_ident(), n, range(STACK_PREFIX, params.num_shifts))
+
+
+def test_workers_capped(monkeypatch):
+    # more CPUs in the affinity mask than _MAX_WORKERS still split a call
+    # into _MAX_WORKERS runs
+    workers = []
+    scan = lplsh.lattice._scan
+
+    def recording(point_sets, out, draw, params, p, span, *rest):
+        if span.start == 0:
+            workers.append(point_sets[0].shape[0])
+        return scan(point_sets, out, draw, params, p, span, *rest)
+
+    monkeypatch.setattr(lplsh.lattice, "_scan", recording)
+    monkeypatch.setattr(lplsh.lattice, "_cpus", lambda: 64)
+    monkeypatch.setattr(lplsh.lattice, "_WORKER_ROWS", 1)
+    params = LatticeParams(w=1.0, t=3, num_shifts=SHIFT_CHUNK, delta=8.0)
+    sets = [make_lattices(params, seed=121 + i) for i in range(4)]
+    pts, _ = planted_points(sets, 400, 1.5, derive_rng(1, 9316))
+    got = hash_batch(pts, sets, LpSpace(1.5, 3), stack_prefix(sets))
+    assert all(np.array_equal(w_arr, g_arr) for w_arr, g_arr in zip(reference_hash_stacked(pts, sets, LpSpace(1.5, 3)), got))
+    assert sorted(workers) == [200, 200] == [400 // lplsh.lattice._MAX_WORKERS] * 2

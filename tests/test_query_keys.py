@@ -8,16 +8,24 @@ over freshly regenerated functions and one fingerprint fold, then one
 `Buckets.get` per (query, table). Fingerprints and every `QueryResult`
 field must be equal. `build` hashes each table's points with the same
 stacked scan, so its tables must equal the ones the reference keys sort
-into.
+into; it hashes runs of tables per scan and splits large scans over
+threads, so grouped and threaded builds are checked the same way.
 """
+
+import multiprocessing
+import os
+import sys
+import threading
 
 import numpy as np
 import pytest
 
+import lplsh.index
+import lplsh.lattice
 from lplsh import IndexParams, QueryResult, build, load_index, save_index
 from lplsh.geometry import lp_norm
 from lplsh.index import _QUERY_ROWS, _ROW_BLOCK, fingerprint_rows
-from lplsh.lattice import SHIFT_CHUNK, hash_batch
+from lplsh.lattice import SHIFT_CHUNK, STACK_PREFIX, hash_batch
 from lplsh.scheme import sample_hash, scale_to_unit
 from lplsh.util import derive_rng
 
@@ -243,3 +251,105 @@ def test_batch_spanning_several_lookup_groups():
     assert _ROW_BLOCK // 600 == 6
     got = assert_matches_reference(index, queries, max_candidates=7)
     assert len(got) == 14
+
+
+@pytest.fixture
+def threaded(monkeypatch):
+    """Every hash_batch call with a prefix and whole grid rows takes the threaded path, with up to three workers.
+
+    Returns the (thread, rows, span) of every scan: the workers' runs, the
+    calling thread's among them, and its tail; a short switch interval
+    interleaves the workers.
+    """
+    monkeypatch.setattr(lplsh.lattice, "_WORKER_ROWS", 1)
+    monkeypatch.setattr(lplsh.lattice, "_cpus", lambda: 3)
+    monkeypatch.setattr(lplsh.lattice, "_MAX_WORKERS", 3)
+    scans = []
+    scan = lplsh.lattice._scan
+
+    def recording(point_sets, out, draw, params, p, span, *rest):
+        scans.append((threading.get_ident(), point_sets[0].shape[0], span))
+        return scan(point_sets, out, draw, params, p, span, *rest)
+
+    monkeypatch.setattr(lplsh.lattice, "_scan", recording)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        yield scans
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def worker_scans(scans):
+    """The scans that ran off the calling thread."""
+    return [scan for scan in scans if scan[0] != threading.get_ident()]
+
+
+@pytest.mark.parametrize(
+    "n,k,l,group,scheme_kwargs",
+    [
+        (120, 2, 7, 3, {}),
+        (120, 3, 5, 5, {"delta": 12.0, "u": 3000}),
+        (2, 2, 9, 4, {}),
+        (1, 2, 6, 6, {}),
+    ],
+    ids=["l-not-a-multiple-of-the-group", "past-the-prefix", "two-grid-rows", "fewer-grid-rows-than-workers"],
+)
+def test_grouped_threaded_build_matches_reference_keys(threaded, monkeypatch, n, k, l, group, scheme_kwargs):
+    monkeypatch.setattr(lplsh.index, "_BUILD_ROWS", n * k * group)
+    pts, _ = instance(12, n=n)
+    scheme = cheap_scheme(**scheme_kwargs)
+    index = build(pts, scheme, IndexParams(k=k, l=l, seed=22))
+    ref = reference_query_keys(index, pts)
+    for ell, fps in enumerate(ref):
+        assert np.array_equal(index.tables[ell].fps, np.unique(fps)), f"table {ell}"
+        assert np.array_equal(index.tables[ell].positions, np.argsort(fps, kind="stable")), f"table {ell}"
+    # each group's call splits its n grid rows over min(3, n) workers, the
+    # calling thread one of them; one grid row is not split
+    groups, split = -(-l // group), min(3, n)
+    workers = worker_scans(threaded)
+    assert len(workers) == (groups * (split - 1) if split > 1 else 0)
+    assert all(span == range(min(STACK_PREFIX, scheme.lattice.num_shifts)) for _, _, span in workers)
+    if scheme_kwargs:
+        # rows still pending at the prefix end resume on the calling thread
+        unit = scale_to_unit(pts, scheme.r)
+        funcs = [h for ell in range(l) for h in table_functions(scheme, index.d, index.params, ell)]
+        u_cols = key_matrix(funcs, unit, scheme.space())[:, :: 1 + scheme.t]
+        assert (u_cols > STACK_PREFIX).any()
+        assert any(span.start == STACK_PREFIX for ident, _, span in threaded if ident == threading.get_ident())
+
+
+def test_threaded_build_of_no_points(threaded):
+    _, queries = instance(8)
+    index = build(np.empty((0, queries.shape[1])), cheap_scheme(), IndexParams(k=2, l=4, seed=18))
+    got = assert_matches_reference(index, queries)
+    assert all(r == QueryResult(None, 0, 4, None) for r in got)
+
+
+def test_threaded_query_batch_matches_reference(threaded):
+    pts, queries = instance(13)
+    index = build(pts, cheap_scheme(), IndexParams(k=2, l=6, seed=23))
+    assert_matches_reference(index, queries)
+    assert worker_scans(threaded)
+
+
+def _build_and_exit(pts, scheme, params, want):
+    """Exit 0 when a build in this (forked) process saves the expected fingerprints."""
+    index = build(pts, scheme, params)
+    os._exit(0 if np.array_equal(index.flat.fps, want) else 3)
+
+
+def test_build_in_a_forked_child_finishes(threaded):
+    # the parent's threaded builds leave no executor behind for a fork to inherit
+    pts, _ = instance(14)
+    scheme, params = cheap_scheme(), IndexParams(k=2, l=6, seed=24)
+    want = build(pts, scheme, params).flat.fps
+    assert worker_scans(threaded)
+    child = multiprocessing.get_context("fork").Process(target=_build_and_exit, args=(pts, scheme, params, want))
+    child.start()
+    child.join(timeout=60)
+    if child.is_alive():
+        child.kill()
+        child.join()
+        pytest.fail("a build in a forked child did not finish within 60 s")
+    assert child.exitcode == 0

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -179,6 +180,12 @@ class TestNonFiniteValuesRejected:
             pinned(3.0, 1.5, overrides={"w": value})
         with pytest.raises(ContractViolation, match="w must be > 0 and finite"):
             LatticeParams(w=value, t=2, num_shifts=4)
+
+    @pytest.mark.parametrize("value", [1e300, 1e207])
+    def test_override_w_too_large_for_t(self, value):
+        # finite, but kappa_t * w**p overflows a float before t can be derived from it
+        with pytest.raises(ContractViolation, match=re.escape(f"w={value} is too large")):
+            pinned(3.0, 1.5, overrides={"w": value})
 
     def test_derived_w_checked_before_t(self):
         # c * ln c overflows to inf, which ceil(kappa_t * w^p) would raise on

@@ -7,11 +7,14 @@ this guard loads the tracer by path and checks its targets here.
 """
 
 import importlib.util
+import sys
+import threading
 from pathlib import Path
 
 import numpy as np
 
 import lplsh.index
+import lplsh.lattice
 from lplsh import IndexParams, build, load_index, save_index
 from lplsh.util import derive_rng
 
@@ -73,3 +76,49 @@ def test_build_and_query_hash_through_hash_batch():
     finally:
         tracer.uninstall()
     assert tracer.counts["lattice.hash_batch.points"] == 20 * k * l + 3 * k * l
+
+
+def test_threaded_hashing_keeps_the_span_stack(monkeypatch):
+    # the tracer keeps one span stack per process, so a worker that called a
+    # traced function (derive_rng through ShiftedLatticeSet._draw, say) would
+    # end a span while another was open; rows scan past the prefix, so the
+    # calling thread does draw from shift_block after the workers
+    monkeypatch.setattr(lplsh.lattice, "_WORKER_ROWS", 32)
+    monkeypatch.setattr(lplsh.lattice, "_cpus", lambda: 3)
+    monkeypatch.setattr(lplsh.lattice, "_MAX_WORKERS", 3)
+    threads = set()
+    scan = lplsh.lattice._scan
+
+    def recording(*args):
+        threads.add(threading.get_ident())
+        return scan(*args)
+
+    monkeypatch.setattr(lplsh.lattice, "_scan", recording)
+    pts = derive_rng(0, 9803).normal(size=(200, 4))
+    queries = pts[:40] + 0.01
+    k, l = 2, 6
+    tracer = load_tracing().Tracer()
+    # every span must begin on the calling thread, whatever the interleaving
+    begin, caller, off_thread = tracer.begin, threading.get_ident(), []
+
+    def begin_on_caller(code):
+        if threading.get_ident() != caller:
+            off_thread.append(tracer.names[code])
+        return begin(code)
+
+    tracer.begin = begin_on_caller
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    tracer.install()
+    try:
+        index = lplsh.index.build(pts, cheap_scheme(delta=12.0, u=3000), IndexParams(k=k, l=l, seed=6))
+        index.query_batch(queries)
+    finally:
+        tracer.uninstall()
+        sys.setswitchinterval(interval)
+    assert len(threads) > 1
+    assert off_thread == []
+    assert tracer.counts["lattice.hash_batch.points"] == 200 * k * l + 40 * k * l
+    summary = tracer.summary()
+    assert summary.outlasting_children() == 0
+    assert summary.count("util.derive_rng", under="lattice.hash_batch") > 0
