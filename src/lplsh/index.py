@@ -50,6 +50,11 @@ _QUERY_ROWS = 16384
 _BUILD_ROWS = 1 << 16
 # (query, table) pairs looked up at once
 _ROW_BLOCK = 4096
+# Projected unit-frame coordinates are hashed up to 2**32 * w in magnitude:
+# there the ulp of a coordinate is at most 2**-52 * 2**32 * w = 2**-20 * w, a
+# millionth of the ball radius, and the cell index fits int64 many times over.
+# Near 2**52 * w rounding alone decides the ball test; past 2**63 cells the cast saturates.
+_HASH_RANGE = 2.0**32
 
 
 def fingerprint_rows(key_mat: np.ndarray) -> np.ndarray:
@@ -199,12 +204,21 @@ def _key_rows(funcs: IndexFunctions, unit: np.ndarray, tables: range, k: int, sp
 
     A row lists, for each of its table's k functions, the lattice index u
     then the t cell coordinates. One matmul projects the rows under every
-    function of the run and one lattice scan hashes them.
+    function of the run and one lattice scan hashes them. A projected
+    coordinate beyond _HASH_RANGE * w is a ContractViolation.
     """
     t = space_t.dim
     lo, hi = tables.start * k, tables.stop * k
-    projected = (unit @ funcs.projection[lo * t : hi * t].T).reshape(-1, t)
-    u, coords, _ = hash_batch(projected, funcs.sets[lo:hi], space_t, funcs.prefix[:, :, lo:hi])
+    projected = unit @ funcs.projection[lo * t : hi * t].T
+    bound = _HASH_RANGE * funcs.sets[0].params.w
+    peak = float(np.abs(projected).max(initial=0.0))
+    if not peak <= bound:
+        raise ContractViolation(
+            f"a projected coordinate reaches {peak:.3g} (in units of r), beyond the bound 2**32 * w = {bound:.3g}"
+        )
+    # a run's prefix columns, contiguous: a copy for a build group, the array itself for all tables
+    prefix = np.ascontiguousarray(funcs.prefix[:, :, lo:hi])
+    u, coords, _ = hash_batch(projected.reshape(-1, t), funcs.sets[lo:hi], space_t, prefix)
     return np.concatenate((u[:, None], coords), axis=1).reshape(-1, k * (1 + t))
 
 
@@ -509,8 +523,7 @@ def save_index(index: LshIndex, path: str) -> None:
             _u4_bytes(np.diff(table.offsets), "bucket sizes"),
             _u4_bytes(table.positions, "bucket positions"),
         ]
-    # One CRC call over the joined body: crc64 is fast only on inputs of at
-    # least a few KiB, and most parts are short per-table arrays.
+    # one join and one write: faster than chaining the CRC over the parts and writing each
     body = b"".join(parts)
     trailer = _TRAILER.pack(crc64(body))
     with open(path, "wb") as fh:
@@ -566,40 +579,37 @@ def load_index(path: str) -> LshIndex:
     if np.unique(ids).size != n:
         raise FormatError("duplicate ids")
     points = take_array("<f8", n * d).astype(np.float64).reshape(n, d)
-    # First pass over the table headers: each table's payload offset and
-    # bucket count, so the flat arrays are allocated once and filled in place.
-    table_at, bounds = [], [0]
+    # each table's (fps, counts, positions) views, after empty ones so bounds start at 0; all are checked at once
+    empty = np.empty(0, dtype=np.uint32)
+    sections = [(empty, empty, empty)]
     for _ in range(l):
         n_buckets, total = _TABLE_HEADER.unpack_from(raw, claim(_TABLE_HEADER.size, "header"))
         if total != n:
             raise FormatError(f"table entry total {total} differs from the point count {n}")
-        table_at.append(claim(12 * n_buckets + 4 * total, "payload"))
-        bounds.append(bounds[-1] + n_buckets)
+        sections.append((take_array("<u8", n_buckets), take_array("<u4", n_buckets), take_array("<u4", n)))
     if off != end:
         raise FormatError("trailing bytes after payload")
-    flat = FlatTables(
-        fps=np.empty(bounds[-1], dtype=np.uint64),
-        bounds=np.array(bounds, dtype=np.int64),
-        offsets=np.empty(bounds[-1] + l, dtype=np.int64),
-        positions=np.empty((l, n), dtype=np.int64),
-    )
-    for ell, at in enumerate(table_at):
-        lo, hi = bounds[ell], bounds[ell + 1]
-        fps = flat.fps[lo:hi]
-        fps[:] = np.frombuffer(raw, dtype="<u8", count=hi - lo, offset=at)
-        counts = np.frombuffer(raw, dtype="<u4", count=hi - lo, offset=at + 8 * (hi - lo))
-        if int(counts.sum()) != n:
-            raise FormatError("bucket counts disagree with entry total")
-        if hi > lo and int(counts.min()) == 0:
-            raise FormatError("empty bucket")
-        if hi - lo > 1 and not (fps[1:] > fps[:-1]).all():
-            raise FormatError("bucket fingerprints not strictly increasing")
-        offsets = flat.offsets[lo + ell : hi + ell + 1]
-        offsets[0] = 0
-        np.cumsum(counts, dtype=np.int64, out=offsets[1:])
-        flat.positions[ell] = np.frombuffer(raw, dtype="<u4", count=n, offset=at + 12 * (hi - lo))
-        if n and int(flat.positions[ell].max()) >= n:
-            raise FormatError("bucket position beyond the stored points")
+    fps_parts, count_parts, position_parts = zip(*sections)
+    bounds = np.cumsum([part.size for part in count_parts], dtype=np.int64)
+    fps = np.concatenate(fps_parts, dtype=np.uint64)
+    counts = np.concatenate(count_parts, dtype=np.int64)
+    positions = np.concatenate(position_parts, dtype=np.int64).reshape(l, n)
+    # Table ell's offsets run from slot bounds[ell] + ell. Running sums of the
+    # counts, with -n in each later table's first slot, are every table's own
+    # offsets exactly when every table holds n entries: then each table ends at n.
+    offsets = np.insert(counts, bounds[:-1], -n * (np.arange(l) > 0))
+    np.cumsum(offsets, out=offsets)
+    if (offsets[bounds[1:] + np.arange(l)] != n).any():
+        raise FormatError("bucket counts disagree with entry total")
+    if (counts == 0).any():
+        raise FormatError("empty bucket")
+    ordered = fps[1:] > fps[:-1]
+    ordered[bounds[1:-1][bounds[1:-1] > 0] - 1] = True  # a table's first bucket follows another table's last
+    if not ordered.all():
+        raise FormatError("bucket fingerprints not strictly increasing")
+    if n and int(positions.max()) >= n:
+        raise FormatError("bucket position beyond the stored points")
+    flat = FlatTables(fps, bounds, offsets, positions)
 
     if profile_code not in _PROFILE_NAME:
         raise FormatError(f"unknown profile code {profile_code}")

@@ -428,7 +428,7 @@ def _grid_block(
     b = max(1, min(b, elems // rows.size))
     owner = rows % count
     if lo < size:
-        # a flat index into the prefix, so np.take copies no (t, b, len(sets)) slice of it
+        # a flat index into the contiguous prefix, so np.take copies no (t, b, len(sets)) slice of it
         b = min(b, size - lo)
         at = np.arange(lo * count, (lo + b) * count, count)[:, None] + owner
         return np.take(prefix.reshape(prefix.shape[0], -1), at, axis=1)

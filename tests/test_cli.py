@@ -231,6 +231,17 @@ class TestBuild:
         assert not out.exists()
 
 
+    def test_extreme_point_rejected(self, tmp_path, capsys):
+        data = tmp_path / "far.csv"
+        data.write_text("x0,x1\n0.0,1.0\n1e20,2.0\n")
+        out = tmp_path / "x.lplsh"
+        code = main(["build", "--data", str(data), "--out", str(out),
+                     "--seed", "1", "--k", "1", "--l", "1", *FAST_SCHEME])
+        assert code == 1
+        assert "beyond the bound 2**32 * w" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestQuery:
     def test_self_query_all_exact(self, instance, built_index, tmp_path, capsys):
         out = str(tmp_path / "res.csv")
@@ -284,6 +295,15 @@ class TestQuery:
         code = main(["query", "--index", built_index, "--queries", str(queries),
                      "--out", str(tmp_path / "res.csv")])
         assert code == 1
+
+    def test_extreme_query_rejected(self, built_index, tmp_path, capsys):
+        queries = tmp_path / "far.csv"
+        queries.write_text("x0,x1,x2,x3,x4\n0,0,0,0,0\n0,0,-1e20,0,0\n")
+        out = tmp_path / "res.csv"
+        code = main(["query", "--index", built_index, "--queries", str(queries), "--out", str(out)])
+        assert code == 1
+        assert "beyond the bound 2**32 * w" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("bad", ["0", "-3"])
     def test_bad_max_candidates_rejected(self, instance, built_index, tmp_path, bad):

@@ -353,6 +353,51 @@ class TestHashFunctions:
         assert all(not lattices._chunks for lattices in sets)
 
 
+class TestExtremeMagnitudes:
+    """Projected unit-frame coordinates beyond 2**32 * w are refused, not hashed."""
+
+    BOUND = r"beyond the bound 2\*\*32 \* w"
+
+    def test_build_rejects_an_extreme_point(self, scheme):
+        pts = derive_rng(0, 9503).normal(size=(20, 6))
+        pts[7, 2] = 1e20
+        with pytest.raises(ContractViolation, match=self.BOUND):
+            build(pts, scheme, IndexParams(k=2, l=3, seed=7))
+
+    def test_query_batch_rejects_an_extreme_query(self, scheme):
+        _, index = small_index(scheme)
+        queries = np.zeros((3, 6))
+        queries[1, 0] = -1e25
+        with pytest.raises(ContractViolation, match=self.BOUND):
+            index.query_batch(queries)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+    def test_projection_overflowing_to_nan_rejected(self, scheme):
+        # finite coordinates whose projection terms overflow to +inf and -inf, which sum to NaN
+        _, index = small_index(scheme)
+        projection = index.functions().projection
+        row = projection[np.argmax(np.minimum(projection.max(axis=1), -projection.min(axis=1)))]
+        assert row.max() > 1.01 and row.min() < -1.01
+        query = np.zeros(6)
+        query[[row.argmax(), row.argmin()]] = 1.79e308 * scheme.r
+        with pytest.raises(ContractViolation, match="reaches nan"):
+            index.query(query)
+
+    def test_bound_sits_at_two_to_the_32_w(self, scheme):
+        _, index = small_index(scheme)
+        direction = derive_rng(0, 9504).normal(size=6)
+        peak = np.abs((direction / scheme.r) @ index.functions().projection.T).max()
+        scale = 2.0**32 * scheme.w / peak
+        assert index.query((1 - 1e-9) * scale * direction).candidates_examined >= 0
+        with pytest.raises(ContractViolation, match=self.BOUND):
+            index.query((1 + 1e-6) * scale * direction)
+
+    def test_seeded_data_is_far_inside_the_bound(self, scheme):
+        pts, index = small_index(scheme)
+        peak = np.abs((pts / scheme.r) @ index.functions().projection.T).max()
+        assert peak < 1e-6 * 2.0**32 * scheme.w
+
+
 class TestPersistence:
     def test_roundtrip_preserves_queries(self, scheme, tmp_path):
         pts, index = small_index(scheme, n=80, d=6, seed=5)
@@ -535,6 +580,62 @@ class TestPersistence:
 
         with pytest.raises(FormatError, match="entry total"):
             load_index(self._forge(scheme, tmp_path, patch))
+
+    def _forge_tables(self, index, tmp_path, edit):
+        """Save index, rewrite each table's (fps, sizes, positions) with edit(ell, ...), re-seal the checksum."""
+        path = tmp_path / "idx.lplsh"
+        save_index(index, str(path))
+        body = path.read_bytes()[:-8]
+        at = len(body) - sum(16 + 12 * table.fps.size + 4 * table.positions.size for table in index.tables)
+        parts = [body[:at]]
+        for ell, table in enumerate(index.tables):
+            fps, sizes, positions = edit(ell, table.fps.copy(), np.diff(table.offsets), table.positions.copy())
+            parts += [
+                struct.pack("<QQ", fps.size, positions.size),
+                fps.astype("<u8").tobytes(),
+                sizes.astype("<u4").tobytes(),
+                positions.astype("<u4").tobytes(),
+            ]
+        body = b"".join(parts)
+        path.write_bytes(body + struct.pack("<Q", crc64(body)))
+        return str(path)
+
+    def test_loaded_flat_tables_equal_built(self, scheme, tmp_path):
+        _, index = small_index(scheme, n=80, l=4)
+        flat = index.flat
+        # fingerprints fall across some table boundary, which is no fault
+        assert (flat.fps[flat.bounds[1:-1]] < flat.fps[flat.bounds[1:-1] - 1]).any()
+        loaded = load_index(self._forge_tables(index, tmp_path, lambda ell, *arrays: arrays))
+        for got, want in zip(loaded.flat, flat):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("moved", [False, True])
+    def test_bucket_counts_disagree_rejected(self, scheme, tmp_path, moved):
+        _, index = small_index(scheme, n=80, l=4)
+
+        def edit(ell, fps, sizes, positions):
+            if ell == 1:
+                sizes[0] += 1
+            if moved and ell == 2:
+                # the count table 1 gained comes out of table 2, so only per-table sums differ from n
+                sizes[np.argmax(sizes)] -= 1
+            return fps, sizes, positions
+
+        with pytest.raises(FormatError, match="bucket counts disagree with entry total"):
+            load_index(self._forge_tables(index, tmp_path, edit))
+
+    @pytest.mark.parametrize("fault", ["swap", "repeat"])
+    def test_fingerprints_out_of_order_rejected(self, scheme, tmp_path, fault):
+        _, index = small_index(scheme, n=80, l=4)
+
+        def edit(ell, fps, sizes, positions):
+            if ell == 2:
+                fps[[3, 4]] = fps[[4, 3]] if fault == "swap" else fps[3]
+            return fps, sizes, positions
+
+        with pytest.raises(FormatError, match="bucket fingerprints not strictly increasing"):
+            load_index(self._forge_tables(index, tmp_path, edit))
 
     def test_duplicate_ids_rejected(self, scheme, tmp_path):
         def patch(body):

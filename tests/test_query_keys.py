@@ -353,3 +353,24 @@ def test_build_in_a_forked_child_finishes(threaded):
         child.join()
         pytest.fail("a build in a forked child did not finish within 60 s")
     assert child.exitcode == 0
+
+
+def test_scans_read_a_contiguous_prefix(monkeypatch):
+    """A build group's prefix columns are copied out once per call; a query reads the index's own prefix."""
+    seen = []
+    grid_block = lplsh.lattice._grid_block
+
+    def recording(sets, prefix, *rest):
+        seen.append(prefix)
+        return grid_block(sets, prefix, *rest)
+
+    monkeypatch.setattr(lplsh.lattice, "_grid_block", recording)
+    monkeypatch.setattr(lplsh.index, "_BUILD_ROWS", 120 * 2 * 3)
+    pts, queries = instance(14, n=120)
+    index = build(pts, cheap_scheme(), IndexParams(k=2, l=7, seed=23))
+    whole = index.functions().prefix
+    assert seen and all(prefix.flags.c_contiguous for prefix in seen)
+    assert not any(np.shares_memory(prefix, whole) for prefix in seen)
+    seen.clear()
+    index.query_batch(queries)
+    assert seen and all(prefix.flags.c_contiguous and np.shares_memory(prefix, whole) for prefix in seen)
