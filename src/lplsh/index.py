@@ -15,8 +15,9 @@ approximation contract only governs which candidates are met.
 from __future__ import annotations
 
 import math
+import os
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -37,7 +38,7 @@ from .stable import Threshold
 from .util import FormatError, crc64, derive_rng, derived_generators
 
 MAGIC = b"LPLSH"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 _FNV_OFFSET = np.uint64(0xCBF29CE484222325)
 _FNV_PRIME = np.uint64(0x100000001B3)
@@ -78,7 +79,7 @@ class Buckets(NamedTuple):
 
     fps: np.ndarray  # unique fingerprints, ascending, uint64
     offsets: np.ndarray  # int64, len(fps) + 1; bucket i is positions[offsets[i]:offsets[i+1]]
-    positions: np.ndarray  # int64 rows into points, ascending within each bucket
+    positions: np.ndarray  # uint32 rows into points, ascending within each bucket
 
     def get(self, fp: int) -> np.ndarray | None:
         i = int(np.searchsorted(self.fps, np.uint64(fp)))
@@ -92,13 +93,14 @@ class FlatTables(NamedTuple):
 
     Table ell owns buckets bounds[ell]:bounds[ell + 1] of fps, its local
     offsets are offsets[bounds[ell] + ell : bounds[ell + 1] + ell + 1],
-    and its positions are row ell of positions.
+    and its positions are row ell of positions. A loaded index's fps and
+    positions are read-only views of the file's bytes.
     """
 
     fps: np.ndarray  # uint64, each table's ascending fingerprints, table after table
     bounds: np.ndarray  # int64, l + 1
     offsets: np.ndarray  # int64, len(fps) + l; each table's run starts at 0 and ends at n
-    positions: np.ndarray  # int64, C-contiguous (l, n)
+    positions: np.ndarray  # uint32, C-contiguous (l, n)
 
     def table(self, ell: int) -> Buckets:
         """Table ell as views of the flat arrays."""
@@ -209,7 +211,9 @@ def _key_rows(funcs: IndexFunctions, unit: np.ndarray, tables: range, k: int, sp
     """
     t = space_t.dim
     lo, hi = tables.start * k, tables.stop * k
-    projected = unit @ funcs.projection[lo * t : hi * t].T
+    # inputs near 1e308 overflow here; the bound below refuses them without numpy's warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        projected = unit @ funcs.projection[lo * t : hi * t].T
     bound = _HASH_RANGE * funcs.sets[0].params.w
     peak = float(np.abs(projected).max(initial=0.0))
     if not peak <= bound:
@@ -319,8 +323,7 @@ class LshIndex:
         # fingerprint is >= the key inside each pair's table segment
         keys = query_fps.ravel()
         lo = np.tile(flat.bounds[:-1], m)
-        end = np.tile(flat.bounds[1:], m)
-        hi = end
+        hi = end = np.tile(flat.bounds[1:], m)
         for _ in range(int(np.diff(flat.bounds).max()).bit_length()):
             mid = (lo + hi) >> 1
             right = (lo < hi) & (flat.fps.take(mid, mode="clip") < keys)
@@ -379,6 +382,8 @@ def build(
     n, d = pts.shape
     if d < 1:
         raise ContractViolation("points must have at least one column")
+    if n >= 2**32:
+        raise ContractViolation("at most 2**32 - 1 points fit the tables' u4 positions")
     if not np.isfinite(pts).all():
         raise ContractViolation("points must be finite (no NaN or infinity)")
     if ids is None:
@@ -397,12 +402,9 @@ def build(
     unit = scale_to_unit(pts, scheme.r)
     space_t = scheme.space()
     funcs = _sample_functions(scheme, d, params)
-    table_fps: list[np.ndarray] = []
-    table_offsets: list[np.ndarray] = []
-    positions = np.empty((params.l, n), dtype=np.int64)
-    probe_total = 0
-    fallback_total = 0
-    collisions = 0
+    table_fps, table_offsets = [], []
+    positions = np.empty((params.l, n), dtype=np.uint32)
+    probe_total = fallback_total = collisions = 0
     width = params.k * (1 + space_t.dim)
     group = max(1, _BUILD_ROWS // max(1, n * params.k))
     for lo in range(0, params.l, group):
@@ -420,13 +422,12 @@ def build(
             # positions come out ascending within each bucket
             order = np.argsort(fps, kind="stable")
             sorted_fps = fps[order]
-            if n:
-                starts = np.concatenate(([0], np.flatnonzero(np.diff(sorted_fps)) + 1))
-            else:
-                starts = np.empty(0, dtype=np.int64)
+            new = np.ones(n, dtype=bool)  # sorted row i starts a bucket
+            new[1:] = sorted_fps[1:] != sorted_fps[:-1]
+            starts = np.flatnonzero(new)
             # a fingerprint collision is a bucket whose full keys are not all equal
             sorted_rows = key_mat[order]
-            bad = (sorted_fps[1:] == sorted_fps[:-1]) & (sorted_rows[1:] != sorted_rows[:-1]).any(axis=1)
+            bad = ~new[1:] & (sorted_rows[1:] != sorted_rows[:-1]).any(axis=1)
             if bad.any():
                 owner = np.searchsorted(starts, np.flatnonzero(bad), side="right") - 1
                 collisions += int(np.unique(owner).size)
@@ -435,12 +436,8 @@ def build(
             positions[ell] = order
         del keys
     hash_evals = n * params.l * params.k
-    flat = FlatTables(
-        fps=np.concatenate(table_fps),
-        bounds=np.cumsum([0] + [t.size for t in table_fps], dtype=np.int64),
-        offsets=np.concatenate(table_offsets),
-        positions=positions,
-    )
+    bounds = np.cumsum([0] + [t.size for t in table_fps], dtype=np.int64)
+    flat = FlatTables(np.concatenate(table_fps), bounds, np.concatenate(table_offsets), positions)
     return LshIndex(
         scheme=scheme,
         params=params,
@@ -473,31 +470,25 @@ _PROFILE_CODE = {PROFILE_MAIN: 0, PROFILE_REMARK: 1}
 _PROFILE_NAME = {v: k for k, v in _PROFILE_CODE.items()}
 
 
-def _u4_bytes(values: np.ndarray, what: str) -> bytes:
-    """Little-endian u4 payload; a value outside [0, 2**32) is refused, not truncated."""
-    if values.size and (int(values.min()) < 0 or int(values.max()) >= 2**32):
-        raise ContractViolation(f"{what} do not fit the index file's u4 field")
-    return values.astype("<u4").tobytes()
-
-
 # The fixed header after the magic, in order: format version; p, c, r; d, n,
 # k, l; root seed; max_candidates (0 for None); w, t, eps, delta,
 # delta_fail, U, saturated flag, profile code; kappa_w, kappa_t, kappa_eps;
 # threshold value, sample count and seed; the number of override records
 # that follow it (each a u1 name length, the ASCII name and an f8 value).
 _HEADER = struct.Struct("<H3dIQIIQIdIdddQBB3ddQQH")
-_TABLE_HEADER = struct.Struct("<QQ")  # per table: bucket count, entry total
 _TRAILER = struct.Struct("<Q")  # CRC-64 of every byte before it
 
 
 def save_index(index: LshIndex, path: str) -> None:
     """Serialize to the LPLSH container (little-endian, CRC-64 trailer).
 
-    Only bucket structure, points, ids, and parameters are stored;
-    projection matrices and lattice shifts are regenerated from seeds.
+    The header and overrides, zero padding to an 8-byte offset, then one
+    section per array: ids <i8[n], points <f8[n*d], bucket counts <u8[l],
+    fingerprints <u8[sum of counts], positions <u4[l*n], and a boundary
+    bitmap row of ceil(n/8) bytes per table, whose bit i (little bit order)
+    is set where a bucket starts. Hash functions are regenerated from seeds.
     """
-    scheme = index.scheme
-    params = index.params
+    scheme, params = index.scheme, index.params
     lattice, knobs, threshold = scheme.lattice, scheme.knobs, scheme.threshold
     try:
         parts = [
@@ -515,33 +506,48 @@ def save_index(index: LshIndex, path: str) -> None:
             parts.append(struct.pack("<B", len(raw)) + raw + struct.pack("<d", value))
     except struct.error as exc:
         raise ContractViolation(f"index header does not fit the file format: {exc}") from None
-    parts += [index.ids.astype("<i8").tobytes(), np.ascontiguousarray(index.points, dtype="<f8").tobytes()]
-    for table in index.tables:
-        parts += [
-            _TABLE_HEADER.pack(table.fps.size, table.positions.size),
-            table.fps.astype("<u8").tobytes(),
-            _u4_bytes(np.diff(table.offsets), "bucket sizes"),
-            _u4_bytes(table.positions, "bucket positions"),
-        ]
+    parts.append(bytes(-sum(map(len, parts)) % 8))
+    flat, l, n = index.flat, params.l, index.n
+    if flat.positions.size and (int(flat.positions.min()) < 0 or int(flat.positions.max()) >= 2**32):
+        raise ContractViolation("bucket positions do not fit the index file's u4 field")
+    counts = np.diff(flat.bounds)
+    # every offset but each table's closing n starts a bucket; n lands in a spare column
+    bits = np.zeros((l, 8 * -(-n // 8) + 1), dtype=bool)
+    bits.ravel()[flat.offsets + np.repeat(np.arange(l) * bits.shape[1], counts + 1)] = True
+    bits[:, n] = False
+    parts += [
+        np.ascontiguousarray(index.ids, dtype="<i8"),
+        np.ascontiguousarray(index.points, dtype="<f8"),
+        counts.astype("<u8"),
+        np.ascontiguousarray(flat.fps, dtype="<u8"),
+        np.ascontiguousarray(flat.positions, dtype="<u4"),
+        np.packbits(bits[:, :-1], axis=1, bitorder="little"),
+    ]
     # one join and one write: faster than chaining the CRC over the parts and writing each
     body = b"".join(parts)
-    trailer = _TRAILER.pack(crc64(body))
     with open(path, "wb") as fh:
         fh.write(body)
-        fh.write(trailer)
+        fh.write(_TRAILER.pack(crc64(body)))
 
 
 def load_index(path: str) -> LshIndex:
-    """Parse and verify an LPLSH container; any corruption is a FormatError."""
+    """Parse and verify an LPLSH container; any corruption is a FormatError.
+
+    The file is read into one 8-byte-aligned buffer, and the ids, points,
+    fingerprints and positions are read-only views of it.
+    """
     with open(path, "rb") as fh:
-        raw = fh.read()
-    if len(raw) < len(MAGIC) + 2 + _TRAILER.size:
+        size = os.fstat(fh.fileno()).st_size
+        block = np.empty(size + 8, dtype=np.uint8)
+        raw = block[-block.ctypes.data % 8 :][:size]
+        raw = raw[: fh.readinto(raw)]
+    raw.flags.writeable = False
+    if raw.size < len(MAGIC) + 2 + _TRAILER.size:
         raise FormatError("file too short to be an index")
-    if raw[: len(MAGIC)] != MAGIC:
+    if raw[: len(MAGIC)].tobytes() != MAGIC:
         raise FormatError("bad magic; not an index file")
-    end = len(raw) - _TRAILER.size
-    (stored_crc,) = _TRAILER.unpack_from(raw, end)
-    if crc64(memoryview(raw)[:end]) != stored_crc:
+    end = raw.size - _TRAILER.size
+    if crc64(raw[:end]) != _TRAILER.unpack_from(raw, end)[0]:
         raise FormatError("checksum mismatch; refusing to load")
     off = len(MAGIC)
 
@@ -566,43 +572,43 @@ def load_index(path: str) -> LshIndex:
         raise FormatError(f"invalid header value: d must be >= 1, got {d}")
     overrides = []
     for _ in range(n_overrides):
-        name_len = raw[claim(1, "header")]
+        name_len = int(raw[claim(1, "header")])
         at = claim(name_len, "override record")
         # a non-ASCII byte decodes to U+FFFD, which is no override name
-        name = raw[at : at + name_len].decode("ascii", errors="replace")
+        name = raw[at : at + name_len].tobytes().decode("ascii", errors="replace")
         if name not in _OVERRIDE_FIELDS:
             raise FormatError(f"unknown override name {name!r}")
         (value,) = struct.unpack_from("<d", raw, claim(8, "header"))
         overrides.append((name, value))
+    if raw[claim(-off % 8, "header") : off].any():
+        raise FormatError("nonzero padding after the header")
 
-    ids = take_array("<i8", n).astype(np.int64)
+    ids = take_array("<i8", n)
     if np.unique(ids).size != n:
         raise FormatError("duplicate ids")
-    points = take_array("<f8", n * d).astype(np.float64).reshape(n, d)
-    # each table's (fps, counts, positions) views, after empty ones so bounds start at 0; all are checked at once
-    empty = np.empty(0, dtype=np.uint32)
-    sections = [(empty, empty, empty)]
-    for _ in range(l):
-        n_buckets, total = _TABLE_HEADER.unpack_from(raw, claim(_TABLE_HEADER.size, "header"))
-        if total != n:
-            raise FormatError(f"table entry total {total} differs from the point count {n}")
-        sections.append((take_array("<u8", n_buckets), take_array("<u4", n_buckets), take_array("<u4", n)))
+    points = take_array("<f8", n * d).reshape(n, d)
+    counts = take_array("<u8", l)
+    fps = take_array("<u8", sum(counts.tolist()))
+    counts = counts.astype(np.int64)  # each fits: their sum fit in the file
+    positions = take_array("<u4", l * n).reshape(l, n)
+    row = -(-n // 8)
+    bitmap = take_array("u1", l * row).reshape(l, row)
     if off != end:
         raise FormatError("trailing bytes after payload")
-    fps_parts, count_parts, position_parts = zip(*sections)
-    bounds = np.cumsum([part.size for part in count_parts], dtype=np.int64)
-    fps = np.concatenate(fps_parts, dtype=np.uint64)
-    counts = np.concatenate(count_parts, dtype=np.int64)
-    positions = np.concatenate(position_parts, dtype=np.int64).reshape(l, n)
-    # Table ell's offsets run from slot bounds[ell] + ell. Running sums of the
-    # counts, with -n in each later table's first slot, are every table's own
-    # offsets exactly when every table holds n entries: then each table ends at n.
-    offsets = np.insert(counts, bounds[:-1], -n * (np.arange(l) > 0))
-    np.cumsum(offsets, out=offsets)
-    if (offsets[bounds[1:] + np.arange(l)] != n).any():
+    # one spare column past the padding; bits from column n on must be clear
+    bits = np.zeros((l, 8 * row + 1), dtype=bool)
+    bits[:, :-1] = np.unpackbits(bitmap, axis=1, bitorder="little")
+    if bits[:, n:].any():
+        raise FormatError("empty bucket: a boundary bit at or past the point count is set")
+    # column n closes every table, so a table's first set bit is where its buckets' entries begin
+    bits[:, n] = True
+    first = bits.argmax(axis=1)
+    if first.any():
+        raise FormatError(f"table entry total {n - int(first.max())} differs from the point count {n}")
+    if (np.count_nonzero(bits, axis=1) - 1 != counts).any():
         raise FormatError("bucket counts disagree with entry total")
-    if (counts == 0).any():
-        raise FormatError("empty bucket")
+    bounds = np.concatenate(([0], np.cumsum(counts)))
+    offsets = np.flatnonzero(bits) - np.repeat(np.arange(l) * bits.shape[1], counts + 1)
     ordered = fps[1:] > fps[:-1]
     ordered[bounds[1:-1][bounds[1:-1] > 0] - 1] = True  # a table's first bucket follows another table's last
     if not ordered.all():
@@ -616,9 +622,7 @@ def load_index(path: str) -> LshIndex:
     # checksum-valid bytes must still pass the checks derived parameters pass
     try:
         scheme = SchemeParams(
-            c=c,
-            p=p,
-            r=r,
+            c=c, p=p, r=r,
             threshold=Threshold(value=t_value, t=t, epsilon=eps, p=p, sample_count=t_samples, seed=t_seed),
             lattice=LatticeParams(
                 w=w, t=t, num_shifts=num_shifts, delta=delta, delta_fail=delta_fail, saturated=bool(saturated)
@@ -681,13 +685,8 @@ class RadiusLadder:
             scheme = derive_params(
                 c, p, profile=profile, knobs=knobs, overrides=overrides, r=radius, **(derive_kwargs or {})
             )
-            params = IndexParams(
-                k=index_params.k,
-                l=index_params.l,
-                seed=int(derive_rng(index_params.seed, 23, i).integers(0, 2**63 - 1)),
-                max_candidates=index_params.max_candidates,
-            )
-            indices.append(build(points, scheme, params))
+            seed = int(derive_rng(index_params.seed, 23, i).integers(0, 2**63 - 1))
+            indices.append(build(points, scheme, replace(index_params, seed=seed)))
         return cls(indices, radii, c)
 
     def query(self, q: np.ndarray) -> LadderResult | None:

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -371,7 +372,6 @@ class TestExtremeMagnitudes:
         with pytest.raises(ContractViolation, match=self.BOUND):
             index.query_batch(queries)
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
     def test_projection_overflowing_to_nan_rejected(self, scheme):
         # finite coordinates whose projection terms overflow to +inf and -inf, which sum to NaN
         _, index = small_index(scheme)
@@ -380,8 +380,10 @@ class TestExtremeMagnitudes:
         assert row.max() > 1.01 and row.min() < -1.01
         query = np.zeros(6)
         query[[row.argmax(), row.argmin()]] = 1.79e308 * scheme.r
-        with pytest.raises(ContractViolation, match="reaches nan"):
-            index.query(query)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ContractViolation, match="reaches nan"):
+                index.query(query)
 
     def test_bound_sits_at_two_to_the_32_w(self, scheme):
         _, index = small_index(scheme)
@@ -431,7 +433,7 @@ class TestPersistence:
         for idx in (index, load_index(str(path))):
             wholes = (idx.flat.fps, idx.flat.offsets, idx.flat.positions)
             for table in idx.tables:
-                for got, whole, dtype in zip(table, wholes, (np.uint64, np.int64, np.int64)):
+                for got, whole, dtype in zip(table, wholes, (np.uint64, np.int64, np.uint32)):
                     assert got.dtype == dtype
                     assert np.shares_memory(got, whole)
 
@@ -489,19 +491,39 @@ class TestPersistence:
 
     def test_unfit_u4_count_refused(self, scheme, tmp_path):
         _, index = small_index(scheme, n=10)
-        table = index.tables[0]
-        index.tables[0] = table._replace(positions=table.positions + 2**32)
+        index.flat = index.flat._replace(positions=index.flat.positions.astype(np.int64) + 2**32)
         with pytest.raises(ContractViolation, match="u4"):
             save_index(index, str(tmp_path / "idx.lplsh"))
+
+    def test_loaded_arrays_are_aligned_read_only_views(self, scheme, tmp_path):
+        pts, index = small_index(scheme, n=37, d=5, l=3)
+        path = tmp_path / "idx.lplsh"
+        save_index(index, str(path))
+        loaded = load_index(str(path))
+        arrays = (loaded.ids, loaded.points, loaded.flat.fps, loaded.flat.positions)
+        for arr in arrays:
+            assert arr.ctypes.data % 8 == 0 and arr.flags.aligned
+            assert not arr.flags.writeable
+        # every array is a view of the one buffer the file was read into
+        base = loaded.ids.base
+        assert all(np.shares_memory(arr, base) for arr in arrays)
+        # no index path writes to the views: a write would raise on read-only memory
+        qs = np.concatenate([pts[:10], derive_rng(0, 9505).normal(size=(10, 5))])
+        assert loaded.query(qs[0]) == index.query(qs[0])
+        assert loaded.query_batch(qs) == index.query_batch(qs)
+        resaved = tmp_path / "again.lplsh"
+        save_index(loaded, str(resaved))
+        assert resaved.read_bytes() == path.read_bytes()
 
     # Header byte offsets: the magic, then every fixed field before the
     # profile code (after the saturated flag), before w and before d.
     PROFILE_AT = len(b"LPLSH") + struct.calcsize("<H3dIQIIQIdIdddQB")
     W_AT = len(b"LPLSH") + struct.calcsize("<H3dIQIIQI")
     D_AT = len(b"LPLSH") + struct.calcsize("<H3d")
-    # and before r and before the threshold value
+    # and before r and before the threshold value; then where the fixed header ends
     R_AT = len(b"LPLSH") + struct.calcsize("<H2d")
     T_AT = len(b"LPLSH") + struct.calcsize("<H3dIQIIQIdIdddQBB3d")
+    HEADER_END = len(b"LPLSH") + struct.calcsize("<H3dIQIIQIdIdddQBB3ddQQH")
 
     def _forge(self, scheme, tmp_path, patch):
         """Save a small index, patch its bytes, re-seal the checksum."""
@@ -530,73 +552,92 @@ class TestPersistence:
             load_index(self._forge(scheme, tmp_path, patch))
 
     def test_bucket_position_beyond_points_rejected(self, scheme, tmp_path):
-        def patch(body):
-            # the last u4 of the payload is the last table's last position
-            body[-4:] = struct.pack("<I", 999)
+        _, index = small_index(scheme, n=5)
+
+        def edit(ell, count, fps, bits, positions):
+            if ell == index.params.l - 1:
+                positions[-1] = 999
+            return count, fps, bits, positions
 
         with pytest.raises(FormatError, match="position"):
-            load_index(self._forge(scheme, tmp_path, patch))
+            load_index(self._forge_tables(index, tmp_path, edit))
 
     def test_empty_bucket_rejected(self, scheme, tmp_path):
         _, index = small_index(scheme, n=5)
-        table = index.tables[-1]
-        n_buckets, total = table.fps.size, table.positions.size
 
-        def patch(body):
-            # append a zero-size bucket, with the largest fingerprint, to the last table
-            at = len(body) - (16 + 12 * n_buckets + 4 * total)
-            body[at:] = (
-                struct.pack("<QQ", n_buckets + 1, total)
-                + struct.pack(f"<{n_buckets + 1}Q", *table.fps.tolist(), 2**64 - 1)
-                + struct.pack(f"<{n_buckets + 1}I", *np.diff(table.offsets).tolist(), 0)
-                + table.positions.astype("<u4").tobytes()
-            )
+        def edit(ell, count, fps, bits, positions):
+            if ell == index.params.l - 1:
+                # a zero-size last bucket, with the largest fingerprint, starts at n: the first padding bit
+                fps = np.append(fps, np.uint64(2**64 - 1))
+                count += 1
+                bits[5] = 1
+            return count, fps, bits, positions
 
         with pytest.raises(FormatError, match="empty bucket"):
-            load_index(self._forge(scheme, tmp_path, patch))
+            load_index(self._forge_tables(index, tmp_path, edit))
 
-    @pytest.mark.parametrize("change", ["repeat", "drop"])
-    def test_entry_total_other_than_n_rejected(self, scheme, tmp_path, change):
+    def test_set_padding_bit_rejected(self, scheme, tmp_path):
         _, index = small_index(scheme, n=5)
-        table = index.tables[-1]
-        fps, sizes, positions = table.fps, np.diff(table.offsets), table.positions
-        if change == "repeat":
-            # the last bucket lists its last point twice
-            sizes = np.append(sizes[:-1], sizes[-1] + 1)
-            positions = np.append(positions, positions[-1])
-        else:
-            # the last bucket and its points are gone
-            fps, sizes, positions = fps[:-1], sizes[:-1], positions[: table.offsets[-2]]
-        n_buckets, total = table.fps.size, table.positions.size
+
+        def edit(ell, count, fps, bits, positions):
+            if ell == 1:
+                bits[7] = 1  # the row's last padding bit
+            return count, fps, bits, positions
+
+        with pytest.raises(FormatError, match="empty bucket"):
+            load_index(self._forge_tables(index, tmp_path, edit))
+
+    def test_set_header_padding_rejected(self, scheme, tmp_path):
+        _, index = small_index(scheme, n=5)
+        head = self.HEADER_END + sum(9 + len(name) for name, _ in index.scheme.overrides)
+        assert head % 8  # the header needs padding to reach an 8-byte offset
 
         def patch(body):
-            at = len(body) - (16 + 12 * n_buckets + 4 * total)
-            body[at:] = (
-                struct.pack("<QQ", fps.size, positions.size)
-                + fps.astype("<u8").tobytes()
-                + sizes.astype("<u4").tobytes()
-                + positions.astype("<u4").tobytes()
-            )
+            body[head + (-head % 8) - 1] = 0x80
 
-        with pytest.raises(FormatError, match="entry total"):
+        with pytest.raises(FormatError, match="nonzero padding after the header"):
             load_index(self._forge(scheme, tmp_path, patch))
 
+    @pytest.mark.parametrize("change", ["cleared", "drop"])
+    def test_entry_total_other_than_n_rejected(self, scheme, tmp_path, change):
+        _, index = small_index(scheme, n=5)
+        # no bucket starts at 0, so the table's buckets hold fewer than n entries
+        lost = int(index.tables[-1].offsets[1])
+
+        def edit(ell, count, fps, bits, positions):
+            if ell == index.params.l - 1:
+                bits[0] = 0
+                if change == "drop":
+                    # the first bucket's fingerprint is gone with its boundary, so the count still agrees
+                    fps, count = fps[1:], count - 1
+            return count, fps, bits, positions
+
+        with pytest.raises(FormatError, match=f"entry total {5 - lost} differs from the point count 5"):
+            load_index(self._forge_tables(index, tmp_path, edit))
+
     def _forge_tables(self, index, tmp_path, edit):
-        """Save index, rewrite each table's (fps, sizes, positions) with edit(ell, ...), re-seal the checksum."""
+        """Save index, rewrite each table's (count, fps, bits, positions) with edit(ell, ...), re-seal the checksum.
+
+        bits is the table's boundary bitmap row unpacked to one 0/1 byte per bit, padding included.
+        """
         path = tmp_path / "idx.lplsh"
         save_index(index, str(path))
         body = path.read_bytes()[:-8]
-        at = len(body) - sum(16 + 12 * table.fps.size + 4 * table.positions.size for table in index.tables)
-        parts = [body[:at]]
+        n, l = index.n, index.params.l
+        row = -(-n // 8)
+        at = len(body) - (8 * l + 8 * index.flat.fps.size + 4 * l * n + l * row)
+        tables = []
         for ell, table in enumerate(index.tables):
-            fps, sizes, positions = edit(ell, table.fps.copy(), np.diff(table.offsets), table.positions.copy())
-            parts += [
-                struct.pack("<QQ", fps.size, positions.size),
-                fps.astype("<u8").tobytes(),
-                sizes.astype("<u4").tobytes(),
-                positions.astype("<u4").tobytes(),
-            ]
-        body = b"".join(parts)
+            bits = np.zeros(8 * row, dtype=np.uint8)
+            bits[table.offsets[:-1]] = 1
+            tables.append(edit(ell, table.fps.size, table.fps.copy(), bits, table.positions.copy()))
+        counts, fps, bits, positions = zip(*tables)
+        body = b"".join(
+            [body[:at], np.array(counts, dtype="<u8").tobytes()]
+            + [f.astype("<u8").tobytes() for f in fps]
+            + [pos.astype("<u4").tobytes() for pos in positions]
+            + [np.packbits(b, bitorder="little").tobytes() for b in bits]
+        )
         path.write_bytes(body + struct.pack("<Q", crc64(body)))
         return str(path)
 
@@ -614,13 +655,16 @@ class TestPersistence:
     def test_bucket_counts_disagree_rejected(self, scheme, tmp_path, moved):
         _, index = small_index(scheme, n=80, l=4)
 
-        def edit(ell, fps, sizes, positions):
+        def edit(ell, count, fps, bits, positions):
             if ell == 1:
-                sizes[0] += 1
+                count += 1
+                if not moved:
+                    # the extra count has a fingerprint, so the sections keep their sizes
+                    fps = np.append(fps, np.uint64(2**64 - 1))
             if moved and ell == 2:
-                # the count table 1 gained comes out of table 2, so only per-table sums differ from n
-                sizes[np.argmax(sizes)] -= 1
-            return fps, sizes, positions
+                # the count table 1 gained comes out of table 2, so only per-table counts differ from the bitmap
+                count -= 1
+            return count, fps, bits, positions
 
         with pytest.raises(FormatError, match="bucket counts disagree with entry total"):
             load_index(self._forge_tables(index, tmp_path, edit))
@@ -629,10 +673,10 @@ class TestPersistence:
     def test_fingerprints_out_of_order_rejected(self, scheme, tmp_path, fault):
         _, index = small_index(scheme, n=80, l=4)
 
-        def edit(ell, fps, sizes, positions):
+        def edit(ell, count, fps, bits, positions):
             if ell == 2:
                 fps[[3, 4]] = fps[[4, 3]] if fault == "swap" else fps[3]
-            return fps, sizes, positions
+            return count, fps, bits, positions
 
         with pytest.raises(FormatError, match="bucket fingerprints not strictly increasing"):
             load_index(self._forge_tables(index, tmp_path, edit))
@@ -681,9 +725,11 @@ class TestPersistence:
         save_index(index, str(path))
         fixed = 5 + 2 + 24 + 20 + 8 + 4 + 46 + 24 + 24 + 2
         overrides = sum(9 + len(name) for name, _ in index.scheme.overrides)
+        head = fixed + overrides + -(fixed + overrides) % 8
         payload = 8 * index.n + 8 * index.n * index.d
-        tables = sum(16 + 12 * t.fps.size + 4 * t.positions.size for t in index.tables)
-        assert path.stat().st_size == fixed + overrides + payload + tables + 8
+        # per table: a u8 bucket count, u8 fingerprints, u4 positions and a ceil(37/8) = 5 byte bitmap row
+        tables = sum(8 + 8 * t.fps.size + 4 * t.positions.size + 5 for t in index.tables)
+        assert path.stat().st_size == head + payload + tables + 8
 
 
 class TestRadiusLadder:

@@ -1,12 +1,12 @@
-"""Index file layout: the shared-header save/load against the field-by-field code it replaced.
+"""Index file layout: the section-per-array save/load against a field-by-field reading of format v2.
 
-`reference_save_bytes` and `reference_load_bytes` are `save_index` and
-`load_index` as they were written before the header layout was declared
-once as a `struct.Struct`: one `struct.pack` per field group into a growing
-`bytearray`, and mirrored `take(...)` calls on load. The refactored save
-must write the same bytes, and the refactored load must return the same
-fields. The truncation sweep cuts a saved file at every offset and re-seals
-the checksum, so every bounds check of the loader is reached.
+`reference_save_bytes` and `reference_load_bytes` write and parse format
+v2 one field and one table at a time, from `index.tables`: one
+`struct.pack` per field group into a growing `bytearray`, each table's
+boundary bitmap row set bit by bit, and mirrored `take(...)` calls on
+load. `save_index` must write the same bytes, and `load_index` must return
+the same fields. The truncation sweep cuts a saved file at every offset
+and re-seals the checksum, so every bounds check of the loader is reached.
 """
 
 import struct
@@ -24,12 +24,13 @@ from lplsh.util import crc64, derive_rng
 from conftest import cheap_scheme
 
 
-def reference_save_bytes(index) -> bytes:
+def reference_header_bytes(index, version: int) -> bytearray:
+    """The magic, the fixed header and the override records, as formats v1 and v2 both write them."""
     scheme = index.scheme
     params = index.params
     buf = bytearray()
     buf += MAGIC
-    buf += struct.pack("<H", FORMAT_VERSION)
+    buf += struct.pack("<H", version)
     buf += struct.pack("<3d", scheme.p, scheme.c, scheme.r)
     buf += struct.pack("<IQII", index.d, index.n, params.k, params.l)
     buf += struct.pack("<Q", params.seed)
@@ -51,6 +52,33 @@ def reference_save_bytes(index) -> bytes:
     for name, value in scheme.overrides:
         raw = name.encode("ascii")
         buf += struct.pack("<B", len(raw)) + raw + struct.pack("<d", value)
+    return buf
+
+
+def reference_save_bytes(index) -> bytes:
+    buf = reference_header_bytes(index, FORMAT_VERSION)
+    while len(buf) % 8:
+        buf += b"\x00"
+    buf += index.ids.astype("<i8").tobytes()
+    buf += np.ascontiguousarray(index.points, dtype="<f8").tobytes()
+    for table in index.tables:
+        buf += struct.pack("<Q", table.fps.size)
+    for table in index.tables:
+        buf += table.fps.astype("<u8").tobytes()
+    for table in index.tables:
+        buf += table.positions.astype("<u4").tobytes()
+    for table in index.tables:
+        row = bytearray((index.n + 7) // 8)
+        for start in table.offsets[:-1].tolist():
+            row[start // 8] |= 1 << (start % 8)
+        buf += row
+    buf += struct.pack("<Q", crc64(buf))
+    return bytes(buf)
+
+
+def v1_save_bytes(index) -> bytes:
+    """A format v1 file: ids, points, then per table a <QQ (bucket count, entry total), u8 fps, u4 sizes, u4 positions."""
+    buf = reference_header_bytes(index, 1)
     buf += index.ids.astype("<i8").tobytes()
     buf += np.ascontiguousarray(index.points, dtype="<f8").tobytes()
     for table in index.tables:
@@ -63,7 +91,7 @@ def reference_save_bytes(index) -> bytes:
 
 
 def reference_load_bytes(raw: bytes):
-    """The pre-refactor parse of the file's bytes; returns (scheme, params, points, ids, tables)."""
+    """A field-by-field parse of the file's bytes; returns (scheme, params, points, ids, tables)."""
     if len(raw) < len(MAGIC) + 2 + 8:
         raise FormatError("file too short to be an index")
     if raw[: len(MAGIC)] != MAGIC:
@@ -104,6 +132,9 @@ def reference_load_bytes(raw: bytes):
         off += name_len
         (value,) = take("<d")
         overrides.append((name, value))
+    while off % 8:
+        if take("<B") != (0,):
+            raise FormatError("nonzero padding after the header")
 
     def take_array(dtype, count):
         nonlocal off
@@ -114,24 +145,28 @@ def reference_load_bytes(raw: bytes):
         off += size
         return arr
 
-    ids = take_array("<i8", n).astype(np.int64)
-    points = take_array("<f8", n * d).astype(np.float64).reshape(n, d)
-    tables = []
-    for _ in range(l):
-        n_buckets, total = take("<QQ")
-        fps = take_array("<u8", n_buckets).astype(np.uint64)
-        counts = take_array("<u4", n_buckets)
-        if int(counts.sum()) != total:
-            raise FormatError("bucket counts disagree with entry total")
-        if n_buckets > 1 and not (fps[1:] > fps[:-1]).all():
-            raise FormatError("bucket fingerprints not strictly increasing")
-        positions = take_array("<u4", total).astype(np.int64)
-        if total and int(positions.max()) >= n:
-            raise FormatError("bucket position beyond the stored points")
-        offsets = np.concatenate(([0], np.cumsum(counts.astype(np.int64))))
-        tables.append(Buckets(fps=fps, offsets=offsets, positions=positions))
+    ids = take_array("<i8", n)
+    points = take_array("<f8", n * d).reshape(n, d)
+    counts = take_array("<u8", l).tolist()
+    fps = [take_array("<u8", count) for count in counts]
+    positions = [take_array("<u4", n) for _ in range(l)]
+    rows = [take_array("u1", (n + 7) // 8).tolist() for _ in range(l)]
     if off != len(raw) - 8:
         raise FormatError("trailing bytes after payload")
+    tables = []
+    for table_fps, count, table_positions, row in zip(fps, counts, positions, rows):
+        starts = [i for i in range(8 * len(row)) if row[i // 8] >> (i % 8) & 1]
+        if starts and starts[-1] >= n:
+            raise FormatError("empty bucket: a boundary bit at or past the point count is set")
+        if n and (not starts or starts[0] != 0):
+            raise FormatError("table entry total differs from the point count")
+        if len(starts) != count:
+            raise FormatError("bucket counts disagree with entry total")
+        if count > 1 and not (table_fps[1:] > table_fps[:-1]).all():
+            raise FormatError("bucket fingerprints not strictly increasing")
+        if n and int(table_positions.max()) >= n:
+            raise FormatError("bucket position beyond the stored points")
+        tables.append(Buckets(fps=table_fps, offsets=np.array(starts + [n], dtype=np.int64), positions=table_positions))
     if profile_code not in _PROFILE_NAME:
         raise FormatError(f"unknown profile code {profile_code}")
     threshold = Threshold(value=t_value, t=int(t), epsilon=eps, p=p, sample_count=int(t_samples), seed=int(t_seed))
@@ -189,6 +224,7 @@ def test_save_and_load_match_reference(case, tmp_path):
 
 
 def test_every_truncation_is_a_format_error(tmp_path):
+    # n = 20 leaves four padding bits in each of the three bitmap rows
     index = indexed(cheap_scheme(), n=20, k=2, l=3)
     path = tmp_path / "idx.lplsh"
     save_index(index, str(path))
@@ -205,3 +241,10 @@ def test_every_truncation_is_a_format_error(tmp_path):
         loaded.append(cut)
     assert len(body) > 1000
     assert loaded == []
+
+
+def test_v1_file_is_refused_by_version(tmp_path):
+    path = tmp_path / "v1.lplsh"
+    path.write_bytes(v1_save_bytes(indexed(cheap_scheme(), n=20, k=2, l=3)))
+    with pytest.raises(FormatError, match="^unsupported format version 1$"):
+        load_index(str(path))
