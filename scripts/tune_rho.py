@@ -18,7 +18,7 @@ import sys
 from lplsh.collisions import estimate_collision
 from lplsh.geometry import LpSpace
 from lplsh.index import choose_k_l
-from lplsh.lattice import LatticeParams, covering_fraction, make_lattices
+from lplsh.lattice import LatticeParams, ShiftedLatticeSet, covering_fraction
 from lplsh.scheme import PROFILE_REMARK, Knobs, derive_params
 from lplsh.util import derive_rng
 
@@ -94,7 +94,7 @@ def _coverage(t: int, delta: float, seed: int) -> float:
     if key not in _COVERAGE_CACHE:
         params = LatticeParams(w=1.0, t=t, num_shifts=1, delta=delta)
         frac = covering_fraction(
-            make_lattices(params, seed=seed), LpSpace(1.5, t), 40_000, derive_rng(seed, 99, t, int(delta))
+            ShiftedLatticeSet(params, seed), LpSpace(1.5, t), 40_000, derive_rng(seed, 99, t, int(delta))
         )
         _COVERAGE_CACHE[key] = frac
     return _COVERAGE_CACHE[key]

@@ -52,14 +52,12 @@ from .index import (
     save_index,
 )
 from .lattice import (
-    HashValue,
     LatticeParams,
     ShiftedLatticeSet,
     compute_num_shifts,
     covering_fraction,
-    hash_point,
+    hash_batch,
     locate,
-    make_lattices,
 )
 from .scheme import (
     PROFILE_MAIN,
@@ -68,9 +66,6 @@ from .scheme import (
     Knobs,
     SchemeParams,
     derive_params,
-    eval_hash,
-    eval_hash_batch,
-    evaluation_cost,
     sample_hash,
     scale_to_unit,
 )
@@ -97,7 +92,6 @@ __all__ = [
     "ContractViolation",
     "FormatError",
     "HashFunction",
-    "HashValue",
     "IndexParams",
     "Knobs",
     "LatticeParams",
@@ -125,19 +119,15 @@ __all__ = [
     "derive_params",
     "estimate_collision",
     "estimate_rho",
-    "eval_hash",
-    "eval_hash_batch",
-    "evaluation_cost",
     "fit_tail_constant",
     "generate_planted",
     "geometric_collision",
-    "hash_point",
+    "hash_batch",
     "linear_scan_nn",
     "load_index",
     "locate",
     "lp_distance",
     "lp_norm",
-    "make_lattices",
     "make_pair_at_distance",
     "radius_ladder_query",
     "random_lp_direction",

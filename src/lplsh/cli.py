@@ -31,7 +31,7 @@ from .datasets import (
 )
 from .geometry import ContractViolation
 from .index import IndexParams, LshIndex, _check_max_candidates, build, choose_k_l, load_index, save_index
-from .scheme import Knobs, derive_params, evaluation_cost
+from .scheme import Knobs, derive_params
 from .stable import DEFAULT_THRESHOLD_SAMPLES, ThresholdCache
 from .util import FormatError, derive_rng, wilson_interval
 from .verify import format_report, run_checks
@@ -243,7 +243,6 @@ def cmd_build(ns: argparse.Namespace) -> int:
     elapsed = time.perf_counter() - start
     save_index(index, out)
 
-    cost = evaluation_cost(scheme, d, index.avg_probes)
     extra.update(
         {
             "n": n,
@@ -255,8 +254,8 @@ def cmd_build(ns: argparse.Namespace) -> int:
             "avg_probes": index.avg_probes,
             "fallback_rate": index.fallback_rate,
             "fingerprint_collisions": index.fingerprint_collisions,
-            "projection_flops": cost.projection_flops,
-            "lattice_probes_worst": cost.lattice_probes_worst,
+            "projection_flops": scheme.t * d,
+            "lattice_probes_worst": scheme.lattice.num_shifts,
         }
     )
     _echo(dict(scheme.config_items()), extra)

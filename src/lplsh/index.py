@@ -123,8 +123,8 @@ def choose_k_l(n: int, p1_hat: float, p2_hat: float, safety: float = 1.0) -> Tab
         raise ContractViolation(
             f"need 0 < p2_hat < p1_hat < 1, got p1_hat={p1_hat}, p2_hat={p2_hat}"
         )
-    if safety <= 0:
-        raise ContractViolation(f"safety must be > 0, got {safety}")
+    if not (0.0 < safety < math.inf):
+        raise ContractViolation(f"safety must be > 0 and finite, got {safety}")
     log_n = math.log(n)
     k = max(1, math.ceil(log_n / math.log(1.0 / p2_hat)))
     rho = math.log(1.0 / p1_hat) / math.log(1.0 / p2_hat)
@@ -246,11 +246,15 @@ class LshIndex:
         self.points = points
         self.ids = ids
         self.flat = flat
-        self.tables = [flat.table(ell) for ell in range(params.l)]
         self.avg_probes = avg_probes
         self.fingerprint_collisions = fingerprint_collisions
         self.fallback_rate = fallback_rate
         self._functions = functions
+
+    @property
+    def tables(self) -> list[Buckets]:
+        """Every table as Buckets views of flat, made on each access; build, load and queries read flat itself."""
+        return [self.flat.table(ell) for ell in range(self.params.l)]
 
     @property
     def n(self) -> int:

@@ -23,7 +23,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .geometry import ContractViolation, LpSpace, lp_norm
+from .geometry import ContractViolation, LpSpace
 from .util import derive_rng, derived_generators
 
 DEFAULT_U_MAX = 10**6
@@ -162,32 +162,6 @@ def _shift_rows(rng: np.random.Generator, params: LatticeParams, rows: int) -> n
     return rng.uniform(0.0, params.spacing, size=(rows, params.t))
 
 
-def make_lattices(params: LatticeParams, seed: int) -> ShiftedLatticeSet:
-    return ShiftedLatticeSet(params, seed)
-
-
-@dataclass(frozen=True)
-class HashValue:
-    """Hash output (u, a): 1-based lattice index and cell coordinates.
-
-    u = 0 is the reserved fallback for points no lattice covers; its
-    coordinates are all zero.
-    """
-
-    u: int
-    coords: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if self.u < 0:
-            raise ContractViolation(f"u must be >= 0, got {self.u}")
-        if self.u == 0 and any(c != 0 for c in self.coords):
-            raise ContractViolation("fallback hash must have all-zero coordinates")
-
-    @staticmethod
-    def fallback(t: int) -> "HashValue":
-        return HashValue(0, (0,) * t)
-
-
 def _abs_pow(v: np.ndarray, p: float, scratch: np.ndarray | None = None) -> np.ndarray:
     """v**p elementwise for v >= 0, written over v; sqrt chains for the common quarter-power p.
 
@@ -226,7 +200,8 @@ def locate(x: np.ndarray, u: int, lattices: ShiftedLatticeSet, space: LpSpace) -
     """Cell coordinates of x in lattice u (1-based), or None if its ball misses x.
 
     The nearest lattice point is found by rounding (half-to-even); disjoint
-    in-lattice balls mean no other lattice point can contain x.
+    in-lattice balls mean no other lattice point can contain x. It stays
+    beside hash_batch as the one-lattice oracle of the verify suites and tests.
     """
     params = lattices.params
     if not (1 <= u <= params.num_shifts):
@@ -241,20 +216,6 @@ def locate(x: np.ndarray, u: int, lattices: ShiftedLatticeSet, space: LpSpace) -
     if not _covered(xa[:, None], shift.T[:, :, None], params, space.p)[0, 0]:
         return None
     return np.rint((xa - shift[0]) / params.spacing).astype(np.int64)
-
-
-def hash_point(
-    x: np.ndarray,
-    lattices: ShiftedLatticeSet,
-    space: LpSpace,
-    return_probes: bool = False,
-):
-    """Hash x to (u, a) for the smallest covering lattice, else the fallback."""
-    u_arr, coords, probes = hash_batch(np.asarray(x, dtype=np.float64)[None, :], [lattices], space)
-    value = HashValue(int(u_arr[0]), tuple(int(c) for c in coords[0]))
-    if return_probes:
-        return value, int(probes[0])
-    return value
 
 
 def _covered(cols: np.ndarray, shifts: np.ndarray, params: LatticeParams, p: float) -> np.ndarray:
@@ -448,7 +409,9 @@ def hash_batch(
     Returns (u, coords, probes): u is 0 for fallback rows, coords are the
     cell coordinates (zeros for fallback), probes counts lattices examined
     per point, which is u on a hit and U on a fallback. All sets share
-    one LatticeParams.
+    one LatticeParams. This is the one public way to hash: one point is
+    a one-row call. probes stays in the result because the benchmark's
+    tracer counts it from there.
 
     prefix, when given, is stack_prefix(sets); it is read in place of the
     head of every set's first shift chunk. One set shares every block
@@ -509,7 +472,7 @@ def covering_fraction(
 
     By periodicity the cube [0, Delta*w]^t is representative of all of R^t.
     An explicit point set may be passed to make prefix-monotonicity checks
-    exact.
+    exact. The covering verify suites and tests measure the family with it.
     """
     params = lattices.params
     if points is None:

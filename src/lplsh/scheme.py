@@ -1,4 +1,4 @@
-"""Hash-scheme assembly: parameter derivation, projection, and evaluation.
+"""Hash-scheme assembly: parameter derivation and hash-function sampling.
 
 A hash function is a p-stable projection A' = T^(-1/p) A from R^d to R^t
 followed by the shifted ball-lattice hash in R^t. Parameters follow one of
@@ -23,16 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import ContractViolation, LpSpace
-from .lattice import (
-    DEFAULT_U_MAX,
-    HashValue,
-    LatticeParams,
-    ShiftedLatticeSet,
-    compute_num_shifts,
-    hash_batch,
-    hash_point,
-    make_lattices,
-)
+from .lattice import DEFAULT_U_MAX, LatticeParams, ShiftedLatticeSet, compute_num_shifts
 from .stable import DEFAULT_THRESHOLD_SAMPLES, StableParams, Threshold, ThresholdCache, compute_threshold
 from .util import derived_generators
 from . import stable as _stable
@@ -256,7 +247,9 @@ class HashFunction:
 
     projection already includes the T^(-1/p) factor. Reproducible from
     (scheme, d, seed) alone; the matrix and shifts come from disjoint
-    sub-seeds of seed.
+    sub-seeds of seed. A point x hashes as
+    hash_batch(h.project(x)[None], [h.lattices], scheme.space()); the
+    record stays because compare_estimators projects its pairs with it.
     """
 
     scheme: SchemeParams
@@ -266,6 +259,7 @@ class HashFunction:
     lattices: ShiftedLatticeSet
 
     def project(self, x: np.ndarray) -> np.ndarray:
+        """Points of R^d to R^t; stays a method because the benchmark's tracer times it by name."""
         xa = np.asarray(x, dtype=np.float64)
         if xa.shape[-1] != self.d:
             raise ContractViolation(f"input dimension {xa.shape[-1]} != {self.d}")
@@ -298,34 +292,4 @@ def sample_stack(scheme: SchemeParams, d: int, seeds) -> tuple[np.ndarray, list[
     projection = _stable._cms_transform(scheme.p, u, e, out=u)
     projection *= scheme.T ** (-1.0 / scheme.p)
     shifts = derived_generators(seeds, _TAG_SHIFTS)
-    return projection, [make_lattices(scheme.lattice, gen.integers(0, 2**63 - 1)) for gen in shifts]
-
-
-def eval_hash(h: HashFunction, x: np.ndarray, return_probes: bool = False):
-    """Hash one point of R^d (already in the unit-radius frame)."""
-    return hash_point(h.project(x), h.lattices, h.scheme.space(), return_probes=return_probes)
-
-
-def eval_hash_batch(h: HashFunction, points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Hash many points at once; returns (u, coords, probes) arrays."""
-    return hash_batch(h.project(points), [h.lattices], h.scheme.space())
-
-
-@dataclass(frozen=True)
-class CostReport:
-    """Static evaluation cost, plus a measured average probe count if known."""
-
-    projection_flops: int
-    lattice_probes_worst: int
-    avg_probes: float | None = None
-
-
-def evaluation_cost(scheme: SchemeParams, d: int, avg_probes: float | None = None) -> CostReport:
-    """t*d multiply-adds for the projection; at most U lattice probes."""
-    if d < 1:
-        raise ContractViolation(f"d must be >= 1, got {d}")
-    return CostReport(
-        projection_flops=scheme.t * d,
-        lattice_probes_worst=scheme.lattice.num_shifts,
-        avg_probes=avg_probes,
-    )
+    return projection, [ShiftedLatticeSet(scheme.lattice, gen.integers(0, 2**63 - 1)) for gen in shifts]

@@ -32,13 +32,13 @@ from .geometry import (
 from .index import IndexParams, build, load_index, save_index
 from .lattice import (
     LatticeParams,
+    ShiftedLatticeSet,
     compute_num_shifts,
     covering_fraction,
     hash_batch,
     locate,
-    make_lattices,
 )
-from .scheme import PROFILE_MAIN, Knobs, derive_params, eval_hash, sample_hash
+from .scheme import PROFILE_MAIN, Knobs, derive_params, sample_hash
 from .stable import (
     StableParams,
     compute_threshold,
@@ -179,11 +179,11 @@ def _covering_suite(level: str, seed: int) -> tuple[bool, str]:
     n = 10_000
     count = compute_num_shifts(2, 1.5, 4.0, 0.05)
     params = LatticeParams(w=1.0, t=2, num_shifts=count.u, delta_fail=0.05, saturated=count.saturated)
-    covered = covering_fraction(make_lattices(params, seed=seed + 1), LpSpace(1.5, 2), n, derive_rng(seed, 9604))
+    covered = covering_fraction(ShiftedLatticeSet(params, seed + 1), LpSpace(1.5, 2), n, derive_rng(seed, 9604))
     uncovered = 1.0 - covered
     bound = 0.05 + 3.0 * math.sqrt(0.05 * 0.95 / n)
     single = LatticeParams(w=1.0, t=1, num_shifts=1)
-    frac1 = covering_fraction(make_lattices(single, seed=seed + 2), LpSpace(1.5, 1), n, derive_rng(seed, 9614))
+    frac1 = covering_fraction(ShiftedLatticeSet(single, seed + 2), LpSpace(1.5, 1), n, derive_rng(seed, 9614))
     ok = uncovered <= bound and abs(frac1 - 0.5) <= 3.0 * math.sqrt(0.25 / n)
     return ok, f"U={count.u} uncovered={uncovered:.5f} bound={bound:.5f} single_shift={frac1:.4f}"
 
@@ -197,7 +197,7 @@ def _covering_monotone_suite(level: str, seed: int) -> tuple[bool, str]:
     fracs = []
     for u in (1, 4, 16, 64):
         params = LatticeParams(w=1.0, t=2, num_shifts=u)
-        lattices = make_lattices(params, seed=seed)
+        lattices = ShiftedLatticeSet(params, seed)
         fracs.append(covering_fraction(lattices, space, trials, rng, points=pts))
     diffs = np.diff(fracs)
     ok = bool((diffs >= 0).all())
@@ -210,7 +210,7 @@ def _disjointness_suite(level: str, seed: int) -> tuple[bool, str]:
     violations = 0
     for t in (1, 2, 3, 4):
         params = LatticeParams(w=1.0, t=t, num_shifts=5)
-        lattices = make_lattices(params, seed=seed + t)
+        lattices = ShiftedLatticeSet(params, seed + t)
         spacing = params.spacing
         pts = rng.uniform(-2.0 * spacing, 2.0 * spacing, size=(n, t))
         offsets = np.array(list(itertools.product((-1, 0, 1), repeat=t)), dtype=np.float64)
@@ -228,7 +228,7 @@ def _locate_suite(level: str, seed: int) -> tuple[bool, str]:
     n = 10_000 if level == "full" else 2_000
     t = 3
     params = LatticeParams(w=1.3, t=t, num_shifts=5)
-    lattices = make_lattices(params, seed=seed)
+    lattices = ShiftedLatticeSet(params, seed)
     space = LpSpace(p, t)
     rng = derive_rng(seed, 111)
     pts = rng.uniform(-10.0, 10.0, size=(n, t))
@@ -258,7 +258,7 @@ def _equivariance_suite(level: str, seed: int) -> tuple[bool, str]:
     t = 3
     n = 5_000 if level == "full" else 1_500
     params = LatticeParams(w=1.0, t=t, num_shifts=40)
-    lattices = make_lattices(params, seed=seed)
+    lattices = ShiftedLatticeSet(params, seed)
     space = LpSpace(p, t)
     rng = derive_rng(seed, 112)
     pts = rng.uniform(-8.0, 8.0, size=(n, t))
@@ -332,7 +332,9 @@ def _scheme_determinism_suite(level: str, seed: int) -> tuple[bool, str]:
     h1 = sample_hash(scheme, 24, seed=seed)
     h2 = sample_hash(scheme, 24, seed=seed)
     x = derive_rng(seed, 120).normal(size=24)
-    same = np.array_equal(h1.projection, h2.projection) and eval_hash(h1, x) == eval_hash(h2, x)
+    u1, a1, _ = hash_batch(h1.project(x)[None], [h1.lattices], scheme.space())
+    u2, a2, _ = hash_batch(h2.project(x)[None], [h2.lattices], scheme.space())
+    same = np.array_equal(h1.projection, h2.projection) and np.array_equal(u1, u2) and np.array_equal(a1, a2)
     ok = pinned and bool(same)
     return ok, f"pinned_params={int(pinned)} resample_identical={int(bool(same))} t={scheme.t} U={scheme.num_shifts}"
 

@@ -156,6 +156,14 @@ class TestBuild:
         assert index.params.k == int(echoed["k"])
         assert index.params.l == int(echoed["l"])
 
+    def test_infinite_safety_rejected(self, instance, tmp_path, capsys):
+        out = tmp_path / "auto.lplsh"
+        code = main(["build", "--data", instance + ".fvecs", "--out", str(out), "--seed", "5",
+                     "--safety", "inf", "--pilot-trials", "600", *FAST_SCHEME])
+        assert code == 1
+        assert capsys.readouterr().err == "error: safety must be > 0 and finite, got inf\n"
+        assert not out.exists()
+
     def test_missing_data_file(self, tmp_path, capsys):
         code = main(["build", "--data", str(tmp_path / "nope.fvecs"),
                      "--out", str(tmp_path / "x.lplsh"), "--seed", "1",

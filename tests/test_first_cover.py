@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 
 import lplsh.lattice
-from lplsh import LatticeParams, LpSpace, make_lattices
+from lplsh import LatticeParams, LpSpace, ShiftedLatticeSet
 from lplsh.collisions import _ELEM_BUDGET, _lattice_stage
 from lplsh.lattice import SHIFT_CHUNK, STACK_PREFIX, _column_sum, hash_batch, locate, stack_prefix
 from lplsh.util import derive_rng
@@ -126,7 +126,7 @@ INDEX_CASES = [
 
 @pytest.mark.parametrize("case,params,n", INDEX_CASES, ids=[c[0] for c in INDEX_CASES])
 def test_hash_batch_matches_reference(case, params, n):
-    lattices = make_lattices(params, seed=17)
+    lattices = ShiftedLatticeSet(params, 17)
     space = LpSpace(1.5, params.t)
     rng = derive_rng(0, 9301)
     pts = rng.uniform(-3.0 * params.spacing, 3.0 * params.spacing, size=(n, params.t))
@@ -234,7 +234,7 @@ def grid_params(t, p):
 @pytest.mark.parametrize("p", GRID_P)
 @pytest.mark.parametrize("t", GRID_T)
 def test_shared_block_scan_matches_reference(t, p):
-    lattices = make_lattices(grid_params(t, p), seed=31 + t)
+    lattices = ShiftedLatticeSet(grid_params(t, p), 31 + t)
     space = LpSpace(p, t)
     pts, targets = planted_points([lattices], 240, p, derive_rng(1, 9305, t))
     want = reference_hash_batch(pts, lattices, space)
@@ -258,7 +258,7 @@ def test_shared_block_scan_matches_reference(t, p):
 @pytest.mark.parametrize("t", GRID_T)
 def test_per_row_block_scan_matches_reference(t, p):
     # hash_batch shares its first block down the grid's columns, then hands the kernel one block per row
-    sets = [make_lattices(grid_params(t, p), seed=41 + 3 * t + i) for i in range(3)]
+    sets = [ShiftedLatticeSet(grid_params(t, p), 41 + 3 * t + i) for i in range(3)]
     space = LpSpace(p, t)
     pts, _ = planted_points(sets, 240, p, derive_rng(1, 9306, t))
     want = reference_hash_stacked(pts, sets, space)
@@ -309,7 +309,7 @@ def test_stacked_rows_past_the_prefix_match_reference(queries):
     # one "query" is one grid row of len(sets) rows; delta=8 at t=3 puts the
     # mean first hit near 220 shifts, past the 168-shift prefix
     params = LatticeParams(w=1.0, t=3, num_shifts=SHIFT_CHUNK + 300, delta=8.0)
-    sets = [make_lattices(params, seed=61 + i) for i in range(40)]
+    sets = [ShiftedLatticeSet(params, 61 + i) for i in range(40)]
     space = LpSpace(1.5, 3)
     pts, _ = planted_points(sets, 40 * queries, 1.5, derive_rng(1, 9312, queries))
     want = reference_hash_stacked(pts, sets, space)
@@ -323,7 +323,7 @@ def test_stacked_rows_past_the_prefix_match_reference(queries):
 @pytest.mark.parametrize("u", [SHIFT_CHUNK + 300, 100], ids=["long", "u-below-prefix"])
 def test_prefix_is_the_head_of_chunk_zero(u):
     params = LatticeParams(w=1.0, t=4, num_shifts=u, delta=5.0)
-    sets = [make_lattices(params, seed=71 + i) for i in range(6)]
+    sets = [ShiftedLatticeSet(params, 71 + i) for i in range(6)]
     prefix = stack_prefix(sets)
     size = min(STACK_PREFIX, u)
     assert prefix.shape == (4, size, 6)
@@ -339,7 +339,7 @@ def test_small_row_slices_match_reference(monkeypatch):
     # the per-row blocks into many slices; one set with a prefix shares its blocks too
     monkeypatch.setattr(lplsh.lattice, "_SCAN_ELEMS", 50)
     params = LatticeParams(w=1.0, t=3, num_shifts=600, delta=6.0)
-    sets = [make_lattices(params, seed=81 + i) for i in range(7)]
+    sets = [ShiftedLatticeSet(params, 81 + i) for i in range(7)]
     space = LpSpace(1.5, 3)
     pts, _ = planted_points(sets, 7 * 30, 1.5, derive_rng(1, 9313))
     for want, got in [
@@ -410,7 +410,7 @@ def test_covered_matches_reference_ball_test(t, p, per_set, sets):
     # a grid block of several sets' shifts, each shared down its set's column
     # of points, against a gather of every row's own shifts
     params = grid_params(t, p)
-    shifts = stack_prefix([make_lattices(params, seed=91 + i) for i in range(sets)])[:, 8:20]
+    shifts = stack_prefix([ShiftedLatticeSet(params, 91 + i) for i in range(sets)])[:, 8:20]
     # each row inside, on or outside the boundary of a ball of one of its set's 12 shifts
     rng = derive_rng(1, 9314, t, sets)
     rows = per_set * sets
@@ -441,7 +441,7 @@ def test_threaded_scan_matches_reference(monkeypatch):
     monkeypatch.setattr(lplsh.lattice, "_cpus", lambda: 3)
     monkeypatch.setattr(lplsh.lattice, "_MAX_WORKERS", 3)
     params = LatticeParams(w=1.0, t=3, num_shifts=SHIFT_CHUNK + 300, delta=8.0)
-    sets = [make_lattices(params, seed=101 + i) for i in range(8)]
+    sets = [ShiftedLatticeSet(params, 101 + i) for i in range(8)]
     space = LpSpace(1.5, 3)
     n = 3 * lplsh.lattice._WORKER_ROWS
     pts, _ = planted_points(sets, n, 1.5, derive_rng(1, 9315))
@@ -474,7 +474,7 @@ def test_workers_capped(monkeypatch):
     monkeypatch.setattr(lplsh.lattice, "_cpus", lambda: 64)
     monkeypatch.setattr(lplsh.lattice, "_WORKER_ROWS", 1)
     params = LatticeParams(w=1.0, t=3, num_shifts=SHIFT_CHUNK, delta=8.0)
-    sets = [make_lattices(params, seed=121 + i) for i in range(4)]
+    sets = [ShiftedLatticeSet(params, 121 + i) for i in range(4)]
     pts, _ = planted_points(sets, 400, 1.5, derive_rng(1, 9316))
     got = hash_batch(pts, sets, LpSpace(1.5, 3), stack_prefix(sets))
     assert all(np.array_equal(w_arr, g_arr) for w_arr, g_arr in zip(reference_hash_stacked(pts, sets, LpSpace(1.5, 3)), got))

@@ -24,7 +24,7 @@ from lplsh import (
     save_index,
     tuned_scheme,
 )
-from lplsh.index import Buckets, fingerprint_rows
+from lplsh.index import Buckets, FlatTables, fingerprint_rows
 from lplsh.util import crc64, derive_rng
 
 from conftest import cheap_scheme
@@ -85,8 +85,9 @@ class TestChooseKL:
             choose_k_l(10, 0.5, 0.5)
         with pytest.raises(ContractViolation):
             choose_k_l(10, 1.0, 0.5)
-        with pytest.raises(ContractViolation):
-            choose_k_l(10, 0.9, 0.5, safety=0.0)
+        for safety in (0.0, math.nan, math.inf):
+            with pytest.raises(ContractViolation, match="safety must be > 0 and finite"):
+                choose_k_l(10, 0.9, 0.5, safety=safety)
 
 
 class TestFingerprints:
@@ -224,6 +225,21 @@ class TestBuild:
             assert np.array_equal(ta.fps, tb.fps)
             assert np.array_equal(ta.offsets, tb.offsets)
             assert np.array_equal(ta.positions, tb.positions)
+
+    def test_tables_are_views_made_on_access(self, scheme, tmp_path, monkeypatch):
+        table = FlatTables.table
+        calls = []
+        monkeypatch.setattr(FlatTables, "table", lambda flat, ell: calls.append(ell) or table(flat, ell))
+        _, index = small_index(scheme, l=4)
+        path = str(tmp_path / "idx.lplsh")
+        save_index(index, path)
+        loaded = load_index(path)
+        assert calls == []
+        for idx in (index, loaded):
+            assert len(idx.tables) == 4
+            for ell in range(4):
+                got, want = idx.tables[ell], table(idx.flat, ell)
+                assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
 
 class TestQuery:

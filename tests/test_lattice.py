@@ -9,16 +9,14 @@ from hypothesis import strategies as st
 
 from lplsh import (
     ContractViolation,
-    HashValue,
     LatticeParams,
     LpSpace,
+    ShiftedLatticeSet,
     compute_num_shifts,
     covering_fraction,
-    hash_point,
+    hash_batch,
     locate,
-    make_lattices,
 )
-from lplsh.lattice import hash_batch
 from lplsh.util import binomial_se, derive_rng
 
 
@@ -55,21 +53,21 @@ class TestComputeNumShifts:
 class TestShiftedLatticeSet:
     def test_shift_range(self):
         params = LatticeParams(w=1.2, t=3, num_shifts=500)
-        shifts = make_lattices(params, seed=5).shifts
+        shifts = ShiftedLatticeSet(params, 5).shifts
         assert shifts.shape == (500, 3)
         assert shifts.min() >= 0.0
         assert shifts.max() <= params.spacing
 
     def test_determinism(self):
         params = LatticeParams(w=1.0, t=2, num_shifts=100)
-        a = make_lattices(params, seed=9).shifts
-        b = make_lattices(params, seed=9).shifts
+        a = ShiftedLatticeSet(params, 9).shifts
+        b = ShiftedLatticeSet(params, 9).shifts
         assert np.array_equal(a, b)
 
     def test_shift_mean(self):
         u = 10_000
         params = LatticeParams(w=1.0, t=2, num_shifts=u)
-        shifts = make_lattices(params, seed=0).shifts
+        shifts = ShiftedLatticeSet(params, 0).shifts
         m = float(shifts.mean())
         # mean of Uniform(0, spacing) is spacing/2, sd spacing/sqrt(12)
         se = params.spacing / np.sqrt(12.0 * shifts.size)
@@ -77,8 +75,8 @@ class TestShiftedLatticeSet:
 
     def test_chunked_prefix_stability(self):
         # rows of a shorter set are a prefix of a longer one at equal seed
-        small = make_lattices(LatticeParams(w=1.0, t=2, num_shifts=700), seed=3).shifts
-        large = make_lattices(LatticeParams(w=1.0, t=2, num_shifts=2500), seed=3).shifts
+        small = ShiftedLatticeSet(LatticeParams(w=1.0, t=2, num_shifts=700), 3).shifts
+        large = ShiftedLatticeSet(LatticeParams(w=1.0, t=2, num_shifts=2500), 3).shifts
         assert np.array_equal(large[:700], small)
 
     def test_params_validation(self):
@@ -93,7 +91,7 @@ class TestShiftedLatticeSet:
 class TestLocate:
     def test_center_hit(self):
         params = LatticeParams(w=1.0, t=2, num_shifts=4)
-        lattices = make_lattices(params, seed=1)
+        lattices = ShiftedLatticeSet(params, 1)
         s = lattices.shifts[2]
         got = locate(s, 3, lattices, LpSpace(1.5, 2))
         assert got is not None
@@ -101,7 +99,7 @@ class TestLocate:
 
     def test_one_dimensional_hand_case(self):
         params = LatticeParams(w=1.0, t=1, num_shifts=1)
-        lattices = make_lattices(params, seed=0)
+        lattices = ShiftedLatticeSet(params, 0)
         lattices._chunks[0] = np.array([[0.5]])  # pin the shift for the worked example
         space = LpSpace(1.5, 1)
         got = locate(np.array([0.8]), 1, lattices, space)
@@ -110,7 +108,7 @@ class TestLocate:
 
     def test_index_validation(self):
         params = LatticeParams(w=1.0, t=2, num_shifts=4)
-        lattices = make_lattices(params, seed=1)
+        lattices = ShiftedLatticeSet(params, 1)
         with pytest.raises(ContractViolation):
             locate(np.zeros(2), 0, lattices, LpSpace(1.5, 2))
         with pytest.raises(ContractViolation):
@@ -120,7 +118,7 @@ class TestLocate:
         p = 1.5
         t = 2
         params = LatticeParams(w=1.1, t=t, num_shifts=6)
-        lattices = make_lattices(params, seed=4)
+        lattices = ShiftedLatticeSet(params, 4)
         space = LpSpace(p, t)
         rng = derive_rng(0, 9200)
         pts = rng.uniform(-15.0, 15.0, size=(2_000, t))
@@ -140,26 +138,31 @@ class TestLocate:
 
 
 class TestHashPoint:
+    """One point hashes as a one-row hash_batch call."""
+
     def test_smallest_u_wins(self):
         params = LatticeParams(w=1.0, t=1, num_shifts=2)
-        lattices = make_lattices(params, seed=0)
+        lattices = ShiftedLatticeSet(params, 0)
         # both lattices cover the point: the hash must name the first
         lattices._chunks[0] = np.array([[1.0], [1.5]])
-        got = hash_point(np.array([1.2]), lattices, LpSpace(1.5, 1))
-        assert got.u == 1
+        u, coords, _ = hash_batch(np.array([[1.2]]), [lattices], LpSpace(1.5, 1))
+        assert u.tolist() == [1]
+        assert coords.tolist() == [[0]]
 
     def test_determinism(self, rng):
         params = LatticeParams(w=1.0, t=3, num_shifts=50)
-        lattices = make_lattices(params, seed=2)
-        x = rng.normal(size=3)
+        lattices = ShiftedLatticeSet(params, 2)
+        x = rng.normal(size=(1, 3))
         space = LpSpace(1.5, 3)
-        assert hash_point(x, lattices, space) == hash_point(x, lattices, space)
+        first, again = hash_batch(x, [lattices], space), hash_batch(x, [lattices], space)
+        assert all(np.array_equal(a, b) for a, b in zip(first, again))
 
     def test_fallback_is_zero_with_zero_coords(self):
         params = LatticeParams(w=0.01, t=2, num_shifts=1)
-        lattices = make_lattices(params, seed=0)
-        got = hash_point(np.array([50.0, 50.0]), lattices, LpSpace(1.5, 2))
-        assert got == HashValue.fallback(2)
+        lattices = ShiftedLatticeSet(params, 0)
+        u, coords, _ = hash_batch(np.array([[50.0, 50.0]]), [lattices], LpSpace(1.5, 2))
+        assert u.tolist() == [0]
+        assert coords.tolist() == [[0, 0]]
 
     def test_fallback_rate_within_budget(self):
         p = 1.5
@@ -167,7 +170,7 @@ class TestHashPoint:
         delta_fail = 0.05
         count = compute_num_shifts(t, p, 4.0, delta_fail)
         params = LatticeParams(w=1.0, t=t, num_shifts=count.u, delta_fail=delta_fail, saturated=count.saturated)
-        lattices = make_lattices(params, seed=0)
+        lattices = ShiftedLatticeSet(params, 0)
         rng = derive_rng(0, 9201)
         n = 10_000
         pts = rng.uniform(0.0, params.spacing, size=(n, t))
@@ -177,7 +180,7 @@ class TestHashPoint:
 
     def test_probes_equal_u_on_hit(self):
         params = LatticeParams(w=1.5, t=2, num_shifts=200)
-        lattices = make_lattices(params, seed=6)
+        lattices = ShiftedLatticeSet(params, 6)
         rng = derive_rng(0, 9202)
         pts = rng.uniform(0.0, params.spacing, size=(500, 2))
         u, _, probes = hash_batch(pts, [lattices], LpSpace(1.5, 2))
@@ -186,19 +189,20 @@ class TestHashPoint:
         assert (probes[~hit] == params.num_shifts).all()
 
     def test_batch_matches_single(self, rng):
+        # a many-row call equals its one-row calls
         params = LatticeParams(w=1.0, t=3, num_shifts=80)
-        lattices = make_lattices(params, seed=8)
+        lattices = ShiftedLatticeSet(params, 8)
         space = LpSpace(1.5, 3)
         pts = rng.uniform(-4.0, 8.0, size=(200, 3))
         u, coords, _ = hash_batch(pts, [lattices], space)
         for i in range(0, 200, 17):
-            single = hash_point(pts[i], lattices, space)
-            assert single.u == u[i]
-            assert single.coords == tuple(int(v) for v in coords[i])
+            u_one, coords_one, _ = hash_batch(pts[i : i + 1], [lattices], space)
+            assert u_one[0] == u[i]
+            assert np.array_equal(coords_one[0], coords[i])
 
     def test_translation_equivariance(self, rng):
         params = LatticeParams(w=1.0, t=2, num_shifts=60)
-        lattices = make_lattices(params, seed=11)
+        lattices = ShiftedLatticeSet(params, 11)
         space = LpSpace(1.5, 2)
         pts = rng.uniform(-6.0, 6.0, size=(300, 2))
         k = rng.integers(-2, 3, size=(300, 2))
@@ -212,19 +216,19 @@ class TestHashPoint:
 class TestCoveringFraction:
     def test_zero_shifts(self, rng):
         params = LatticeParams(w=1.0, t=2, num_shifts=0)
-        got = covering_fraction(make_lattices(params, seed=0), LpSpace(1.5, 2), 100, rng)
+        got = covering_fraction(ShiftedLatticeSet(params, 0), LpSpace(1.5, 2), 100, rng)
         assert got == 0.0
 
     def test_empty_point_set_rejected(self, rng):
         params = LatticeParams(w=1.0, t=2, num_shifts=4)
         with pytest.raises(ContractViolation, match="at least one point"):
-            covering_fraction(make_lattices(params, seed=0), LpSpace(1.5, 2), 1, rng, points=np.empty((0, 2)))
+            covering_fraction(ShiftedLatticeSet(params, 0), LpSpace(1.5, 2), 1, rng, points=np.empty((0, 2)))
 
     def test_single_shift_one_dim(self):
         # one lattice of unit balls with spacing 4 covers exactly half the line
         params = LatticeParams(w=1.0, t=1, num_shifts=1)
         n = 20_000
-        got = covering_fraction(make_lattices(params, seed=3), LpSpace(1.5, 1), n, derive_rng(0, 9203))
+        got = covering_fraction(ShiftedLatticeSet(params, 3), LpSpace(1.5, 1), n, derive_rng(0, 9203))
         assert abs(got - 0.5) <= 3.0 * binomial_se(n // 2, n)
 
     def test_full_u_meets_budget(self):
@@ -233,7 +237,7 @@ class TestCoveringFraction:
         count = compute_num_shifts(2, p, 4.0, delta_fail)
         params = LatticeParams(w=1.0, t=2, num_shifts=count.u, delta_fail=delta_fail)
         n = 5_000
-        got = covering_fraction(make_lattices(params, seed=1), LpSpace(p, 2), n, derive_rng(0, 9204))
+        got = covering_fraction(ShiftedLatticeSet(params, 1), LpSpace(p, 2), n, derive_rng(0, 9204))
         assert got >= 0.95 - 3.0 * binomial_se(int(0.05 * n), n)
 
     def test_monotone_in_u_nested_prefixes(self):
@@ -245,6 +249,6 @@ class TestCoveringFraction:
         fracs = []
         for u in (1, 2, 8, 32, 128):
             params = LatticeParams(w=1.0, t=2, num_shifts=u)
-            lattices = make_lattices(params, seed=42)
+            lattices = ShiftedLatticeSet(params, 42)
             fracs.append(covering_fraction(lattices, LpSpace(p, 2), 1, rng, points=pts))
         assert all(b >= a for a, b in zip(fracs, fracs[1:]))

@@ -16,7 +16,7 @@ from numpy.random import SeedSequence
 from lplsh import IndexParams, tuned_scheme
 from lplsh import stable
 from lplsh.index import _sample_functions
-from lplsh.lattice import STACK_PREFIX, LatticeParams, make_lattices
+from lplsh.lattice import STACK_PREFIX, LatticeParams, ShiftedLatticeSet
 from lplsh.scheme import sample_hash
 from lplsh.stable import StableParams, _cms_transform, sample_stable
 from lplsh.util import derive_rng, derived_generators, pcg64_states
@@ -88,7 +88,7 @@ def frozen_sample_functions(scheme, d, params):
         seed = int(derive_rng(params.seed, 11, *divmod(i, k)).integers(0, 2**63 - 1))
         a = sample_stable(StableParams(scheme.p), derive_rng(seed, 1), size=(t, d))
         projection[i * t : (i + 1) * t] = scheme.T ** (-1.0 / scheme.p) * a
-        sets.append(make_lattices(scheme.lattice, derive_rng(seed, 2).integers(0, 2**63 - 1)))
+        sets.append(ShiftedLatticeSet(scheme.lattice, derive_rng(seed, 2).integers(0, 2**63 - 1)))
     size = min(STACK_PREFIX, scheme.lattice.num_shifts)
     prefix = np.empty((t, size, len(sets)))
     for i, lattices in enumerate(sets):

@@ -1,4 +1,4 @@
-"""Parameter derivation and hash-function sampling/evaluation."""
+"""Parameter derivation, hash-function sampling, and hashing through hash_batch."""
 
 import dataclasses
 import math
@@ -9,12 +9,9 @@ import pytest
 
 from lplsh import (
     ContractViolation,
-    HashValue,
     Knobs,
     derive_params,
-    eval_hash,
-    eval_hash_batch,
-    evaluation_cost,
+    hash_batch,
     sample_hash,
     scale_to_unit,
 )
@@ -274,73 +271,55 @@ class TestSampleHash:
         assert np.max(np.abs(lhs - rhs)) <= 1e-9
 
 
+def hashed(h, points):
+    """(u, coords) of points of R^d under one sampled function, in one hash_batch call."""
+    u, coords, _ = hash_batch(h.project(points), [h.lattices], h.scheme.space())
+    return u, coords
+
+
 class TestEvalHash:
+    """A sampled function hashes points of R^d through hash_batch."""
+
     def test_deterministic_and_self_colliding(self, rng):
         params = cheap_scheme()
         h = sample_hash(params, d=8, seed=5)
-        x = rng.normal(size=8)
-        first = eval_hash(h, x)
-        assert first == eval_hash(h, x)
-        assert isinstance(first, HashValue)
-
-    def test_probe_count_reported(self, rng):
-        params = cheap_scheme()
-        h = sample_hash(params, d=8, seed=5)
-        value, probes = eval_hash(h, rng.normal(size=8), return_probes=True)
-        assert 1 <= probes <= params.num_shifts
-        if value.u > 0:
-            assert probes == value.u
+        x = rng.normal(size=(1, 8))
+        u, coords = hashed(h, x)
+        again = hashed(h, x)
+        assert np.array_equal(u, again[0]) and np.array_equal(coords, again[1])
+        assert u.shape == (1,) and coords.shape == (1, params.t)
 
     def test_batch_matches_single(self, rng):
+        # a many-row call equals its one-row calls
         params = cheap_scheme()
         h = sample_hash(params, d=8, seed=6)
         pts = rng.normal(size=(64, 8))
-        u, coords, _ = eval_hash_batch(h, pts)
+        u, coords = hashed(h, pts)
         for i in range(0, 64, 13):
-            single = eval_hash(h, pts[i])
-            assert single.u == u[i]
-            assert single.coords == tuple(int(v) for v in coords[i])
+            u_one, coords_one = hashed(h, pts[i : i + 1])
+            assert u_one[0] == u[i]
+            assert np.array_equal(coords_one[0], coords[i])
 
     def test_near_collides_more_than_far(self):
         # c-separated pair over >= 1e3 independent functions
         params = cheap_scheme(c=2.0, p=1.5)
         d = 8
-        x = np.zeros(d)
-        near = np.zeros(d)
-        near[0] = params.r
-        far = np.zeros(d)
-        far[0] = params.c * params.r
+        rows = np.zeros((3, d))  # x, a near point and a far point
+        rows[1, 0] = params.r
+        rows[2, 0] = params.c * params.r
         n_funcs = 1_000
         hit_near = 0
         hit_far = 0
         root = derive_rng(0, 9300).integers(0, 2**31 - 1, size=n_funcs)
         for seed in root:
-            h = sample_hash(params, d=d, seed=int(seed))
-            hx = eval_hash(h, x)
-            if hx.u == 0:
+            u, coords = hashed(sample_hash(params, d=d, seed=int(seed)), rows)
+            if u[0] == 0:
                 continue
-            hit_near += hx == eval_hash(h, near)
-            hit_far += hx == eval_hash(h, far)
+            same = (u == u[0]) & (coords == coords[0]).all(axis=1)
+            hit_near += bool(same[1])
+            hit_far += bool(same[2])
         assert hit_near > hit_far
         # two-proportion z; expected gap is ~0.2 at these knobs
         p1, p2 = hit_near / n_funcs, hit_far / n_funcs
         se = math.sqrt((p1 * (1 - p1) + p2 * (1 - p2)) / n_funcs)
         assert p1 - p2 > 3.0 * se
-
-
-class TestEvaluationCost:
-    def test_static_costs(self):
-        params = cheap_scheme()
-        report = evaluation_cost(params, d=16)
-        assert report.projection_flops == params.t * 16
-        assert report.lattice_probes_worst == params.num_shifts
-        assert report.avg_probes is None
-
-    def test_measured_probes_recorded(self):
-        params = cheap_scheme()
-        report = evaluation_cost(params, d=16, avg_probes=4.5)
-        assert report.avg_probes == 4.5
-
-    def test_dimension_validation(self):
-        with pytest.raises(ContractViolation):
-            evaluation_cost(cheap_scheme(), d=0)
