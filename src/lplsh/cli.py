@@ -30,7 +30,7 @@ from .datasets import (
     write_vectors,
 )
 from .geometry import ContractViolation
-from .index import IndexParams, LshIndex, _check_max_candidates, build, choose_k_l, load_index, save_index
+from .index import IndexParams, LshIndex, _check_max_candidates, build, check_safety, choose_k_l, load_index, save_index
 from .scheme import Knobs, derive_params
 from .stable import DEFAULT_THRESHOLD_SAMPLES, ThresholdCache
 from .util import FormatError, derive_rng, wilson_interval
@@ -203,6 +203,10 @@ def _prepare_build(opts: _Options, cache: ThresholdCache | None, queries: np.nda
     max_candidates = opts.get("max_candidates", int)
     safety = opts.get("safety", float, 3.0)
     pilot_trials = opts.get("pilot_trials", int, 4000)
+    # the sizing flags are checked on every run, before the data or the scheme
+    check_safety(safety)
+    if pilot_trials < 1:
+        raise ContractViolation(f"pilot_trials must be >= 1, got {pilot_trials}")
 
     points = read_vectors(data_path)
     if points.size == 0:

@@ -27,7 +27,7 @@ from .geometry import (
     random_lp_direction,
     sample_in_ball,
 )
-from .lattice import LatticeParams, first_cover
+from .lattice import SHIFT_CHUNK, LatticeParams, first_cover
 from .scheme import PROFILE_REMARK, Knobs, SchemeParams, derive_params, sample_hash
 from .stable import StableParams, sample_stable
 from .util import binomial_se, wilson_interval
@@ -148,16 +148,34 @@ def _lattice_stage(
     Each trial's shifts are drawn only while that trial still needs them;
     x and y of one trial always see the same shifts. Returns
     (u_x, a_x, u_y, a_y) with u = 0 for fallback.
+
+    Shifts are drawn in chunks of 128, then x4 up to SHIFT_CHUNK, each
+    capped at the element budget and at U, for the trials pending when
+    the chunk starts; these sizes set the random stream, and so the rho
+    CSV. The scan tests a chunk in its own shorter steps, so a draw
+    returns at most the rest of the current chunk, and a trial stops
+    being tested at its first cover.
     """
     t = xp.shape[1]
+    size = 128
+    start = stop = 0
+    chunk = chunk_rows = None
 
     def draw(lo: int, b: int, rows: np.ndarray) -> np.ndarray:
-        b = min(b, max(16, _ELEM_BUDGET // (rows.size * t)))
-        # drawn trial-major as always, handed over as a (t, b, rows) view
-        return rng.uniform(0.0, params.spacing, size=(rows.size, b, t)).T
+        nonlocal size, start, stop, chunk_rows, chunk
+        if lo >= stop:
+            n = min(size, params.num_shifts - lo, max(16, _ELEM_BUDGET // (rows.size * t)))
+            # trial-major: the draw order sets the random stream
+            chunk = rng.uniform(0.0, params.spacing, size=(rows.size, n, t))
+            start, stop, chunk_rows = lo, lo + n, rows
+            size = min(size * 4, SHIFT_CHUNK)
+        part = chunk[:, lo - start : min(lo + b, stop) - start]
+        if rows.size < chunk_rows.size:
+            part = part[np.searchsorted(chunk_rows, rows)]
+        # handed over as a (t, b, rows) view
+        return part.T
 
-    # these block sizes set the order of the draws, so the lab keeps them
-    (ux, ax), (uy, ay) = first_cover((xp, yp), draw, params, p, 128, 4)
+    (ux, ax), (uy, ay) = first_cover((xp, yp), draw, params, p)
     return ux, ax, uy, ay
 
 
@@ -183,6 +201,8 @@ def estimate_collision(
     """
     if trials < 1:
         raise ContractViolation(f"trials must be >= 1, got {trials}")
+    if block < 1:
+        raise ContractViolation(f"block must be >= 1, got {block}")
     if d < 1:
         raise ContractViolation(f"d must be >= 1, got {d}")
     if not (0.0 <= distance < math.inf):
@@ -233,6 +253,10 @@ def estimate_collision_projected(
     ya = np.asarray(y_t, dtype=np.float64)
     if xa.shape != (params.t,) or ya.shape != (params.t,):
         raise ContractViolation(f"projected points must have shape ({params.t},)")
+    if trials < 1:
+        raise ContractViolation(f"trials must be >= 1, got {trials}")
+    if block < 1:
+        raise ContractViolation(f"block must be >= 1, got {block}")
     collisions = 0
     fallbacks = 0
     covered_hits = 0
@@ -296,8 +320,8 @@ def geometric_collision(
     """
     if trials < 1:
         raise ContractViolation(f"trials must be >= 1, got {trials}")
-    if w <= 0:
-        raise ContractViolation(f"w must be > 0, got {w}")
+    if not (0.0 < w < math.inf):
+        raise ContractViolation(f"w must be > 0 and finite, got {w}")
     xa = np.asarray(x, dtype=np.float64)
     ya = np.asarray(y, dtype=np.float64)
     if method == "q_form":

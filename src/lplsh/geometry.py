@@ -8,6 +8,7 @@ anywhere; only volume ratios of the form alpha**t are used.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,8 +43,8 @@ class BallSpec:
     radius: float
 
     def __post_init__(self) -> None:
-        if self.radius < 0:
-            raise ContractViolation(f"radius must be >= 0, got {self.radius}")
+        if not (0.0 <= self.radius < math.inf):
+            raise ContractViolation(f"radius must be >= 0 and finite, got {self.radius}")
 
 
 def _check_last_dim(x: np.ndarray, space: LpSpace, name: str = "x") -> np.ndarray:

@@ -115,6 +115,12 @@ class TableShape(NamedTuple):
     degraded: bool  # p1 so small (1/p1 > sqrt(n)) that the framework's sizing is dubious
 
 
+def check_safety(safety: float) -> None:
+    """choose_k_l's range check of the safety factor, for callers that check it before the pilot."""
+    if not (0.0 < safety < math.inf):
+        raise ContractViolation(f"safety must be > 0 and finite, got {safety}")
+
+
 def choose_k_l(n: int, p1_hat: float, p2_hat: float, safety: float = 1.0) -> TableShape:
     """k = ceil(ln n / ln(1/p2)), L = ceil(safety * n^rho), rho = ln(1/p1)/ln(1/p2)."""
     if n < 1:
@@ -123,8 +129,7 @@ def choose_k_l(n: int, p1_hat: float, p2_hat: float, safety: float = 1.0) -> Tab
         raise ContractViolation(
             f"need 0 < p2_hat < p1_hat < 1, got p1_hat={p1_hat}, p2_hat={p2_hat}"
         )
-    if not (0.0 < safety < math.inf):
-        raise ContractViolation(f"safety must be > 0 and finite, got {safety}")
+    check_safety(safety)
     log_n = math.log(n)
     k = max(1, math.ceil(log_n / math.log(1.0 / p2_hat)))
     rho = math.log(1.0 / p1_hat) / math.log(1.0 / p2_hat)

@@ -39,8 +39,8 @@ _WORKER_ROWS = 1 << 14
 # workers mean smaller slices and more interpreter work per shift, and the
 # affinity mask does not see a container's CPU quota
 _MAX_WORKERS = 2
-# the index callers' block schedule: 8 shifts first, then x1.5 up to SHIFT_CHUNK
-INDEX_BLOCKS = (8, 1.5)
+# the scan's one block schedule: 8 shifts first, then x1.5 up to SHIFT_CHUNK
+SCAN_BLOCKS = (8, 1.5)
 # stack_prefix's length: the first six blocks of that schedule, 8 + 12 + 18 + 27 + 41 + 62
 STACK_PREFIX = 168
 
@@ -258,8 +258,6 @@ def first_cover(
     draw: Callable[[int, int, np.ndarray], np.ndarray],
     params: LatticeParams,
     p: float,
-    block: int,
-    growth: float,
 ) -> list[tuple[np.ndarray, np.ndarray]]:
     """Smallest covering lattice for every row of every (n, t) point set.
 
@@ -269,9 +267,11 @@ def first_cover(
     row r takes column r % c. So c = 1 shares one block, c = len(rows)
     gives every row its own, and for a single point set any other divisor
     of len(rows) shares a block down each column of the grid.
-    Blocks start at `block` shifts and grow by `growth` (rounded up) to
-    SHIFT_CHUNK. Returns (u, coords) per set; u = 0 and zero coords mean
-    fallback.
+    The scan asks for blocks in the SCAN_BLOCKS schedule; a draw may
+    return fewer shifts than asked (b' <= b), and the scan goes on from
+    lo + b'. So the chunks a caller draws its shifts in need not match
+    the steps the scan tests them in. Returns (u, coords) per set; u = 0
+    and zero coords mean fallback.
 
     The work arrays are (shifts, rows); the ball test sums the t
     per-coordinate terms in numpy's own order, and a row's hit is its
@@ -279,7 +279,7 @@ def first_cover(
     """
     n, t = point_sets[0].shape
     out = [(np.zeros(n, dtype=np.int64), np.zeros((n, t), dtype=np.int64)) for _ in point_sets]
-    _scan(point_sets, out, draw, params, p, range(params.num_shifts), block, growth, _SCAN_ELEMS)
+    _scan(point_sets, out, draw, params, p, range(params.num_shifts), SCAN_BLOCKS[0], _SCAN_ELEMS)
     return out
 
 
@@ -291,13 +291,13 @@ def _scan(
     p: float,
     span: range,
     block: int,
-    growth: float,
     elems: int,
 ) -> int:
     """first_cover's scan over the lattices in span, for the rows still at u = 0 in out, written in place.
 
-    Row slices hold about elems (shift, row) pairs at most. Returns the
-    block size the schedule reached.
+    The first block asks for `block` shifts, and the schedule grows from
+    there by SCAN_BLOCKS' factor. Row slices hold about elems (shift, row)
+    pairs at most. Returns the block size the schedule reached.
     """
     n = point_sets[0].shape[0]
     # coordinate-major copies, so each block gathers its rows from contiguous memory
@@ -338,7 +338,7 @@ def _scan(
                     hit_shifts = part_shifts[:, first, found % part_shifts.shape[2]]
                     coords[hit_rows] = np.rint((np.take(cols, found, axis=1) - hit_shifts) / params.spacing).T
         lo += b
-        block = min(math.ceil(block * growth), SHIFT_CHUNK)
+        block = min(math.ceil(block * SCAN_BLOCKS[1]), SHIFT_CHUNK)
     return block
 
 
@@ -438,7 +438,7 @@ def hash_batch(
     size = 0 if prefix is None else prefix.shape[1]
     u = np.zeros(n, dtype=np.int64)
     coords = np.zeros((n, params.t), dtype=np.int64)
-    block, growth = INDEX_BLOCKS
+    block = SCAN_BLOCKS[0]
     lo = 0
     workers = min(_cpus(), _MAX_WORKERS, n // count, n // _WORKER_ROWS) if size and n % count == 0 else 1
     if workers > 1:
@@ -448,7 +448,7 @@ def hash_batch(
         def scan_prefix(start: int, stop: int) -> int:
             draw = partial(_grid_block, sets, prefix, stop - start, elems)
             run = [(u[start:stop], coords[start:stop])]
-            return _scan((pts[start:stop],), run, draw, params, space.p, range(size), *INDEX_BLOCKS, elems)
+            return _scan((pts[start:stop],), run, draw, params, space.p, range(size), SCAN_BLOCKS[0], elems)
 
         # the calling thread scans the first run while the pool scans the others
         with ThreadPoolExecutor(workers - 1) as pool:
@@ -457,7 +457,7 @@ def hash_batch(
         lo = size
     if not u.all():
         draw = partial(_grid_block, sets, prefix, n, _SCAN_ELEMS)
-        _scan((pts,), [(u, coords)], draw, params, space.p, range(lo, params.num_shifts), block, growth, _SCAN_ELEMS)
+        _scan((pts,), [(u, coords)], draw, params, space.p, range(lo, params.num_shifts), block, _SCAN_ELEMS)
     return u, coords, np.where(u > 0, u, params.num_shifts)
 
 

@@ -156,13 +156,42 @@ class TestBuild:
         assert index.params.k == int(echoed["k"])
         assert index.params.l == int(echoed["l"])
 
-    def test_infinite_safety_rejected(self, instance, tmp_path, capsys):
+    def test_infinite_safety_rejected(self, instance, tmp_path, monkeypatch, capsys):
+        def no_pilot(*args, **kwargs):
+            raise AssertionError("build ran the pilot before checking --safety")
+
+        monkeypatch.setattr("lplsh.collisions.estimate_collision", no_pilot)
         out = tmp_path / "auto.lplsh"
         code = main(["build", "--data", instance + ".fvecs", "--out", str(out), "--seed", "5",
                      "--safety", "inf", "--pilot-trials", "600", *FAST_SCHEME])
         assert code == 1
         assert capsys.readouterr().err == "error: safety must be > 0 and finite, got inf\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command,flags,name",
+        [
+            ("build", ["--k", "2", "--l", "3", "--safety", "nan"], "safety"),
+            ("build", ["--pilot-trials", "0"], "pilot_trials"),
+            ("bench", ["--k", "2", "--l", "3", "--pilot-trials", "-5"], "pilot_trials"),
+        ],
+        ids=["set-k-l-nan-safety", "zero-pilot-trials", "bench-negative-pilot-trials"],
+    )
+    def test_sizing_flags_checked_first(self, instance, tmp_path, monkeypatch, capsys, command, flags, name):
+        # checked on every run, set (k, L) too, before a scheme is derived;
+        # build reads no data first, while bench reads its queries first by design
+        def no_work(*args, **kwargs):
+            raise AssertionError("the sizing flags were not checked first")
+
+        monkeypatch.setattr("lplsh.cli.derive_params", no_work)
+        argv = [command, "--data", instance + ".fvecs", "--out", str(tmp_path / "out"), "--seed", "5",
+                *flags, *FAST_SCHEME]
+        if command == "bench":
+            argv += ["--queries", instance + ".queries.fvecs"]
+        else:
+            monkeypatch.setattr("lplsh.cli.read_vectors", no_work)
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith(f"error: {name} must be")
 
     def test_missing_data_file(self, tmp_path, capsys):
         code = main(["build", "--data", str(tmp_path / "nope.fvecs"),

@@ -104,6 +104,12 @@ class TestEstimateCollision:
         with pytest.raises(ContractViolation, match="distance must be >= 0 and finite"):
             estimate_collision(cheap_scheme(), d=8, distance=distance, trials=10, rng=derive_rng(0, 9409))
 
+    @pytest.mark.parametrize("block", [0, -1])
+    def test_block_below_one_rejected(self, block):
+        # block=0 used to loop for ever
+        with pytest.raises(ContractViolation, match="block must be >= 1"):
+            estimate_collision(cheap_scheme(), d=8, distance=1.0, trials=10, rng=derive_rng(0, 9409), block=block)
+
 
 class TestProjectedCollision:
     def test_separated_pair_collides_only_by_fallback(self):
@@ -143,6 +149,21 @@ class TestProjectedCollision:
             estimate_collision_projected(
                 np.zeros(scheme.t + 1), np.zeros(scheme.t), scheme.lattice, scheme.space(),
                 10, derive_rng(0, 9413),
+            )
+
+    @pytest.mark.parametrize(
+        "trials,block,name",
+        [(10, 0, "block"), (10, -1, "block"), (0, 4096, "trials"), (-3, 4096, "trials")],
+        ids=["block-zero", "block-negative", "trials-zero", "trials-negative"],
+    )
+    def test_loop_bounds_rejected(self, trials, block, name):
+        # block=0 looped for ever, block=-1 and trials=0 raised numpy's and
+        # Python's own errors, and trials=-3 returned a made-up estimate
+        scheme = cheap_scheme()
+        t = scheme.t
+        with pytest.raises(ContractViolation, match=f"{name} must be >= 1"):
+            estimate_collision_projected(
+                np.zeros(t), np.ones(t), scheme.lattice, scheme.space(), trials, derive_rng(0, 9413), block=block
             )
 
 
@@ -186,6 +207,13 @@ class TestGeometricCollision:
             geometric_collision(np.zeros(2), np.ones(2), 1.0, space, 0, rng)
         with pytest.raises(ContractViolation):
             geometric_collision(np.zeros(2), np.ones(2), 1.0, space, 10, rng, method="exact")
+
+    @pytest.mark.parametrize("method", ["q_form", "union"])
+    @pytest.mark.parametrize("w", [math.nan, math.inf, -math.inf])
+    def test_non_finite_w_rejected(self, w, method):
+        # these used to return value=0.0
+        with pytest.raises(ContractViolation, match="w must be > 0 and finite"):
+            geometric_collision(np.zeros(2), np.ones(2), w, LpSpace(1.5, 2), 10, derive_rng(0, 9418), method=method)
 
 
 class TestRhoPointEstimate:

@@ -11,7 +11,9 @@ the same random numbers in the same order; a golden digest of the lab's
 output pins its draw sizes as well. With several lattice sets, `hash_batch`
 must hash each row as the reference hashes it under its own set alone, and
 its shift prefix must be the head of every set's first shift chunk, bit for
-bit, and a scan split over threads must hash as the unsplit one.
+bit, and a scan split over threads must hash as the unsplit one. The lab
+tests its drawn chunks in the scan's shorter steps, so a trial's tests stop
+at about its first cover; one test counts the (shift, row) pairs tested.
 """
 
 import hashlib
@@ -21,9 +23,10 @@ import threading
 import numpy as np
 import pytest
 
+import lplsh.collisions
 import lplsh.lattice
 from lplsh import LatticeParams, LpSpace, ShiftedLatticeSet
-from lplsh.collisions import _ELEM_BUDGET, _lattice_stage
+from lplsh.collisions import _ELEM_BUDGET, _lattice_stage, estimate_collision, tuned_scheme
 from lplsh.lattice import SHIFT_CHUNK, STACK_PREFIX, _column_sum, hash_batch, locate, stack_prefix
 from lplsh.util import derive_rng
 
@@ -181,6 +184,84 @@ def test_lattice_stage_broadcast_pair_matches_reference():
     got = _lattice_stage(xp, yp, params, 1.5, rng_got)
     assert all(np.array_equal(a, b) for a, b in zip(want, got))
     assert rng_got.bit_generator.state == rng_want.bit_generator.state
+
+
+def test_lattice_stage_budget_caps_chunks_below_a_step(monkeypatch):
+    # a small element budget caps the lab's chunks at 16 to a few dozen
+    # shifts, so the scan's growing steps are cut off at a chunk's end
+    monkeypatch.setattr(lplsh.collisions, "_ELEM_BUDGET", 30_000)
+    monkeypatch.setitem(globals(), "_ELEM_BUDGET", 30_000)
+    params = LatticeParams(w=1.0, t=3, num_shifts=3000, delta=8.0)
+    data = derive_rng(0, 9317)
+    xp = data.normal(size=(1200, 3))
+    yp = xp + data.normal(scale=0.5, size=(1200, 3))
+    steps = []
+    covered = lplsh.lattice._covered
+
+    def recording(cols, shifts, *rest):
+        steps.append(shifts.shape[1])
+        return covered(cols, shifts, *rest)
+
+    monkeypatch.setattr(lplsh.lattice, "_covered", recording)
+    rng_want = derive_rng(7, 9318)
+    rng_got = derive_rng(7, 9318)
+    want = reference_lattice_stage(xp, yp, params, 1.5, rng_want)
+    got = _lattice_stage(xp, yp, params, 1.5, rng_got)
+    assert all(np.array_equal(a, b) for a, b in zip(want, got))
+    assert rng_got.bit_generator.state == rng_want.bit_generator.state
+    # chunks of 16 shifts while 1000-odd trials pend (30_000 // (rows * 3) is
+    # below the floor of 16): x and y are tested on 8 shifts, then on the
+    # chunk's last 8 in place of 12, then on the next whole chunk in place of 18
+    assert steps[:6] == [8, 8, 8, 8, 16, 16]
+    assert (got[0] > 128).any()
+
+
+def test_lattice_stage_x_resolves_before_y_in_a_chunk():
+    # within the first 128-shift chunk some trial's x hits in the first step
+    # while its y is tested on in later steps, gathered from the chunk's rows
+    params = LatticeParams(w=1.0, t=3, num_shifts=3000, delta=6.0)
+    data = derive_rng(0, 9319)
+    xp = data.normal(size=(800, 3))
+    yp = xp + data.normal(scale=2.0, size=(800, 3))
+    rng_want = derive_rng(8, 9320)
+    rng_got = derive_rng(8, 9320)
+    want = reference_lattice_stage(xp, yp, params, 1.5, rng_want)
+    got = _lattice_stage(xp, yp, params, 1.5, rng_got)
+    assert all(np.array_equal(a, b) for a, b in zip(want, got))
+    assert rng_got.bit_generator.state == rng_want.bit_generator.state
+    ux, _, uy, _ = got
+    assert ((ux > 0) & (ux <= 8) & (uy > 38) & (uy <= 128)).any()
+    assert ((uy > 0) & (uy <= 8) & (ux > 38) & (ux <= 128)).any()
+
+
+def test_lattice_stage_stops_testing_at_first_cover(monkeypatch):
+    # each trial's x and y are tested about as far as their first cover,
+    # not to the end of the 128-shift chunk their shifts were drawn in
+    scheme = tuned_scheme(2.0, 1.5, threshold_samples=10_000)
+    pairs = []
+    outputs = []
+    covered = lplsh.lattice._covered
+    stage = lplsh.collisions._lattice_stage
+
+    def counting(cols, shifts, *rest):
+        pairs.append(shifts.shape[1] * cols.shape[1])
+        return covered(cols, shifts, *rest)
+
+    def recording(*args):
+        out = stage(*args)
+        outputs.append(out)
+        return out
+
+    monkeypatch.setattr(lplsh.lattice, "_covered", counting)
+    monkeypatch.setattr(lplsh.collisions, "_lattice_stage", recording)
+    estimate_collision(scheme, 32, scheme.r, 2048, derive_rng(2, 9321))
+    [(ux, _, uy, _)] = outputs
+    # the shifts a row needs: its first cover, or all U for a fallback
+    needed = sum(int(np.where(u > 0, u, scheme.lattice.num_shifts).sum()) for u in (ux, uy))
+    assert sum(pairs) <= 2 * needed
+    # testing whole chunks cost 128 pairs per row and set: 524288 here,
+    # against 60683 tested and 36999 needed
+    assert 2 * needed < 128 * 2 * ux.size
 
 
 def reference_hash_stacked(points, sets, space):

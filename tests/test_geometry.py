@@ -106,6 +106,11 @@ class TestSpaceValidation:
         with pytest.raises(ContractViolation):
             BallSpec(np.zeros(2), -0.1)
 
+    @pytest.mark.parametrize("radius", [float("nan"), float("inf")])
+    def test_non_finite_radius(self, radius):
+        with pytest.raises(ContractViolation, match="radius must be >= 0 and finite"):
+            BallSpec(np.zeros(2), radius)
+
 
 class TestBallVolumeRatio:
     def test_unit(self):
