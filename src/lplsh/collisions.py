@@ -247,7 +247,8 @@ def estimate_collision_projected(
     """Collision probability of a fixed projected pair over fresh lattice sets.
 
     With conditioned=True the estimate is Pr[same ball | neither falls back],
-    which is what the ball-overlap identity predicts.
+    which is what the ball-overlap identity predicts; it is undefined, and
+    a ContractViolation, when every trial falls back.
     """
     xa = np.asarray(x_t, dtype=np.float64)
     ya = np.asarray(y_t, dtype=np.float64)
@@ -275,7 +276,12 @@ def estimate_collision_projected(
         covered_n += int((~fall).sum())
         done += b
     if conditioned:
-        n = max(covered_n, 1)
+        if covered_n == 0:
+            raise ContractViolation(
+                f"no trial covered both points ({trials} trials, all fell back): "
+                "the conditioned estimate is undefined"
+            )
+        n = covered_n
         k = covered_hits
     else:
         n = trials

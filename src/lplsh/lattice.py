@@ -15,8 +15,6 @@ beyond (params, seed).
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, NamedTuple
@@ -24,7 +22,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .geometry import ContractViolation, LpSpace
-from .util import derive_rng, derived_generators
+from .util import _split, derive_rng, derived_generators
 
 DEFAULT_U_MAX = 10**6
 SHIFT_CHUNK = 1024
@@ -32,13 +30,9 @@ SHIFT_CHUNK = 1024
 _SCAN_ELEMS = 1 << 16
 # rows each worker of a threaded hash_batch call takes at least: smaller
 # shares (a query group holds at most about 16k rows) lose more to the
-# workers' shared interpreter lock than they gain
+# workers' shared interpreter lock than they gain. Each worker's slice
+# budget is _SCAN_ELEMS // workers, so more workers mean smaller slices
 _WORKER_ROWS = 1 << 14
-# workers of a threaded hash_batch call at most, the count measured (on a
-# 2-CPU host): each worker's slice budget is _SCAN_ELEMS // workers, so more
-# workers mean smaller slices and more interpreter work per shift, and the
-# affinity mask does not see a container's CPU quota
-_MAX_WORKERS = 2
 # the scan's one block schedule: 8 shifts first, then x1.5 up to SHIFT_CHUNK
 SCAN_BLOCKS = (8, 1.5)
 # stack_prefix's length: the first six blocks of that schedule, 8 + 12 + 18 + 27 + 41 + 62
@@ -342,11 +336,6 @@ def _scan(
     return block
 
 
-def _cpus() -> int:
-    """CPUs this process may run on."""
-    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-
-
 def stack_prefix(sets: list[ShiftedLatticeSet]) -> np.ndarray:
     """The first min(STACK_PREFIX, U) shifts of every set, coordinate-major: (t, P, len(sets)).
 
@@ -421,14 +410,12 @@ def hash_batch(
     prefix column, and rows past the prefix draw from their own set's
     shift_block.
 
-    A call with a prefix and whole grid rows scans the prefix on the CPUs
-    the process may run on, at most _MAX_WORKERS of them, with at least
-    _WORKER_ROWS rows per worker: the calling thread and a pool that
-    lives for the call. Each worker
-    takes a contiguous run of grid rows and a share of the slice budget,
-    reads only the prefix, runs only private code and writes its rows of
-    u and coords in place. Rows still pending at the prefix end resume
-    on the calling thread.
+    A call with a prefix and whole grid rows scans the prefix under
+    util._split's worker policy, with at least _WORKER_ROWS rows per
+    worker. Each worker takes a contiguous run of grid rows and a share
+    of the slice budget, reads only the prefix, runs only private code
+    and writes its rows of u and coords in place. Rows still pending at
+    the prefix end resume on the calling thread.
     """
     params = sets[0].params
     pts = np.asarray(points, dtype=np.float64)
@@ -440,20 +427,15 @@ def hash_batch(
     coords = np.zeros((n, params.t), dtype=np.int64)
     block = SCAN_BLOCKS[0]
     lo = 0
-    workers = min(_cpus(), _MAX_WORKERS, n // count, n // _WORKER_ROWS) if size and n % count == 0 else 1
-    if workers > 1:
-        elems = _SCAN_ELEMS // workers
-        cuts = [n // count * i // workers * count for i in range(workers + 1)]
+    if size and n % count == 0:
 
-        def scan_prefix(start: int, stop: int) -> int:
+        def scan_prefix(start: int, stop: int, workers: int) -> int:
+            start, stop, elems = start * count, stop * count, _SCAN_ELEMS // workers
             draw = partial(_grid_block, sets, prefix, stop - start, elems)
             run = [(u[start:stop], coords[start:stop])]
             return _scan((pts[start:stop],), run, draw, params, space.p, range(size), SCAN_BLOCKS[0], elems)
 
-        # the calling thread scans the first run while the pool scans the others
-        with ThreadPoolExecutor(workers - 1) as pool:
-            others = pool.map(scan_prefix, cuts[1:-1], cuts[2:])
-            block = max(scan_prefix(cuts[0], cuts[1]), *others)
+        block = max(_split(n // count, n // _WORKER_ROWS, scan_prefix))
         lo = size
     if not u.all():
         draw = partial(_grid_block, sets, prefix, n, _SCAN_ELEMS)

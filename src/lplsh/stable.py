@@ -15,16 +15,21 @@ import json
 import math
 import os
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .geometry import ContractViolation
-from .util import derive_rng, wilson_interval
+from .util import _split, derive_rng, wilson_interval
 
 DEFAULT_THRESHOLD_SAMPLES = 10_000_000
 _SAMPLE_BLOCK = 2_000_000
-# elements per step of _cms_transform
+# elements per step of _cms_transform, over all of its workers
 _TRANSFORM_CHUNK = 1 << 16
+# elements each worker of a split _cms_transform call takes at least: on a
+# 2-CPU host two workers broke even at about 2^13 elements each, and this
+# leaves a margin for the pool's start-up on a busy host
+_TRANSFORM_SHARE = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -54,9 +59,12 @@ def sample_stable(params: StableParams, rng: np.random.Generator, size=None) -> 
 def _cms_transform(p: float, u, e, out: np.ndarray | None = None) -> np.ndarray:
     """sample_stable's transform of angles u and Exp(1) draws e, elementwise, into out (u itself may be out).
 
-    Runs over the flattened arrays _TRANSFORM_CHUNK elements at a time, so
-    its temporaries stay bounded whatever the size; every element gets the
-    same arithmetic as in one pass over the whole array.
+    The flattened arrays are split into contiguous runs under util._split's
+    worker policy, with at least _TRANSFORM_SHARE elements per worker, and
+    each worker steps through its run _TRANSFORM_CHUNK // workers elements
+    at a time, so the temporaries in flight stay bounded whatever the size.
+    Every element gets the same arithmetic as in one pass over the whole
+    array, so the split does not change a bit of the result.
     """
     u, e = np.asarray(u, dtype=np.float64), np.asarray(e, dtype=np.float64)
     if out is None:
@@ -64,12 +72,19 @@ def _cms_transform(p: float, u, e, out: np.ndarray | None = None) -> np.ndarray:
     elif not out.flags.c_contiguous:
         raise ValueError("out must be C-contiguous")
     flat_u, flat_e, flat_out = u.reshape(-1), e.reshape(-1), out.reshape(-1)
-    for lo in range(0, flat_u.size, _TRANSFORM_CHUNK):
-        a, x = flat_u[lo : lo + _TRANSFORM_CHUNK], flat_e[lo : lo + _TRANSFORM_CHUNK]
-        flat_out[lo : lo + _TRANSFORM_CHUNK] = (np.sin(p * a) / np.power(np.cos(a), 1.0 / p)) * np.power(
+    _split(flat_u.size, flat_u.size // _TRANSFORM_SHARE, partial(_cms_run, p, flat_u, flat_e, flat_out))
+    return out
+
+
+def _cms_run(p: float, u: np.ndarray, e: np.ndarray, out: np.ndarray, lo: int, hi: int, workers: int) -> None:
+    """_cms_transform's chunk loop over elements [lo, hi) of its flat arrays, for one of `workers` workers."""
+    chunk = max(1, _TRANSFORM_CHUNK // workers)
+    for start in range(lo, hi, chunk):
+        stop = min(start + chunk, hi)
+        a, x = u[start:stop], e[start:stop]
+        out[start:stop] = (np.sin(p * a) / np.power(np.cos(a), 1.0 / p)) * np.power(
             np.cos((1.0 - p) * a) / x, (1.0 - p) / p
         )
-    return out
 
 
 @dataclass(frozen=True)

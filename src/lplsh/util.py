@@ -1,10 +1,18 @@
-"""Shared plumbing: seed derivation, binomial intervals, checksums."""
+"""Shared plumbing: seed derivation, binomial intervals, checksums, the worker policy."""
 
 from __future__ import annotations
 
 import ctypes
+import os
+from concurrent.futures import ThreadPoolExecutor
+from typing import Callable
 
 import numpy as np
+
+# workers of a split call at most, the count measured (on a 2-CPU host):
+# more workers mean smaller shares and more interpreter work per share, and
+# the affinity mask does not see a container's CPU quota
+_MAX_WORKERS = 2
 
 
 class FormatError(Exception):
@@ -124,6 +132,30 @@ def derived_generators(roots, *tags):
             "uinteger": 0,
         }
         yield gen
+
+
+def _cpus() -> int:
+    """CPUs this process may run on."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+def _split(units: int, most: int, run: Callable[[int, int, int], object]) -> list:
+    """run(lo, hi, workers) over contiguous runs [lo, hi) that cover range(units), one per worker, in order.
+
+    The one worker policy: the CPUs this process may run on, at most
+    _MAX_WORKERS, at most `most` (the workers the caller's work pays for)
+    and at most `units`, one at least. The calling thread takes the first
+    run and a pool that lives only for the call takes the others, so no
+    pool outlives a fork and a single worker starts no thread. A run
+    should call only private code: the workers share the process.
+    """
+    workers = max(1, min(_cpus(), _MAX_WORKERS, most, units))
+    if workers == 1:
+        return [run(0, units, 1)]
+    cuts = [units * i // workers for i in range(workers + 1)]
+    with ThreadPoolExecutor(workers - 1) as pool:
+        others = pool.map(run, cuts[1:-1], cuts[2:], [workers] * (workers - 1))
+        return [run(cuts[0], cuts[1], workers), *others]
 
 
 def wilson_interval(successes: int, trials: int, z: float = 1.959963984540054) -> tuple[float, float]:

@@ -8,6 +8,7 @@ import pytest
 from lplsh import (
     ContractViolation,
     Knobs,
+    LatticeParams,
     LpSpace,
     compare_estimators,
     estimate_collision,
@@ -142,6 +143,18 @@ class TestProjectedCollision:
             x + v, y + v, scheme.lattice, scheme.space(), trials, derive_rng(0, 9412)
         )
         assert abs(a.p_hat - b.p_hat) <= 3.0 * (a.std_error + b.std_error)
+
+    def test_conditioned_estimate_with_no_covered_trial_rejected(self):
+        # one lattice of tiny balls on a wide spacing covers almost nothing:
+        # every trial falls back, and dividing by max(covered, 1) reported
+        # trials=1, p_hat=0.0 as if it were an estimate
+        params = LatticeParams(w=1.0, t=3, num_shifts=1, delta=30.0)
+        space = LpSpace(1.5, 3)
+        x, y = np.zeros(3), np.array([10.4, 0.0, 0.0])
+        raw = estimate_collision_projected(x, y, params, space, 50, derive_rng(0, 9415), conditioned=False)
+        assert raw.fallback_rate == 1.0
+        with pytest.raises(ContractViolation, match="no trial covered both points"):
+            estimate_collision_projected(x, y, params, space, 50, derive_rng(0, 9415))
 
     def test_shape_validation(self):
         scheme = cheap_scheme()

@@ -25,6 +25,7 @@ import pytest
 
 import lplsh.collisions
 import lplsh.lattice
+import lplsh.util
 from lplsh import LatticeParams, LpSpace, ShiftedLatticeSet
 from lplsh.collisions import _ELEM_BUDGET, _lattice_stage, estimate_collision, tuned_scheme
 from lplsh.lattice import SHIFT_CHUNK, STACK_PREFIX, _column_sum, hash_batch, locate, stack_prefix
@@ -519,8 +520,8 @@ def test_threaded_scan_matches_reference(monkeypatch):
         return scan(point_sets, out, draw, params, p, span, *rest)
 
     monkeypatch.setattr(lplsh.lattice, "_scan", recording)
-    monkeypatch.setattr(lplsh.lattice, "_cpus", lambda: 3)
-    monkeypatch.setattr(lplsh.lattice, "_MAX_WORKERS", 3)
+    monkeypatch.setattr(lplsh.util, "_cpus", lambda: 3)
+    monkeypatch.setattr(lplsh.util, "_MAX_WORKERS", 3)
     params = LatticeParams(w=1.0, t=3, num_shifts=SHIFT_CHUNK + 300, delta=8.0)
     sets = [ShiftedLatticeSet(params, 101 + i) for i in range(8)]
     space = LpSpace(1.5, 3)
@@ -552,11 +553,11 @@ def test_workers_capped(monkeypatch):
         return scan(point_sets, out, draw, params, p, span, *rest)
 
     monkeypatch.setattr(lplsh.lattice, "_scan", recording)
-    monkeypatch.setattr(lplsh.lattice, "_cpus", lambda: 64)
+    monkeypatch.setattr(lplsh.util, "_cpus", lambda: 64)
     monkeypatch.setattr(lplsh.lattice, "_WORKER_ROWS", 1)
     params = LatticeParams(w=1.0, t=3, num_shifts=SHIFT_CHUNK, delta=8.0)
     sets = [ShiftedLatticeSet(params, 121 + i) for i in range(4)]
     pts, _ = planted_points(sets, 400, 1.5, derive_rng(1, 9316))
     got = hash_batch(pts, sets, LpSpace(1.5, 3), stack_prefix(sets))
     assert all(np.array_equal(w_arr, g_arr) for w_arr, g_arr in zip(reference_hash_stacked(pts, sets, LpSpace(1.5, 3)), got))
-    assert sorted(workers) == [200, 200] == [400 // lplsh.lattice._MAX_WORKERS] * 2
+    assert sorted(workers) == [200, 200] == [400 // lplsh.util._MAX_WORKERS] * 2

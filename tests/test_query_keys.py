@@ -22,6 +22,7 @@ import pytest
 
 import lplsh.index
 import lplsh.lattice
+import lplsh.util
 from lplsh import IndexParams, QueryResult, build, load_index, save_index
 from lplsh.geometry import lp_norm
 from lplsh.index import _QUERY_ROWS, _ROW_BLOCK, fingerprint_rows
@@ -262,8 +263,8 @@ def threaded(monkeypatch):
     interleaves the workers.
     """
     monkeypatch.setattr(lplsh.lattice, "_WORKER_ROWS", 1)
-    monkeypatch.setattr(lplsh.lattice, "_cpus", lambda: 3)
-    monkeypatch.setattr(lplsh.lattice, "_MAX_WORKERS", 3)
+    monkeypatch.setattr(lplsh.util, "_cpus", lambda: 3)
+    monkeypatch.setattr(lplsh.util, "_MAX_WORKERS", 3)
     scans = []
     scan = lplsh.lattice._scan
 

@@ -3,10 +3,12 @@
 `util.pcg64_states` replays numpy's SeedSequence and PCG64 seeding as
 array arithmetic; `index._sample_functions` draws an index's k * l
 functions in four passes over those states; `stable._cms_transform` turns
-all of their draws into stable variates in bounded chunks. Each must give
-bit for bit what the per-seed code gives.
+all of their draws into stable variates in bounded chunks, split over
+`util._split`'s workers. Each must give bit for bit what the per-seed,
+serial code gives.
 """
 
+import sys
 from types import SimpleNamespace
 
 import numpy as np
@@ -14,7 +16,7 @@ import pytest
 from numpy.random import SeedSequence
 
 from lplsh import IndexParams, tuned_scheme
-from lplsh import stable
+from lplsh import stable, util
 from lplsh.index import _sample_functions
 from lplsh.lattice import STACK_PREFIX, LatticeParams, ShiftedLatticeSet
 from lplsh.scheme import sample_hash
@@ -169,3 +171,96 @@ def test_scalar_draw_is_a_float():
     rng = derive_rng(0, 9952)
     u, e = rng.uniform(-np.pi / 2.0, np.pi / 2.0), rng.exponential(1.0)
     assert type(x) is float and x == float(one_shot(1.5, u, e))
+
+
+def serial(p, u, e):
+    """The transform's chunk loop on the calling thread alone, over the whole arrays."""
+    out = np.empty(np.shape(u))
+    stable._cms_run(p, np.ravel(u), np.ravel(e), out.reshape(-1), 0, out.size, 1)
+    return out
+
+
+@pytest.fixture
+def transform_runs(monkeypatch):
+    """The (lo, hi, workers) of every chunk run _cms_transform starts."""
+    runs = []
+    run = stable._cms_run
+
+    def recording(p, u, e, out, lo, hi, workers):
+        runs.append((lo, hi, workers))
+        return run(p, u, e, out, lo, hi, workers)
+
+    monkeypatch.setattr(stable, "_cms_run", recording)
+    return runs
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 64])
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+def test_split_transform_matches_serial_and_one_shot(monkeypatch, transform_runs, cpus, offset):
+    # around the smallest call that splits: minimum share x workers - 1, + 0 and + 1
+    monkeypatch.setattr(util, "_cpus", lambda: cpus)
+    workers = min(cpus, util._MAX_WORKERS)
+    size = stable._TRANSFORM_SHARE * util._MAX_WORKERS + offset
+    rng = derive_rng(0, 9953, cpus, offset + 1)
+    u = rng.uniform(-np.pi / 2.0, np.pi / 2.0, size=size)
+    e = rng.exponential(1.0, size=size)
+    want = one_shot(1.5, u, e)
+    assert bits(serial(1.5, u, e)) == bits(want)
+    transform_runs.clear()
+    assert bits(_cms_transform(1.5, u, e)) == bits(want)
+    split = workers if offset >= 0 else 1
+    cuts = [size * i // split for i in range(split + 1)]
+    assert sorted(transform_runs) == [(lo, hi, split) for lo, hi in zip(cuts, cuts[1:])]
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 64])
+@pytest.mark.parametrize("shape", [(3, 21845, 2), (2, 3, 11, 997)], ids=["shaped", "odd"])
+def test_split_transform_over_its_own_angles(monkeypatch, transform_runs, cpus, shape):
+    # written over its angles, as sample_stack passes them, on shaped and odd-sized arrays
+    monkeypatch.setattr(util, "_cpus", lambda: cpus)
+    rng = derive_rng(0, 9954, cpus, len(shape))
+    u = rng.uniform(-np.pi / 2.0, np.pi / 2.0, size=shape)
+    e = rng.exponential(1.0, size=shape)
+    p = 2.0 if cpus == 64 else 1.3
+    want = one_shot(p, u, e)
+    assert bits(serial(p, u, e)) == bits(want)
+    transform_runs.clear()
+    got = _cms_transform(p, u, e, out=u)
+    assert got is u and bits(u) == bits(want)
+    assert len(transform_runs) == min(cpus, util._MAX_WORKERS, u.size // stable._TRANSFORM_SHARE)
+
+
+def test_split_transform_with_more_workers_than_cores(monkeypatch, transform_runs):
+    # five workers on an uneven split, each stepping through a fifth of the
+    # chunk, interleaved by a short switch interval; every run writes only
+    # its own elements, in place over the angles
+    monkeypatch.setattr(util, "_cpus", lambda: 64)
+    monkeypatch.setattr(util, "_MAX_WORKERS", 5)
+    size = 5 * stable._TRANSFORM_SHARE + 7
+    rng = derive_rng(0, 9955)
+    u = rng.uniform(-np.pi / 2.0, np.pi / 2.0, size=size)
+    e = rng.exponential(1.0, size=size)
+    want = one_shot(1.5, u, e)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for _ in range(3):
+            got = u.copy()
+            _cms_transform(1.5, got, e, out=got)
+            assert bits(got) == bits(want)
+    finally:
+        sys.setswitchinterval(interval)
+    cuts = [size * i // 5 for i in range(6)]
+    assert sorted(transform_runs) == sorted([(lo, hi, 5) for lo, hi in zip(cuts, cuts[1:])] * 3)
+
+
+def test_split_covers_every_unit_in_order(monkeypatch):
+    # runs are contiguous and returned in order; the policy caps workers by the
+    # CPUs, _MAX_WORKERS, what the caller's work pays for and the units
+    monkeypatch.setattr(util, "_cpus", lambda: 4)
+    monkeypatch.setattr(util, "_MAX_WORKERS", 3)
+    for units, most, workers in [(10, 10, 3), (10, 2, 2), (2, 10, 2), (10, 0, 1), (0, 5, 1)]:
+        runs = util._split(units, most, lambda lo, hi, n: (lo, hi, n))
+        assert [n for _, _, n in runs] == [workers] * workers
+        assert [lo for lo, _, _ in runs] == [0] + [hi for _, hi, _ in runs[:-1]] and runs[-1][1] == units
+

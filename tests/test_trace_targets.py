@@ -15,7 +15,9 @@ import numpy as np
 
 import lplsh.index
 import lplsh.lattice
-from lplsh import IndexParams, build, load_index, save_index
+import lplsh.stable
+import lplsh.util
+from lplsh import IndexParams, StableParams, build, load_index, save_index
 from lplsh.util import derive_rng
 
 from conftest import cheap_scheme
@@ -84,8 +86,8 @@ def test_threaded_hashing_keeps_the_span_stack(monkeypatch):
     # end a span while another was open; rows scan past the prefix, so the
     # calling thread does draw from shift_block after the workers
     monkeypatch.setattr(lplsh.lattice, "_WORKER_ROWS", 32)
-    monkeypatch.setattr(lplsh.lattice, "_cpus", lambda: 3)
-    monkeypatch.setattr(lplsh.lattice, "_MAX_WORKERS", 3)
+    monkeypatch.setattr(lplsh.util, "_cpus", lambda: 3)
+    monkeypatch.setattr(lplsh.util, "_MAX_WORKERS", 3)
     threads = set()
     scan = lplsh.lattice._scan
 
@@ -122,3 +124,56 @@ def test_threaded_hashing_keeps_the_span_stack(monkeypatch):
     summary = tracer.summary()
     assert summary.outlasting_children() == 0
     assert summary.count("util.derive_rng", under="lattice.hash_batch") > 0
+
+
+def recorded_transform_runs(monkeypatch):
+    """The thread of every chunk run _cms_transform starts, in the order they start."""
+    threads = []
+    run = lplsh.stable._cms_run
+
+    def recording(*args):
+        threads.append(threading.get_ident())
+        return run(*args)
+
+    monkeypatch.setattr(lplsh.stable, "_cms_run", recording)
+    return threads
+
+
+def test_split_transform_runs_only_its_chunk_loop_off_the_calling_thread(monkeypatch):
+    # three workers: the calling thread takes one run and a pool made for the
+    # call the other two, which run only the private chunk loop, so no traced
+    # span begins off the calling thread and no thread outlives the call
+    monkeypatch.setattr(lplsh.util, "_cpus", lambda: 3)
+    monkeypatch.setattr(lplsh.util, "_MAX_WORKERS", 3)
+    threads = recorded_transform_runs(monkeypatch)
+    tracer = load_tracing().Tracer()
+    begin, caller, off_thread = tracer.begin, threading.get_ident(), []
+
+    def begin_on_caller(code):
+        if threading.get_ident() != caller:
+            off_thread.append(tracer.names[code])
+        return begin(code)
+
+    tracer.begin = begin_on_caller
+    before = threading.active_count()
+    tracer.install()
+    try:
+        x = lplsh.stable.sample_stable(StableParams(1.5), derive_rng(0, 9804), size=(3, lplsh.stable._TRANSFORM_SHARE))
+    finally:
+        tracer.uninstall()
+    assert threading.active_count() == before
+    assert len(threads) == 3 and sum(ident != caller for ident in threads) == 2
+    assert off_thread == []
+    assert tracer.summary().count("stable.sample_stable") == 1
+    assert x.shape == (3, lplsh.stable._TRANSFORM_SHARE)
+
+
+def test_transform_on_one_cpu_starts_no_thread(monkeypatch):
+    monkeypatch.setattr(lplsh.util, "_cpus", lambda: 1)
+    threads = recorded_transform_runs(monkeypatch)
+    started = []
+    monkeypatch.setattr(threading.Thread, "start", lambda thread: started.append(thread))
+    lplsh.stable.sample_stable(StableParams(1.5), derive_rng(0, 9805), size=4 * lplsh.stable._TRANSFORM_SHARE)
+    assert threads == [threading.get_ident()]
+    assert started == []
+
