@@ -45,10 +45,11 @@ _FNV_PRIME = np.uint64(0x100000001B3)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 
-# (query, function) rows hashed in one scan
-_QUERY_ROWS = 16384
-# (point, function) rows build hashes in one scan: a run of whole tables
-_BUILD_ROWS = 1 << 16
+# (point or query, function) rows per _key_rows call: a build hashes a run of
+# whole tables, a query batch a run of whole queries. While k * l <= 2**15 a
+# query group then holds at least 2 * lattice._WORKER_ROWS rows, so its
+# prefix scan splits under util._split like a build group's
+_KEY_ROWS = 1 << 16
 # (query, table) pairs looked up at once
 _ROW_BLOCK = 4096
 # Projected unit-frame coordinates are hashed up to 2**32 * w in magnitude:
@@ -283,21 +284,24 @@ class LshIndex:
 
         Each group of queries is hashed under all k * l functions at once:
         one projection, one lattice scan and one fingerprint fold. Groups
-        of about _QUERY_ROWS // (k * l) queries bound the scan's arrays.
+        of about _KEY_ROWS // (k * l) queries, the bound a build's groups
+        of tables share, bound the scan's arrays. hash_batch splits a group
+        of at least 2 * lattice._WORKER_ROWS rows under util._split's worker
+        policy; a single query and a smaller batch stay on the calling thread.
         """
         funcs = self.functions()
         k, l = self.params.k, self.params.l
         space_t = self.scheme.space()
         unit = scale_to_unit(queries, self.scheme.r)
         fps = np.empty((unit.shape[0], l), dtype=np.uint64)
-        group = max(1, _QUERY_ROWS // (k * l))
+        group = max(1, _KEY_ROWS // (k * l))
         for lo in range(0, unit.shape[0], group):
             keys = _key_rows(funcs, unit[lo : lo + group], range(l), k, space_t)
             fps[lo : lo + group] = fingerprint_rows(keys).reshape(-1, l)
         return fps
 
     def query(self, q: np.ndarray, max_candidates: int | None = None) -> QueryResult:
-        return self.query_batch(np.asarray(q, dtype=np.float64)[None, :], max_candidates)[0]
+        return self.query_batch(np.asarray(q)[None, :], max_candidates)[0]
 
     def query_batch(self, queries: np.ndarray, max_candidates: int | None = None) -> list[QueryResult]:
         """Probe one bucket per table per query, in table order, under a candidate budget.
@@ -310,11 +314,9 @@ class LshIndex:
         Queries are looked up in groups of about _ROW_BLOCK // l, so the
         lookup's temporaries do not grow with the batch.
         """
-        qs = np.asarray(queries, dtype=np.float64)
+        qs = _finite_reals(queries, "queries")
         if qs.ndim != 2 or qs.shape[1] != self.d:
             raise ContractViolation(f"queries must have shape (m, {self.d})")
-        if not np.isfinite(qs).all():
-            raise ContractViolation("queries must be finite (no NaN or infinity)")
         _check_max_candidates(max_candidates)
         budget = max_candidates if max_candidates is not None else self.params.candidate_budget
         query_fps = self._query_keys(qs)
@@ -378,6 +380,38 @@ class LshIndex:
         ]
 
 
+def _finite_reals(values, what: str) -> np.ndarray:
+    """values as a float64 array; a complex dtype or a NaN or infinity is a ContractViolation naming `what`.
+
+    A complex array is refused before the cast, which would keep only its
+    real part.
+    """
+    arr = np.asarray(values)
+    if arr.dtype.kind == "c":
+        raise ContractViolation(f"{what} must be real, got dtype {arr.dtype}")
+    arr = arr.astype(np.float64, copy=False)
+    if not np.isfinite(arr).all():
+        raise ContractViolation(f"{what} must be finite (no NaN or infinity)")
+    return arr
+
+
+def _checked_ids(ids, n: int) -> np.ndarray:
+    """ids as int64, arange(n) when None; they must be integers that fit int64, of shape (n,) and unique."""
+    if ids is None:
+        return np.arange(n, dtype=np.int64)
+    ids_arr = np.asarray(ids)
+    if ids_arr.size and (
+        ids_arr.dtype.kind not in "iu" or int(ids_arr.min()) < -(2**63) or int(ids_arr.max()) >= 2**63
+    ):
+        raise ContractViolation("ids must be integers that fit int64")
+    ids_arr = ids_arr.astype(np.int64)
+    if ids_arr.shape != (n,):
+        raise ContractViolation("ids must have shape (n,)")
+    if np.unique(ids_arr).size != n:
+        raise ContractViolation("ids must be unique")
+    return ids_arr
+
+
 def build(
     points: np.ndarray,
     scheme: SchemeParams,
@@ -385,7 +419,7 @@ def build(
     ids: np.ndarray | None = None,
 ) -> LshIndex:
     """Hash every point into one bucket per table; deterministic in (data, seeds)."""
-    pts = np.ascontiguousarray(points, dtype=np.float64)
+    pts = np.ascontiguousarray(_finite_reals(points, "points"))
     if pts.ndim != 2:
         raise ContractViolation("points must have shape (n, d)")
     n, d = pts.shape
@@ -393,21 +427,7 @@ def build(
         raise ContractViolation("points must have at least one column")
     if n >= 2**32:
         raise ContractViolation("at most 2**32 - 1 points fit the tables' u4 positions")
-    if not np.isfinite(pts).all():
-        raise ContractViolation("points must be finite (no NaN or infinity)")
-    if ids is None:
-        ids_arr = np.arange(n, dtype=np.int64)
-    else:
-        ids_arr = np.asarray(ids)
-        if ids_arr.size and (
-            ids_arr.dtype.kind not in "iu" or int(ids_arr.min()) < -(2**63) or int(ids_arr.max()) >= 2**63
-        ):
-            raise ContractViolation("ids must be integers that fit int64")
-        ids_arr = ids_arr.astype(np.int64)
-        if ids_arr.shape != (n,):
-            raise ContractViolation("ids must have shape (n,)")
-        if np.unique(ids_arr).size != n:
-            raise ContractViolation("ids must be unique")
+    ids_arr = _checked_ids(ids, n)
     unit = scale_to_unit(pts, scheme.r)
     space_t = scheme.space()
     funcs = _sample_functions(scheme, d, params)
@@ -415,7 +435,7 @@ def build(
     positions = np.empty((params.l, n), dtype=np.uint32)
     probe_total = fallback_total = collisions = 0
     width = params.k * (1 + space_t.dim)
-    group = max(1, _BUILD_ROWS // max(1, n * params.k))
+    group = max(1, _KEY_ROWS // max(1, n * params.k))
     for lo in range(0, params.l, group):
         tables = range(lo, min(lo + group, params.l))
         keys = _key_rows(funcs, unit, tables, params.k, space_t).reshape(n, len(tables), width)
@@ -463,12 +483,15 @@ def build(
 def linear_scan_nn(
     points: np.ndarray, q: np.ndarray, space: LpSpace, ids: np.ndarray | None = None
 ) -> tuple[int, float]:
-    """Exact nearest neighbor; ties go to the smaller id."""
-    pts = np.asarray(points, dtype=np.float64)
-    if pts.shape[0] == 0:
-        raise ContractViolation("linear scan needs a nonempty dataset")
-    ids_arr = np.arange(pts.shape[0], dtype=np.int64) if ids is None else np.asarray(ids, dtype=np.int64)
-    dists = np.asarray(lp_norm(pts - np.asarray(q, dtype=np.float64)[None, :], space))
+    """Exact nearest neighbor; ties go to the smaller id. Inputs are checked as build and query check theirs."""
+    pts = _finite_reals(points, "points")
+    if pts.ndim != 2 or pts.shape[0] == 0:
+        raise ContractViolation("linear scan needs a nonempty (n, d) dataset")
+    query = _finite_reals(q, "q")
+    if query.shape != pts.shape[1:]:
+        raise ContractViolation(f"q must have shape ({pts.shape[1]},), got {query.shape}")
+    ids_arr = _checked_ids(ids, pts.shape[0])
+    dists = np.asarray(lp_norm(pts - query[None, :], space))
     best = np.lexsort((ids_arr, dists))[0]
     return int(ids_arr[best]), float(dists[best])
 

@@ -29,8 +29,9 @@ SHIFT_CHUNK = 1024
 # first_cover's row slices hold about this many (shift, row) pairs at most
 _SCAN_ELEMS = 1 << 16
 # rows each worker of a threaded hash_batch call takes at least: smaller
-# shares (a query group holds at most about 16k rows) lose more to the
-# workers' shared interpreter lock than they gain. Each worker's slice
+# shares lose more to the workers' shared interpreter lock than they gain.
+# A build's or a query batch's group (up to index._KEY_ROWS = 2**16 rows)
+# holds two such shares; a single query holds far fewer. Each worker's slice
 # budget is _SCAN_ELEMS // workers, so more workers mean smaller slices
 _WORKER_ROWS = 1 << 14
 # the scan's one block schedule: 8 shifts first, then x1.5 up to SHIFT_CHUNK

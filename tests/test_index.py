@@ -218,6 +218,13 @@ class TestBuild:
         with pytest.raises(ContractViolation, match="finite"):
             build(pts, scheme, IndexParams(k=1, l=1, seed=0))
 
+    def test_complex_points_rejected(self, scheme):
+        # the float64 cast would keep only the real parts, with no more than a ComplexWarning
+        pts = derive_rng(0, 9501).normal(size=(10, 2))
+        for bad in (pts + 1j, pts.astype(np.complex64)):
+            with pytest.raises(ContractViolation, match="points must be real"):
+                build(bad, scheme, IndexParams(k=1, l=1, seed=0))
+
     def test_deterministic(self, scheme):
         _, a = small_index(scheme, seed=3)
         _, b = small_index(scheme, seed=3)
@@ -301,10 +308,51 @@ class TestQuery:
             index.query_batch(qs)
 
 
+    def test_complex_queries_rejected(self, scheme):
+        pts, index = small_index(scheme, d=6)
+        with pytest.raises(ContractViolation, match="queries must be real"):
+            index.query_batch(pts[:2] + 1j)
+        with pytest.raises(ContractViolation, match="queries must be real"):
+            index.query(pts[0] + 0j)
+
+
 class TestLinearScan:
     def test_empty_rejected(self):
         with pytest.raises(ContractViolation):
             linear_scan_nn(np.empty((0, 3)), np.zeros(3), LpSpace(1.5, 3))
+
+    @pytest.mark.parametrize(
+        "ids,message",
+        [
+            (np.arange(50) * 1.5, "integers"),
+            (np.arange(50)[:, None], "shape"),
+            (np.arange(49), "shape"),
+            (np.arange(50) // 2, "unique"),
+        ],
+        ids=["float", "column", "short", "repeated"],
+    )
+    def test_bad_ids_rejected(self, rng, ids, message):
+        # build's rule: float ids were truncated (a query at point 3 got id 4, not 4.5)
+        pts = rng.normal(size=(50, 3))
+        with pytest.raises(ContractViolation, match=f"ids must .*{message}"):
+            linear_scan_nn(pts, pts[3], LpSpace(1.5, 3), ids=ids)
+
+    @pytest.mark.parametrize(
+        "query,message",
+        [
+            (lambda pts: pts[:2], "shape"),
+            (lambda pts: pts[0, :2], "shape"),
+            (lambda pts: np.where(np.arange(3) == 1, np.nan, pts[0]), "finite"),
+            (lambda pts: np.full(3, -np.inf), "finite"),
+            (lambda pts: pts[0] + 1j, "real"),
+        ],
+        ids=["two-d", "short", "nan", "infinite", "complex"],
+    )
+    def test_bad_query_rejected(self, rng, query, message):
+        # a NaN query returned (ids[0], nan); a 2-d one raised numpy's broadcasting error
+        pts = rng.normal(size=(50, 3))
+        with pytest.raises(ContractViolation, match=f"q must .*{message}"):
+            linear_scan_nn(pts, query(pts), LpSpace(1.5, 3))
 
     def test_tie_to_smaller_id(self):
         pts = np.array([[1.0, 0.0], [1.0, 0.0]])

@@ -25,7 +25,7 @@ import lplsh.lattice
 import lplsh.util
 from lplsh import IndexParams, QueryResult, build, load_index, save_index
 from lplsh.geometry import lp_norm
-from lplsh.index import _QUERY_ROWS, _ROW_BLOCK, fingerprint_rows
+from lplsh.index import _KEY_ROWS, _ROW_BLOCK, fingerprint_rows
 from lplsh.lattice import SHIFT_CHUNK, STACK_PREFIX, hash_batch
 from lplsh.scheme import sample_hash, scale_to_unit
 from lplsh.util import derive_rng
@@ -71,6 +71,7 @@ def reference_query_keys(index, queries):
 def reference_query_batch(index, queries, budget):
     """The query loop over reference fingerprints: table order, first-seen dedupe, budget cut."""
     table_fps = reference_query_keys(index, queries)
+    tables = index.tables  # the property makes every table's views on each access
     space = index.space()
     limit = index.scheme.c * index.scheme.r
     results = []
@@ -81,7 +82,7 @@ def reference_query_batch(index, queries, budget):
             if len(seen) >= budget:
                 break
             tables_probed += 1
-            bucket = index.tables[ell].get(int(table_fps[ell][qi]))
+            bucket = tables[ell].get(int(table_fps[ell][qi]))
             for pos in [] if bucket is None else bucket:
                 if int(pos) not in seen:
                     seen.append(int(pos))
@@ -143,12 +144,12 @@ def test_few_queries(m):
 
 
 def test_queries_spanning_several_groups():
-    # k*l = 1024 functions: groups of 16 queries, so 42 queries make 3 groups, the last one short
-    pts, queries = instance(2, m=40)
+    # k*l = 1024 functions: groups of 64 queries, so 152 queries make 3 groups, the last one short
+    pts, queries = instance(2, m=150)
     index = build(pts, cheap_scheme(), IndexParams(k=8, l=128, seed=12))
-    assert _QUERY_ROWS // (8 * 128) == 16
+    assert _KEY_ROWS // (8 * 128) == 64
     got = assert_matches_reference(index, queries)
-    assert len(got) == 42
+    assert len(got) == 152
 
 
 @pytest.mark.parametrize("u", [3000, 40], ids=["past-first-chunk", "few-shifts"])
@@ -255,16 +256,11 @@ def test_batch_spanning_several_lookup_groups():
 
 
 @pytest.fixture
-def threaded(monkeypatch):
-    """Every hash_batch call with a prefix and whole grid rows takes the threaded path, with up to three workers.
+def scans(monkeypatch):
+    """The (thread, rows, span) of every lattice scan: the workers' runs, the calling thread's among them, and its tail.
 
-    Returns the (thread, rows, span) of every scan: the workers' runs, the
-    calling thread's among them, and its tail; a short switch interval
-    interleaves the workers.
+    A short switch interval interleaves the workers.
     """
-    monkeypatch.setattr(lplsh.lattice, "_WORKER_ROWS", 1)
-    monkeypatch.setattr(lplsh.util, "_cpus", lambda: 3)
-    monkeypatch.setattr(lplsh.util, "_MAX_WORKERS", 3)
     scans = []
     scan = lplsh.lattice._scan
 
@@ -279,6 +275,15 @@ def threaded(monkeypatch):
         yield scans
     finally:
         sys.setswitchinterval(interval)
+
+
+@pytest.fixture
+def threaded(scans, monkeypatch):
+    """Every hash_batch call with a prefix and whole grid rows takes the threaded path, with up to three workers."""
+    monkeypatch.setattr(lplsh.lattice, "_WORKER_ROWS", 1)
+    monkeypatch.setattr(lplsh.util, "_cpus", lambda: 3)
+    monkeypatch.setattr(lplsh.util, "_MAX_WORKERS", 3)
+    return scans
 
 
 def worker_scans(scans):
@@ -297,7 +302,7 @@ def worker_scans(scans):
     ids=["l-not-a-multiple-of-the-group", "past-the-prefix", "two-grid-rows", "fewer-grid-rows-than-workers"],
 )
 def test_grouped_threaded_build_matches_reference_keys(threaded, monkeypatch, n, k, l, group, scheme_kwargs):
-    monkeypatch.setattr(lplsh.index, "_BUILD_ROWS", n * k * group)
+    monkeypatch.setattr(lplsh.index, "_KEY_ROWS", n * k * group)
     pts, _ = instance(12, n=n)
     scheme = cheap_scheme(**scheme_kwargs)
     index = build(pts, scheme, IndexParams(k=k, l=l, seed=22))
@@ -334,6 +339,34 @@ def test_threaded_query_batch_matches_reference(threaded):
     assert worker_scans(threaded)
 
 
+def test_query_groups_split_at_the_real_row_bounds(scans, monkeypatch):
+    # _WORKER_ROWS and _KEY_ROWS as shipped, two CPUs: k*l = 512 functions
+    # make groups of 128 queries, 65536 rows, which split into two shares of
+    # 2**15 rows; a single query and a batch under 2**15 rows stay on the
+    # calling thread
+    monkeypatch.setattr(lplsh.util, "_cpus", lambda: 2)
+    pts, queries = instance(15, m=128)
+    index = build(pts, cheap_scheme(), IndexParams(k=4, l=128, seed=25))
+    assert _KEY_ROWS // (4 * 128) == 128 and len(queries) == 130
+    assert 2 * lplsh.lattice._WORKER_ROWS == 2**15
+    scans.clear()
+    before = threading.active_count()
+    assert_matches_reference(index, queries)
+    assert threading.active_count() == before
+    # _query_keys and query_batch each split the first group's prefix once
+    workers = worker_scans(scans)
+    assert [scan[1:] for scan in workers] == [(2**15, range(STACK_PREFIX))] * 2
+
+    started = []
+    monkeypatch.setattr(threading.Thread, "start", lambda thread: started.append(thread))
+    single = index.query(queries[0])
+    small = index.query_batch(queries[:60])
+    assert 60 * 4 * 128 < 2**15
+    assert started == []
+    assert single == index.query_batch(queries[:1])[0]
+    assert small == reference_query_batch(index, queries[:60], index.params.candidate_budget)
+
+
 def _build_and_exit(pts, scheme, params, want):
     """Exit 0 when a build in this (forked) process saves the expected fingerprints."""
     index = build(pts, scheme, params)
@@ -366,7 +399,7 @@ def test_scans_read_a_contiguous_prefix(monkeypatch):
         return grid_block(sets, prefix, *rest)
 
     monkeypatch.setattr(lplsh.lattice, "_grid_block", recording)
-    monkeypatch.setattr(lplsh.index, "_BUILD_ROWS", 120 * 2 * 3)
+    monkeypatch.setattr(lplsh.index, "_KEY_ROWS", 120 * 2 * 3)
     pts, queries = instance(14, n=120)
     index = build(pts, cheap_scheme(), IndexParams(k=2, l=7, seed=23))
     whole = index.functions().prefix

@@ -88,6 +88,18 @@ def test_threaded_hashing_keeps_the_span_stack(monkeypatch):
     monkeypatch.setattr(lplsh.lattice, "_WORKER_ROWS", 32)
     monkeypatch.setattr(lplsh.util, "_cpus", lambda: 3)
     monkeypatch.setattr(lplsh.util, "_MAX_WORKERS", 3)
+    check_span_stack(monkeypatch, n=200, m=40, k=2, l=6)
+
+
+def test_split_query_batch_keeps_the_span_stack(monkeypatch):
+    # the real row bounds on two CPUs: the build (2**14 rows) stays on the
+    # calling thread and the batch (one group of 64 queries, 2**15 rows) splits
+    monkeypatch.setattr(lplsh.util, "_cpus", lambda: 2)
+    check_span_stack(monkeypatch, n=40, m=64, k=4, l=128)
+
+
+def check_span_stack(monkeypatch, n, m, k, l):
+    """Build n points and query m under the tracer: hashing ran on several threads, and every span began on the caller's."""
     threads = set()
     scan = lplsh.lattice._scan
 
@@ -96,9 +108,8 @@ def test_threaded_hashing_keeps_the_span_stack(monkeypatch):
         return scan(*args)
 
     monkeypatch.setattr(lplsh.lattice, "_scan", recording)
-    pts = derive_rng(0, 9803).normal(size=(200, 4))
-    queries = pts[:40] + 0.01
-    k, l = 2, 6
+    data = derive_rng(0, 9803).normal(size=(max(n, m), 4))
+    pts, queries = data[:n], data[:m] + 0.01
     tracer = load_tracing().Tracer()
     # every span must begin on the calling thread, whatever the interleaving
     begin, caller, off_thread = tracer.begin, threading.get_ident(), []
@@ -120,7 +131,7 @@ def test_threaded_hashing_keeps_the_span_stack(monkeypatch):
         sys.setswitchinterval(interval)
     assert len(threads) > 1
     assert off_thread == []
-    assert tracer.counts["lattice.hash_batch.points"] == 200 * k * l + 40 * k * l
+    assert tracer.counts["lattice.hash_batch.points"] == n * k * l + m * k * l
     summary = tracer.summary()
     assert summary.outlasting_children() == 0
     assert summary.count("util.derive_rng", under="lattice.hash_batch") > 0
