@@ -70,7 +70,7 @@ def checkout(repo: str, ref: str, into: Path) -> str:
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
-    """One perfbench run in `tree`: its metrics, failed and attempted counts, digests and environment."""
+    """One perfbench run in `tree`: its metric values, failed and attempted counts, digests and environment."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed)]
     cmd += ["--seconds", str(seconds), "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
@@ -81,7 +81,6 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float, trace: int) -
     tagged = {line.split(" ", 1)[0]: line.split(" ", 1)[1] for line in lines if line.startswith(("digests ", "env "))}
     return {
         "metrics": {name: entry["value"] for name, entry in result["metrics"].items()},
-        "units": {name: entry["unit"] for name, entry in result["metrics"].items()},
         "failed": result["failed"],
         "attempted": result["attempted"],
         "digests": json.loads(tagged["digests"]),
@@ -118,7 +117,7 @@ def summarise(pairs: list[dict[str, dict]], declared: dict[str, dict]) -> dict:
         quart = {side: np.percentile(runs[side], [25, 50, 75]) for side in SIDES}
         parent_median, change_median = quart["parent"][1], quart["change"][1]
         metrics[name] = {
-            "unit": pairs[0]["change"]["units"][name],
+            "unit": decl.get("unit"),
             "better": direction,
             "parent_median": round(float(parent_median), 6),
             "parent_quartiles": [round(float(q), 6) for q in quart["parent"][::2]],
@@ -197,12 +196,7 @@ def main(argv: list[str] | None = None) -> int:
             for seed in args.seeds:
                 pairs.append({"seed": seed, **run_pair(trees, workload, seed, args.seconds, 0)})
                 env = pairs[-1]["change"]["env"]
-                record["host"] = {
-                    "vcpus": env["affinity_cpus"],
-                    "python": env["python"],
-                    "numpy": env["numpy"],
-                    "blas_threads": env["blas_threads"],
-                }
+                record["host"] = {"vcpus": env["affinity_cpus"], **{k: env[k] for k in ("python", "numpy", "blas_threads")}}
                 record["workloads"][workload] = summarise(pairs, declared)
                 if args.claim is not None and args.claim[1] == workload:
                     metric = args.claim[0]

@@ -45,10 +45,9 @@ _FNV_PRIME = np.uint64(0x100000001B3)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 
-# (point or query, function) rows per _key_rows call: a build hashes a run of
-# whole tables, a query batch a run of whole queries. While k * l <= 2**15 a
-# query group then holds at least 2 * lattice._WORKER_ROWS rows, so its
-# prefix scan splits under util._split like a build group's
+# (point or query, function) rows per _key_rows call: a build's run of whole
+# tables or a query batch's run of whole queries. While k * l <= 2**15 a full
+# query group holds at least 2 * lattice._WORKER_ROWS rows, enough to split
 _KEY_ROWS = 1 << 16
 # (query, table) pairs looked up at once
 _ROW_BLOCK = 4096
@@ -284,10 +283,11 @@ class LshIndex:
 
         Each group of queries is hashed under all k * l functions at once:
         one projection, one lattice scan and one fingerprint fold. Groups
-        of about _KEY_ROWS // (k * l) queries, the bound a build's groups
-        of tables share, bound the scan's arrays. hash_batch splits a group
-        of at least 2 * lattice._WORKER_ROWS rows under util._split's worker
-        policy; a single query and a smaller batch stay on the calling thread.
+        of about _KEY_ROWS // (k * l) queries, build's bound, limit the
+        scan's arrays. hash_batch splits a group of at least
+        2 * lattice._WORKER_ROWS rows under util._split's worker policy, so
+        a single query and a batch under that many rows stay on the calling
+        thread.
         """
         funcs = self.functions()
         k, l = self.params.k, self.params.l
