@@ -43,12 +43,10 @@ from .index import (
     IndexParams,
     LshIndex,
     QueryResult,
-    RadiusLadder,
     build,
     choose_k_l,
     linear_scan_nn,
     load_index,
-    radius_ladder_query,
     save_index,
 )
 from .lattice import (
@@ -101,7 +99,6 @@ __all__ = [
     "PROFILE_REMARK",
     "PlantedInstance",
     "QueryResult",
-    "RadiusLadder",
     "RhoReport",
     "SchemeParams",
     "ShiftedLatticeSet",
@@ -129,7 +126,6 @@ __all__ = [
     "lp_distance",
     "lp_norm",
     "make_pair_at_distance",
-    "radius_ladder_query",
     "random_lp_direction",
     "read_fvecs",
     "read_vectors",

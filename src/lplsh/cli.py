@@ -414,7 +414,7 @@ def cmd_rho(ns: argparse.Namespace) -> int:
     _echo(opts.effective, {"rows": len(reports), "out": out})
     for rep in reports:
         print(
-            f"c={rep.c:g} p1={rep.p1.p_hat:.4f} p2={rep.p2.p_hat:.5f} rho={rep.rho_hat:.4f}"
+            f"c={rep.scheme.c:g} p1={rep.p1.p_hat:.4f} p2={rep.p2.p_hat:.5f} rho={rep.rho_hat:.4f}"
             + (" (upper bound)" if rep.rho_is_upper_bound else "")
         )
     return 0

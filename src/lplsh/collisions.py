@@ -55,6 +55,12 @@ RHO_CSV_COLUMNS = (
 )
 
 _ELEM_BUDGET = 4_000_000  # cap on the elements of one block of per-trial shifts
+# pair trials per block of estimate_collision and estimate_collision_projected;
+# the block sizes set the random stream, and so the rho CSV
+_PAIR_BLOCK = 2048
+_PROJECTED_BLOCK = 4096
+# estimate_rho's far estimate doubles its trials until it sees this many collisions
+_MIN_FAR_COLLISIONS = 20
 
 # Settings used by the sensitivity and rho experiments, picked by a grid
 # sweep over (t, spacing, kappa_w) at p = 1.5 (scripts/tune_rho.py). The
@@ -68,7 +74,6 @@ TUNED_KAPPA_W = 1.8
 TUNED_T = 3
 TUNED_DELTA = 3
 TUNED_DELTA_FAIL = 1e-3
-TUNED_D = 32
 
 
 def tuned_scheme(
@@ -192,7 +197,6 @@ def estimate_collision(
     trials: int,
     rng: np.random.Generator,
     offset: np.ndarray | None = None,
-    block: int = 2048,
 ) -> CollisionEstimate:
     """Collision probability over the family: fresh pair + fresh hash per trial.
 
@@ -201,8 +205,6 @@ def estimate_collision(
     """
     if trials < 1:
         raise ContractViolation(f"trials must be >= 1, got {trials}")
-    if block < 1:
-        raise ContractViolation(f"block must be >= 1, got {block}")
     if d < 1:
         raise ContractViolation(f"d must be >= 1, got {d}")
     if not (0.0 <= distance < math.inf):
@@ -214,7 +216,7 @@ def estimate_collision(
     fallbacks = 0
     done = 0
     while done < trials:
-        b = min(block, trials - done)
+        b = min(_PAIR_BLOCK, trials - done)
         x, y = _pair_block(space, distance, rng, b, offset)
         a = sample_stable(stable, rng, size=(b, scheme.t, d))
         xp = np.einsum("btd,bd->bt", a, x) * scale
@@ -242,7 +244,6 @@ def estimate_collision_projected(
     trials: int,
     rng: np.random.Generator,
     conditioned: bool = True,
-    block: int = 4096,
 ) -> CollisionEstimate:
     """Collision probability of a fixed projected pair over fresh lattice sets.
 
@@ -256,15 +257,13 @@ def estimate_collision_projected(
         raise ContractViolation(f"projected points must have shape ({params.t},)")
     if trials < 1:
         raise ContractViolation(f"trials must be >= 1, got {trials}")
-    if block < 1:
-        raise ContractViolation(f"block must be >= 1, got {block}")
     collisions = 0
     fallbacks = 0
     covered_hits = 0
     covered_n = 0
     done = 0
     while done < trials:
-        b = min(block, trials - done)
+        b = min(_PROJECTED_BLOCK, trials - done)
         xp = np.broadcast_to(xa, (b, params.t))
         yp = np.broadcast_to(ya, (b, params.t))
         ux, ax_, uy, ay_ = _lattice_stage(xp, yp, params, space.p, rng)
@@ -381,24 +380,18 @@ def rho_std(p1: CollisionEstimate, p2: CollisionEstimate) -> float:
 
 @dataclass(frozen=True)
 class RhoReport:
-    """One row of the sensitivity experiment: rho against its reference curves."""
+    """One row of the sensitivity experiment: rho of a scheme, against its reference curves."""
 
-    c: float
-    p: float
-    profile: str
-    w: float
-    t: int
-    eps: float
-    num_shifts: int
-    saturated: bool
+    scheme: SchemeParams
     p1: CollisionEstimate
     p2: CollisionEstimate
     rho_hat: float
     rho_se: float
     rho_is_upper_bound: bool
-    inv_c: float
-    inv_cp: float
-    lncsq_over_cp: float
+
+    @property
+    def c(self) -> float:
+        return self.scheme.c
 
     @property
     def fallback_rate(self) -> float:
@@ -410,13 +403,12 @@ def estimate_rho(
     d: int,
     trials: int,
     rng: np.random.Generator,
-    min_far_collisions: int = 20,
     budget: int = 10_000_000,
 ) -> RhoReport:
     """Estimate (p1, p2, rho) for a scheme.
 
     p1 is measured at distance r and p2 at distance c*r. The far estimate
-    doubles its trial count until it has seen min_far_collisions collisions
+    doubles its trial count until it has seen _MIN_FAR_COLLISIONS collisions
     or the trial budget is spent; if no far collision ever shows up, rho is
     reported as an upper bound through the Wilson upper limit of p2.
     """
@@ -431,7 +423,7 @@ def estimate_rho(
         total += got.trials
         coll += got.collisions
         fall += round(got.fallback_rate * got.trials)
-        if coll >= min_far_collisions or total >= budget:
+        if coll >= _MIN_FAR_COLLISIONS or total >= budget:
             break
         batch = min(total, budget - total)
     p2 = CollisionEstimate(
@@ -449,24 +441,13 @@ def estimate_rho(
     else:
         rho_hat = rho_point_estimate(p1.p_hat, p2.p_hat)
         se = rho_std(p1, p2)
-    logc = math.log(scheme.c)
     return RhoReport(
-        c=scheme.c,
-        p=scheme.p,
-        profile=scheme.profile,
-        w=scheme.w,
-        t=scheme.t,
-        eps=scheme.epsilon,
-        num_shifts=scheme.lattice.num_shifts,
-        saturated=scheme.lattice.saturated,
+        scheme=scheme,
         p1=p1,
         p2=p2,
         rho_hat=rho_hat,
         rho_se=se,
         rho_is_upper_bound=upper_only,
-        inv_c=1.0 / scheme.c,
-        inv_cp=1.0 / scheme.c**scheme.p,
-        lncsq_over_cp=logc * logc / scheme.c**scheme.p,
     )
 
 
@@ -496,16 +477,18 @@ def rho_rows(reports: list[RhoReport]) -> list[dict[str, object]]:
     """Rows in the sweep CSV schema."""
     rows = []
     for rep in reports:
+        scheme = rep.scheme
+        logc = math.log(scheme.c)
         rows.append(
             {
-                "c": rep.c,
-                "p": rep.p,
-                "profile": rep.profile,
-                "w": rep.w,
-                "t": rep.t,
-                "eps": rep.eps,
-                "U": rep.num_shifts,
-                "saturated": int(rep.saturated),
+                "c": scheme.c,
+                "p": scheme.p,
+                "profile": scheme.profile,
+                "w": scheme.w,
+                "t": scheme.t,
+                "eps": scheme.epsilon,
+                "U": scheme.num_shifts,
+                "saturated": int(scheme.lattice.saturated),
                 "p1_hat": rep.p1.p_hat,
                 "p1_lo": rep.p1.ci95[0],
                 "p1_hi": rep.p1.ci95[1],
@@ -513,9 +496,9 @@ def rho_rows(reports: list[RhoReport]) -> list[dict[str, object]]:
                 "p2_lo": rep.p2.ci95[0],
                 "p2_hi": rep.p2.ci95[1],
                 "rho_hat": rep.rho_hat,
-                "inv_c": rep.inv_c,
-                "inv_cp": rep.inv_cp,
-                "lncsq_over_cp": rep.lncsq_over_cp,
+                "inv_c": 1.0 / scheme.c,
+                "inv_cp": 1.0 / scheme.c**scheme.p,
+                "lncsq_over_cp": logc * logc / scheme.c**scheme.p,
                 "fallback_rate": rep.fallback_rate,
             }
         )

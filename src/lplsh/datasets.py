@@ -12,6 +12,7 @@ about 3*c*r from every other query).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -202,8 +203,9 @@ def generate_planted(
         raise ContractViolation(f"need n >= 1 and d >= 1, got n={n}, d={d}")
     if not (0 <= planted_count <= n):
         raise ContractViolation(f"planted_count must be in [0, n], got {planted_count}")
-    if r <= 0 or c <= 1:
-        raise ContractViolation(f"need r > 0 and c > 1, got r={r}, c={c}")
+    for name, value, low in (("r", r, 0), ("c", c, 1), ("scale", scale, 0)):
+        if value is not None and not (low < value < math.inf):
+            raise ContractViolation(f"{name} must be > {low} and finite, got {value}")
     space = LpSpace(p, d)
     rng = derive_rng(seed, 31)
     if scale is None:

@@ -13,9 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-RESIDUAL_TOL = 1e-9
-NORM_TOL = 1e-12
-
 
 class ContractViolation(ValueError):
     """A caller broke a documented precondition."""
@@ -74,7 +71,7 @@ def lp_distance(x: np.ndarray, y: np.ndarray, space: LpSpace) -> float | np.ndar
 
 def ball_volume_ratio(alpha: float, t: int) -> float:
     """Volume ratio of two concentric balls with radius ratio alpha in R^t."""
-    if alpha < 0:
+    if not alpha >= 0:
         raise ContractViolation(f"alpha must be >= 0, got {alpha}")
     if t < 1:
         raise ContractViolation(f"t must be >= 1, got {t}")

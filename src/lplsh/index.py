@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 import os
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -30,12 +30,11 @@ from .scheme import (
     PROFILE_REMARK,
     Knobs,
     SchemeParams,
-    derive_params,
     sample_stack,
     scale_to_unit,
 )
 from .stable import Threshold
-from .util import FormatError, crc64, derive_rng, derived_generators
+from .util import FormatError, crc64, derived_generators
 
 MAGIC = b"LPLSH"
 FORMAT_VERSION = 2
@@ -668,77 +667,3 @@ def load_index(path: str) -> LshIndex:
         raise FormatError(f"invalid header value: {exc}") from None
     return LshIndex(scheme=scheme, params=params, points=points, ids=ids, flat=flat)
 
-
-# -- radius ladder -------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class LadderResult:
-    rung: int
-    rung_radius: float
-    effective_c: float  # the ladder's approximation guarantee, c^2
-    result: QueryResult
-
-
-class RadiusLadder:
-    """Indices at radii r_min * c^i, queried bottom-up.
-
-    For a query whose true nearest distance lies in [r_min, r_max], the
-    first rung that succeeds returns a point within c * (c * opt), so the
-    overall approximation factor is at most c^2. Distances below r_min
-    carry no multiplicative guarantee beyond c * r_min.
-    """
-
-    def __init__(self, indices: list[LshIndex], radii: list[float], c: float):
-        self.indices = indices
-        self.radii = radii
-        self.c = c
-
-    @classmethod
-    def build(
-        cls,
-        points: np.ndarray,
-        c: float,
-        p: float,
-        r_min: float,
-        r_max: float,
-        index_params: IndexParams,
-        profile: str = PROFILE_MAIN,
-        knobs: Knobs = Knobs(),
-        overrides: dict[str, float] | None = None,
-        derive_kwargs: dict | None = None,
-    ) -> "RadiusLadder":
-        if not (0 < r_min <= r_max):
-            raise ContractViolation(f"need 0 < r_min <= r_max, got {r_min}, {r_max}")
-        rungs = max(0, math.ceil(math.log(r_max / r_min) / math.log(c)))
-        radii = [r_min * c**i for i in range(rungs + 1)]
-        indices = []
-        for i, radius in enumerate(radii):
-            scheme = derive_params(
-                c, p, profile=profile, knobs=knobs, overrides=overrides, r=radius, **(derive_kwargs or {})
-            )
-            seed = int(derive_rng(index_params.seed, 23, i).integers(0, 2**63 - 1))
-            indices.append(build(points, scheme, replace(index_params, seed=seed)))
-        return cls(indices, radii, c)
-
-    def query(self, q: np.ndarray) -> LadderResult | None:
-        for i, idx in enumerate(self.indices):
-            res = idx.query(q)
-            if res.answer is not None and res.in_contract:
-                return LadderResult(rung=i, rung_radius=self.radii[i], effective_c=self.c**2, result=res)
-        return None
-
-
-def radius_ladder_query(
-    points: np.ndarray,
-    q: np.ndarray,
-    c: float,
-    p: float,
-    r_min: float,
-    r_max: float,
-    index_params: IndexParams,
-    **build_kwargs,
-) -> LadderResult | None:
-    """One-shot convenience: build the ladder, run one query."""
-    ladder = RadiusLadder.build(points, c, p, r_min, r_max, index_params, **build_kwargs)
-    return ladder.query(q)

@@ -88,17 +88,6 @@ def _cms_run(p: float, u: np.ndarray, e: np.ndarray, out: np.ndarray, lo: int, h
 
 
 @dataclass(frozen=True)
-class TruncationSpec:
-    """Truncation level M >= 1 for clipped moments E[min(|X|, M)^(order*p)]."""
-
-    m: float
-
-    def __post_init__(self) -> None:
-        if self.m < 1.0:
-            raise ContractViolation(f"truncation level must be >= 1, got {self.m}")
-
-
-@dataclass(frozen=True)
 class MomentEstimate:
     value: float
     std_error: float
@@ -118,7 +107,8 @@ def truncated_moment(
 
     order = 1 gives the threshold moment, order = 2 its variance proxy.
     """
-    TruncationSpec(m)  # validates M >= 1
+    if not (1.0 <= m < math.inf):
+        raise ContractViolation(f"truncation level must be >= 1 and finite, got {m}")
     if order not in (1, 2):
         raise ContractViolation(f"order must be 1 or 2, got {order}")
     if n_samples < 10_000:
@@ -286,7 +276,7 @@ def tail_probability_bounds(
     Both sides are clamped to [0, 1]. Valid for M >= 1.
     """
     marr = np.asarray(m, dtype=np.float64)
-    if np.any(marr < 1.0):
+    if not np.all(marr >= 1.0):
         raise ContractViolation("tail bounds require M >= 1")
     p = params.p
     lead = constants.a_hat / (p * np.power(marr, p))

@@ -352,7 +352,7 @@ def _sensitivity_suite(level: str, seed: int) -> tuple[bool, str]:
         derive_kwargs={"threshold_samples": 1_000_000},
     )
     r2, r5 = reports
-    shapes_ok = all(rep.t <= 32 and rep.num_shifts <= 100_000 for rep in reports)
+    shapes_ok = all(rep.scheme.t <= 32 and rep.scheme.num_shifts <= 100_000 for rep in reports)
 
     def gap_z(rep):
         return (rep.p1.p_hat - rep.p2.p_hat) / math.hypot(rep.p1.std_error, rep.p2.std_error)

@@ -119,6 +119,14 @@ class TestGen:
         assert code == 1
         assert "--n" in capsys.readouterr().err
 
+    def test_nan_radius_rejected(self, tmp_path, capsys):
+        prefix = tmp_path / "x"
+        code = main(["gen", "--n", "20", "--d", "3", "--planted", "2", "--p", "1.5",
+                     "--r", "nan", "--c", "2", "--seed", "0", "--out", str(prefix)])
+        assert code == 1
+        assert capsys.readouterr().err == "error: r must be > 0 and finite, got nan\n"
+        assert not (tmp_path / "x.fvecs").exists()
+
 
 class TestBuild:
     def test_echo_reports_derived_scheme(self, instance, tmp_path, capsys):

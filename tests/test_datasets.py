@@ -1,6 +1,7 @@
 """Vector file formats, ground-truth files, and planted instances."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -244,6 +245,31 @@ class TestGeneratePlanted:
             generate_planted(n=5, d=4, planted_count=1, p=1.5, r=0.0, c=2.0, seed=0)
         with pytest.raises(ContractViolation):
             generate_planted(n=5, d=4, planted_count=1, p=1.5, r=1.0, c=1.0, seed=0)
+
+    @pytest.mark.parametrize(
+        "kwargs,message",
+        [
+            ({"r": math.nan}, "r must be > 0 and finite, got nan"),
+            ({"r": math.inf}, "r must be > 0 and finite, got inf"),
+            ({"c": math.nan}, "c must be > 1 and finite, got nan"),
+            ({"c": math.inf}, "c must be > 1 and finite, got inf"),
+            ({"scale": math.nan}, "scale must be > 0 and finite, got nan"),
+            ({"scale": math.inf}, "scale must be > 0 and finite, got inf"),
+            ({"scale": 0.0}, "scale must be > 0 and finite, got 0.0"),
+        ],
+        ids=["r-nan", "r-inf", "c-nan", "c-inf", "scale-nan", "scale-inf", "scale-zero"],
+    )
+    def test_non_finite_values_rejected_before_sampling(self, kwargs, message, monkeypatch):
+        # r or c = nan ran 1000 placement attempts before failing as an
+        # infeasible scale; r = inf warned inside numpy, then failed self-verification
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("generate_planted drew a sample before checking its values")
+
+        monkeypatch.setattr("lplsh.datasets.derive_rng", no_sampling)
+        args = {"n": 20, "d": 3, "planted_count": 2, "p": 1.5, "r": 1.0, "c": 2.0, "seed": 4, **kwargs}
+        with pytest.raises(ContractViolation) as info:
+            generate_planted(**args)
+        assert str(info.value) == message
 
     def test_config_keys(self):
         inst = generate_planted(n=20, d=3, planted_count=2, p=1.5, r=1.0, c=2.0, seed=4)

@@ -1,7 +1,9 @@
 """The package's public names: each one in `lplsh.__all__` exists, and the
-per-function hashing wrappers that hash_batch replaced stay gone."""
+per-function hashing wrappers that hash_batch replaced, and the radius
+ladder, stay gone."""
 
 import lplsh
+import lplsh.index
 
 
 def test_every_exported_name_resolves():
@@ -11,5 +13,7 @@ def test_every_exported_name_resolves():
 
 def test_removed_hashing_wrappers_are_gone():
     removed = ("HashValue", "hash_point", "make_lattices", "eval_hash", "eval_hash_batch", "evaluation_cost")
-    assert [name for name in removed if hasattr(lplsh, name)] == []
+    ladder = ("RadiusLadder", "radius_ladder_query", "LadderResult")
+    assert [name for name in removed + ladder if hasattr(lplsh, name)] == []
+    assert [name for name in ladder if hasattr(lplsh.index, name)] == []
     assert "hash_batch" in lplsh.__all__

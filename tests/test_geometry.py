@@ -1,5 +1,6 @@
 """Norms, residual inequalities, directions, and ball sampling."""
 
+import math
 import warnings
 
 import numpy as np
@@ -132,8 +133,10 @@ class TestBallVolumeRatio:
         assert prod == pytest.approx(1.0, rel=1e-12)
 
     def test_negative_alpha_rejected(self):
-        with pytest.raises(ContractViolation):
-            ball_volume_ratio(-1.0, 2)
+        # nan passed a check of alpha < 0 and returned nan
+        for alpha in (-1.0, math.nan):
+            with pytest.raises(ContractViolation):
+                ball_volume_ratio(alpha, 2)
 
 
 class TestResiduals:

@@ -1,4 +1,4 @@
-"""Multi-table index: sizing, build, query, persistence, radius ladder."""
+"""Multi-table index: sizing, build, query, persistence."""
 
 import dataclasses
 import math
@@ -11,16 +11,13 @@ import pytest
 import lplsh.index
 from lplsh import (
     ContractViolation,
-    Knobs,
     FormatError,
     IndexParams,
     LpSpace,
-    RadiusLadder,
     build,
     choose_k_l,
     linear_scan_nn,
     load_index,
-    radius_ladder_query,
     save_index,
     tuned_scheme,
 )
@@ -795,56 +792,3 @@ class TestPersistence:
         tables = sum(8 + 8 * t.fps.size + 4 * t.positions.size + 5 for t in index.tables)
         assert path.stat().st_size == head + payload + tables + 8
 
-
-class TestRadiusLadder:
-    def _points(self, rng, n=40, d=4):
-        return rng.normal(size=(n, d))
-
-    def test_rung_radii(self, rng):
-        pts = self._points(rng)
-        ladder = RadiusLadder.build(
-            pts, 2.0, 1.5, 0.5, 2.0, IndexParams(k=1, l=4, seed=2, max_candidates=40),
-            profile="remark", knobs=Knobs(kappa_w=1.8),
-            overrides={"t": 3.0, "delta": 3.0, "delta_fail": 1e-2},
-            derive_kwargs={"threshold_samples": 10_000},
-        )
-        assert ladder.radii == [0.5, 1.0, 2.0]
-        assert [idx.scheme.r for idx in ladder.indices] == [0.5, 1.0, 2.0]
-
-    def test_exact_match_found_at_first_rung(self, rng):
-        pts = self._points(rng)
-        ladder = RadiusLadder.build(
-            pts, 2.0, 1.5, 0.5, 2.0, IndexParams(k=1, l=4, seed=3, max_candidates=40),
-            profile="remark", knobs=Knobs(kappa_w=1.8),
-            overrides={"t": 3.0, "delta": 3.0, "delta_fail": 1e-2},
-            derive_kwargs={"threshold_samples": 10_000},
-        )
-        got = ladder.query(pts[4])
-        assert got is not None
-        assert got.rung == 0
-        assert got.result.answer is not None
-        assert got.result.answer[1] == 0.0
-        assert got.effective_c == pytest.approx(4.0)
-
-    def test_answer_within_ladder_guarantee(self, rng):
-        pts = self._points(rng)
-        space = LpSpace(1.5, 4)
-        q = pts[9] + 0.2
-        got = radius_ladder_query(
-            pts, q, 2.0, 1.5, 0.25, 4.0, IndexParams(k=1, l=6, seed=4, max_candidates=40),
-            profile="remark", knobs=Knobs(kappa_w=1.8),
-            overrides={"t": 3.0, "delta": 3.0, "delta_fail": 1e-2},
-            derive_kwargs={"threshold_samples": 10_000},
-        )
-        assert got is not None
-        _, opt = linear_scan_nn(pts, q, space)
-        dist = got.result.answer[1]
-        assert dist <= got.effective_c * max(opt, 0.25)
-        assert got.result.in_contract
-
-    def test_invalid_radius_range(self, rng):
-        pts = self._points(rng)
-        with pytest.raises(ContractViolation):
-            RadiusLadder.build(pts, 2.0, 1.5, 2.0, 0.5, IndexParams(k=1, l=1, seed=0))
-        with pytest.raises(ContractViolation):
-            RadiusLadder.build(pts, 2.0, 1.5, 0.0, 1.0, IndexParams(k=1, l=1, seed=0))

@@ -7,6 +7,8 @@ exp(-|xi|^p) convention). Monte Carlo estimates here are compared against
 those values at ~5 standard errors.
 """
 
+import math
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -77,8 +79,11 @@ class TestSampler:
 
 class TestTruncatedMoment:
     def test_m_below_one_rejected(self, rng):
-        with pytest.raises(ContractViolation):
-            truncated_moment(StableParams(1.5), 0.5, 1, 10_000, rng)
+        # nan passed a check of M < 1 and returned a nan estimate; inf
+        # returned a finite estimate of a moment that diverges
+        for m in (0.5, math.nan, math.inf):
+            with pytest.raises(ContractViolation, match="truncation level must be >= 1 and finite"):
+                truncated_moment(StableParams(1.5), m, 1, 10_000, rng)
 
     def test_order_validation(self, rng):
         with pytest.raises(ContractViolation):
@@ -182,8 +187,10 @@ class TestTailBounds:
 
     def test_m_below_one_rejected(self):
         consts = TailConstants(a_hat=1.0, b_hat=0.0, fit_range=(10.0, 100.0), degenerate=False, n_tail=1000)
-        with pytest.raises(ContractViolation):
-            tail_probability_bounds(0.5, StableParams(1.5), consts)
+        # nan passed a check of M < 1 and returned (nan, nan)
+        for m in (0.5, math.nan, np.array([2.0, math.nan])):
+            with pytest.raises(ContractViolation):
+                tail_probability_bounds(m, StableParams(1.5), consts)
 
 
 class TestTailFit:
