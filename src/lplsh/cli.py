@@ -32,7 +32,7 @@ from .datasets import (
 from .geometry import ContractViolation
 from .index import IndexParams, LshIndex, _check_max_candidates, build, check_safety, choose_k_l, load_index, save_index
 from .scheme import Knobs, derive_params
-from .stable import DEFAULT_THRESHOLD_SAMPLES, ThresholdCache
+from .stable import ThresholdCache
 from .util import FormatError, derive_rng, wilson_interval
 from .verify import format_report, run_checks
 

@@ -34,7 +34,7 @@ from .scheme import (
     scale_to_unit,
 )
 from .stable import Threshold
-from .util import FormatError, crc64, derived_generators
+from .util import FormatError, crc64, derived_seeds
 
 MAGIC = b"LPLSH"
 FORMAT_VERSION = 2
@@ -195,12 +195,13 @@ class IndexFunctions(NamedTuple):
 def _sample_functions(scheme: SchemeParams, d: int, params: IndexParams) -> IndexFunctions:
     """Every hash function of an index, regenerated from its root seed in four array passes.
 
-    Slot j of table ell takes its seed from the stream (root, 11, ell, j);
+    Slot j of table ell takes its seed from the stream (root, 11, ell, j),
+    drawn for all k * l streams at once by derived_seeds' array arithmetic;
     sample_stack then draws every function's projection and lattice seed,
     and stack_prefix their shift prefixes.
     """
     table, slot = np.divmod(np.arange(params.k * params.l), params.k)
-    seeds = [rng.integers(0, 2**63 - 1) for rng in derived_generators(params.seed, 11, table, slot)]
+    seeds = derived_seeds(params.seed, 11, table, slot)
     projection, sets = sample_stack(scheme, d, seeds)
     return IndexFunctions(projection, sets, stack_prefix(sets))
 

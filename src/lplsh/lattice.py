@@ -341,15 +341,20 @@ def stack_prefix(sets: list[ShiftedLatticeSet]) -> np.ndarray:
     """The first min(STACK_PREFIX, U) shifts of every set, coordinate-major: (t, P, len(sets)).
 
     Column i equals the first P rows of sets[i]'s shift chunk 0, drawn
-    from the same stream without materialising the chunk; one pass over
-    the sets re-sets one generator to each chunk-0 stream.
+    from the same stream without materialising the chunk. One pass re-sets
+    one generator to each chunk-0 stream and draws its P x t unit variates
+    into a contiguous row of a (len(sets), P, t) buffer; one multiply by
+    the spacing, written transposed, then gives the shifts. That is
+    _shift_rows bit for bit: uniform(0, s) is 0 + s * random(), and s * u
+    rounds once, fused or not.
     """
     params = sets[0].params
     size = min(STACK_PREFIX, params.num_shifts)
+    units = np.empty((len(sets), size, params.t))
+    for row, rng in zip(units, derived_generators([lattices.seed for lattices in sets], 0)):
+        rng.random(out=row)
     prefix = np.empty((params.t, size, len(sets)))
-    for i, rng in enumerate(derived_generators([lattices.seed for lattices in sets], 0)):
-        prefix[:, :, i] = _shift_rows(rng, params, size).T
-    return prefix
+    return np.multiply(units.transpose(2, 1, 0), params.spacing, out=prefix)
 
 
 def _grid_block(

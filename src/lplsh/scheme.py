@@ -25,7 +25,7 @@ import numpy as np
 from .geometry import ContractViolation, LpSpace
 from .lattice import DEFAULT_U_MAX, LatticeParams, ShiftedLatticeSet, compute_num_shifts
 from .stable import DEFAULT_THRESHOLD_SAMPLES, StableParams, Threshold, ThresholdCache, compute_threshold
-from .util import derived_generators
+from .util import derived_generators, derived_seeds
 from . import stable as _stable
 
 PROFILE_MAIN = "main"
@@ -276,10 +276,11 @@ def sample_stack(scheme: SchemeParams, d: int, seeds) -> tuple[np.ndarray, list[
     """The hash functions of seeds (each in [0, 2**64)): their projections stacked, and their lattice sets.
 
     Function i owns projection rows [i * t, (i + 1) * t) and sets[i], the
-    values sample_hash(scheme, d, seeds[i]) holds. One pass draws every
-    function's angles and Exp(1) draws from its projection stream, one
-    transform turns them all into stable variates, and one pass draws the
-    lattice seeds from the shift streams.
+    values sample_hash(scheme, d, seeds[i]) holds. One pass re-sets a
+    Generator to each function's projection stream and draws its angles
+    and Exp(1) draws, one transform turns them all into stable variates,
+    and derived_seeds draws every lattice seed from the shift streams as
+    array arithmetic.
     """
     if d < 1:
         raise ContractViolation(f"d must be >= 1, got {d}")
@@ -291,5 +292,4 @@ def sample_stack(scheme: SchemeParams, d: int, seeds) -> tuple[np.ndarray, list[
         gen.standard_exponential(out=e[i * t : (i + 1) * t])
     projection = _stable._cms_transform(scheme.p, u, e, out=u)
     projection *= scheme.T ** (-1.0 / scheme.p)
-    shifts = derived_generators(seeds, _TAG_SHIFTS)
-    return projection, [ShiftedLatticeSet(scheme.lattice, gen.integers(0, 2**63 - 1)) for gen in shifts]
+    return projection, [ShiftedLatticeSet(scheme.lattice, seed) for seed in derived_seeds(seeds, _TAG_SHIFTS).tolist()]

@@ -73,15 +73,8 @@ def _hasher(const: int, mult: int):
     return hashmix
 
 
-def pcg64_states(roots, *tags) -> list[tuple[int, int]]:
-    """The PCG64 (state, inc) that derive_rng(root, *tags) starts from, for every root at once.
-
-    roots (< 2**64) and each tag (< 2**32) are integers or integer arrays,
-    broadcast together. numpy's SeedSequence pool mixing and generate_state,
-    and PCG64's seeding, are replayed as uint32 and uint64 array arithmetic:
-    the entropy words are the root's two 32-bit halves, two zero words (the
-    pad numpy adds before a spawn key) and one word per tag.
-    """
+def _pcg64_words(roots, *tags) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """pcg64_states(roots, *tags) as uint64 arrays of their halves: (state_hi, state_lo, inc_hi, inc_lo)."""
     root = _unsigned(roots, 64, "root")
     words = [root & np.uint64(_M32), root >> np.uint64(32), np.uint64(0), np.uint64(0)]
     words += [_unsigned(tag, 32, "tag") for tag in tags]
@@ -109,22 +102,34 @@ def pcg64_states(roots, *tags) -> list[tuple[int, int]]:
     inc_lo = (seq_lo << np.uint64(1)) | np.uint64(1)
     lo = inc_lo + seed_lo
     hi = inc_hi + seed_hi + (lo < inc_lo)
+    return (*_pcg64_step(hi, lo, inc_hi, inc_lo), inc_hi, inc_lo)
+
+
+def _pcg64_step(hi: np.ndarray, lo: np.ndarray, inc_hi: np.ndarray, inc_lo: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The PCG64 LCG's next state, (state * mult + inc) mod 2**128, as uint64 halves."""
     hi, lo = _mul128(hi, lo, _PCG_MULT_HI, _PCG_MULT_LO)
     lo = lo + inc_lo
-    hi = hi + inc_hi + (lo < inc_lo)
-    states = zip(hi.tolist(), lo.tolist(), inc_hi.tolist(), inc_lo.tolist())
+    return hi + inc_hi + (lo < inc_lo), lo
+
+
+def pcg64_states(roots, *tags) -> list[tuple[int, int]]:
+    """The PCG64 (state, inc) that derive_rng(root, *tags) starts from, for every root at once.
+
+    roots (< 2**64) and each tag (< 2**32) are integers or integer arrays,
+    broadcast together. numpy's SeedSequence pool mixing and generate_state,
+    and PCG64's seeding, are replayed as uint32 and uint64 array arithmetic:
+    the entropy words are the root's two 32-bit halves, two zero words (the
+    pad numpy adds before a spawn key) and one word per tag.
+    """
+    states = zip(*(w.tolist() for w in _pcg64_words(roots, *tags)))
     return [(s_hi << 64 | s_lo, i_hi << 64 | i_lo) for s_hi, s_lo, i_hi, i_lo in states]
 
 
-def derived_generators(roots, *tags):
-    """For each of pcg64_states(roots, *tags), one Generator in that state, as derive_rng would give it.
-
-    It is one Generator re-set at every step, so draw from it before the
-    next step.
-    """
+def _generators(states):
+    """One Generator re-set to each PCG64 (state, inc) in turn: draw from it before the next step."""
     gen = np.random.Generator(np.random.PCG64(0))
     bit_generator = gen.bit_generator
-    for state, inc in pcg64_states(roots, *tags):
+    for state, inc in states:
         bit_generator.state = {
             "bit_generator": "PCG64",
             "state": {"state": state, "inc": inc},
@@ -132,6 +137,46 @@ def derived_generators(roots, *tags):
             "uinteger": 0,
         }
         yield gen
+
+
+def derived_generators(roots, *tags):
+    """For each of pcg64_states(roots, *tags), one Generator in that state, as derive_rng would give it.
+
+    It is one Generator re-set at every step, so draw from it before the
+    next step. Streams that need a single seed draw take derived_seeds,
+    which draws it as array arithmetic.
+    """
+    return _generators(pcg64_states(roots, *tags))
+
+
+# the seed draws' exclusive bound: integers(0, _SEED_END) gives a seed in [0, 2**63 - 1)
+_SEED_END = 2**63 - 1
+
+
+def derived_seeds(roots, *tags) -> np.ndarray:
+    """derive_rng(root, *tags).integers(0, 2**63 - 1) for every root at once, as an int64 array."""
+    return _seed_draws(*_pcg64_words(roots, *tags))
+
+
+def _seed_draws(hi: np.ndarray, lo: np.ndarray, inc_hi: np.ndarray, inc_lo: np.ndarray) -> np.ndarray:
+    """Generator.integers(0, 2**63 - 1) from each PCG64 state (uint64 halves), replayed as array arithmetic.
+
+    One PCG64 step, its XSL-RR output (hi ^ lo rotated right by hi's top
+    six bits), then numpy's Lemire bound: the high word of raw * (2**63 - 1).
+    numpy draws again while the low word is below 2**64 mod (2**63 - 1) = 2,
+    which happens for raw 0 and 2**63 - 1 alone; those states take the
+    Generator itself.
+    """
+    s_hi, s_lo = _pcg64_step(hi, lo, inc_hi, inc_lo)
+    x, rot = s_hi ^ s_lo, s_hi >> np.uint64(58)
+    raw = (x >> rot) | (x << ((np.uint64(64) - rot) & np.uint64(63)))
+    m_hi, m_lo = _mul128(np.zeros_like(raw), raw, 0, _SEED_END)
+    draws = m_hi.astype(np.int64)
+    redraw = np.flatnonzero(m_lo < np.uint64(2))
+    states = [(int(hi[i]) << 64 | int(lo[i]), int(inc_hi[i]) << 64 | int(inc_lo[i])) for i in redraw]
+    for i, gen in zip(redraw, _generators(states)):
+        draws[i] = gen.integers(0, _SEED_END)
+    return draws
 
 
 def _cpus() -> int:

@@ -3,7 +3,6 @@
 import struct
 import time
 
-import numpy as np
 import pytest
 
 from lplsh import LpSpace, linear_scan_nn, load_index, read_vectors

@@ -132,8 +132,9 @@ def test_build_tables_match_reference_keys(k, l, scheme_kwargs):
     pts, _ = instance(11)
     index = build(pts, cheap_scheme(**scheme_kwargs), IndexParams(k=k, l=l, seed=21))
     for ell, fps in enumerate(reference_query_keys(index, pts)):
-        assert np.array_equal(index.tables[ell].fps, np.unique(fps)), f"table {ell}"
-        assert np.array_equal(index.tables[ell].positions, np.argsort(fps, kind="stable")), f"table {ell}"
+        table = index.flat.table(ell)
+        assert np.array_equal(table.fps, np.unique(fps)), f"table {ell}"
+        assert np.array_equal(table.positions, np.argsort(fps, kind="stable")), f"table {ell}"
 
 
 @pytest.mark.parametrize("m", [0, 1, 3])
@@ -308,8 +309,9 @@ def test_grouped_threaded_build_matches_reference_keys(threaded, monkeypatch, n,
     index = build(pts, scheme, IndexParams(k=k, l=l, seed=22))
     ref = reference_query_keys(index, pts)
     for ell, fps in enumerate(ref):
-        assert np.array_equal(index.tables[ell].fps, np.unique(fps)), f"table {ell}"
-        assert np.array_equal(index.tables[ell].positions, np.argsort(fps, kind="stable")), f"table {ell}"
+        table = index.flat.table(ell)
+        assert np.array_equal(table.fps, np.unique(fps)), f"table {ell}"
+        assert np.array_equal(table.positions, np.argsort(fps, kind="stable")), f"table {ell}"
     # each group's call splits its n grid rows over min(3, n) workers, the
     # calling thread one of them; one grid row is not split
     groups, split = -(-l // group), min(3, n)

@@ -1,8 +1,9 @@
 """Array-pass sampling of hash functions against numpy's seeding and the per-function sampler it replaced.
 
 `util.pcg64_states` replays numpy's SeedSequence and PCG64 seeding as
-array arithmetic; `index._sample_functions` draws an index's k * l
-functions in four passes over those states; `stable._cms_transform` turns
+array arithmetic, and `util.derived_seeds` a stream's first
+`integers(0, 2**63 - 1)` draw; `index._sample_functions` draws an index's
+k * l functions in four passes over those states; `stable._cms_transform` turns
 all of their draws into stable variates in bounded chunks, split over
 `util._split`'s workers. Each must give bit for bit what the per-seed,
 serial code gives.
@@ -21,11 +22,14 @@ from lplsh.index import _sample_functions
 from lplsh.lattice import STACK_PREFIX, LatticeParams, ShiftedLatticeSet
 from lplsh.scheme import sample_hash
 from lplsh.stable import StableParams, _cms_transform, sample_stable
-from lplsh.util import derive_rng, derived_generators, pcg64_states
+from lplsh.util import _seed_draws, derive_rng, derived_generators, derived_seeds, pcg64_states
 
 from conftest import cheap_scheme
 
 ROOTS = [0, 1, 2**32 - 1, 2**32, 2**63 - 2, 2**64 - 1]
+# the index's function-seed path: one (11, ell, j) per root, broadcast together
+PER_ROOT_TAGS = (11, np.array([0, 3, 130, 2**32 - 1, 7, 519]), np.array([5, 0, 2, 1, 2**32 - 1, 6]))
+PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 
 def numpy_generator(root, tags):
@@ -45,15 +49,65 @@ def test_states_match_numpy_for_shared_tags(tags):
         assert first_draws(gen) == first_draws(want)
 
 
+def root_tags(tags, i):
+    """The tags of root i when each tag is a number or one value per root."""
+    return tuple(int(np.broadcast_to(tag, len(ROOTS))[i]) for tag in tags)
+
+
 def test_states_match_numpy_for_per_root_tags():
-    # the index's function-seed path: one (11, ell, j) per root, broadcast together
-    ell = np.array([0, 3, 130, 2**32 - 1, 7, 519])
-    slot = np.array([5, 0, 2, 1, 2**32 - 1, 6])
-    assert len(pcg64_states(np.array(ROOTS, dtype=np.uint64), 11, ell, slot)) == len(ROOTS)
-    for root, a, b, gen in zip(ROOTS, ell, slot, derived_generators(np.array(ROOTS, dtype=np.uint64), 11, ell, slot)):
-        want = numpy_generator(root, (11, int(a), int(b)))
+    assert len(pcg64_states(np.array(ROOTS, dtype=np.uint64), *PER_ROOT_TAGS)) == len(ROOTS)
+    gens = derived_generators(np.array(ROOTS, dtype=np.uint64), *PER_ROOT_TAGS)
+    for i, (root, gen) in enumerate(zip(ROOTS, gens)):
+        want = numpy_generator(root, root_tags(PER_ROOT_TAGS, i))
         assert gen.bit_generator.state == want.bit_generator.state
         assert first_draws(gen) == first_draws(want)
+
+
+@pytest.mark.parametrize("tags", [(0,), (1,), (2,), (), PER_ROOT_TAGS], ids=["0", "1", "2", "none", "per-root"])
+def test_seed_draws_match_numpy(tags):
+    got = derived_seeds(np.array(ROOTS, dtype=np.uint64), *tags)
+    assert got.dtype == np.int64 and got.shape == (len(ROOTS),)
+    want = [int(numpy_generator(root, root_tags(tags, i)).integers(0, 2**63 - 1)) for i, root in enumerate(ROOTS)]
+    assert got.tolist() == want
+
+
+def pcg64_generator(state, inc):
+    gen = np.random.Generator(np.random.PCG64(0))
+    gen.bit_generator.state = {
+        "bit_generator": "PCG64",
+        "state": {"state": state, "inc": inc},
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return gen
+
+
+def halves(values):
+    """128-bit integers as uint64 arrays of their high and low words."""
+    return tuple(np.array([v >> shift & (2**64 - 1) for v in values], dtype=np.uint64) for shift in (64, 0))
+
+
+def rotl64(x, r):
+    return ((x << r) | (x >> (64 - r))) & (2**64 - 1) if r else x
+
+
+@pytest.mark.parametrize("raw", [0, 2**63 - 1], ids=["raw-0", "raw-2^63-1"])
+@pytest.mark.parametrize("rot", [0, 1, 37, 63])
+def test_seed_draws_redraw_where_numpy_does(raw, rot):
+    # hand-built states whose next raw output is 0 (post-step hi == lo) or
+    # 2**63 - 1: the only outputs Lemire's bound rejects, so numpy draws again
+    inc = 0x5851F42D4C957F2D14057B7EF767814F
+    hi = rot << 58 | 0x0123456789ABCDEF
+    post = hi << 64 | (hi ^ rotl64(raw, rot))
+    special = (post - inc) * pow(PCG_MULT, -1, 2**128) % 2**128
+    assert pcg64_generator(special, inc).bit_generator.random_raw() == raw
+    # between two ordinary states, so the redraw lands at its own index
+    states = [(12345, inc), (special, inc), (2**128 - 7, inc)]
+    got = _seed_draws(*halves([state for state, _ in states]), *halves([inc for _, inc in states]))
+    want = [int(pcg64_generator(state, inc).integers(0, 2**63 - 1)) for state, inc in states]
+    assert got.tolist() == want
+    # the first output's own high word would have been wrong
+    assert want[1] != raw * (2**63 - 1) >> 64
 
 
 def test_scalar_root_and_derive_rng_agree():
