@@ -168,6 +168,8 @@ SAMPLER_CASES = [
     ("one-function", lambda: cheap_scheme(t=4, u=3000), 7, 1, 1, 2**64 - 1),
     ("u-below-prefix", lambda: cheap_scheme(t=3, u=100), 6, 2, 4, 0),
     ("tuned", lambda: tuned_scheme(2.0, 1.5, threshold_samples=10_000), 16, 3, 5, 7201),
+    # 135 functions: stack_prefix's full 128-set buffer, then a short one
+    ("two-prefix-buffers", lambda: cheap_scheme(t=3, u=200), 2, 3, 45, 2201),
 ]
 
 
