@@ -39,9 +39,9 @@ _WORKER_ROWS = 1 << 14
 SCAN_BLOCKS = (8, 1.5)
 # stack_prefix's length: the first six blocks of that schedule, 8 + 12 + 18 + 27 + 41 + 62
 STACK_PREFIX = 168
-# sets stack_prefix draws and transposes at a time: the transposed read of
-# one whole (sets, P, t) buffer steps P * t * 8 bytes per set and, at C10's
-# 3640 sets, took longer than the set-by-set draw it replaced
+# sets stack_prefix draws and transposes at a time: one buffer of all the
+# sets, read transposed, steps P * t * 8 bytes per set and falls out of
+# cache; at C10's 3640 sets that pass cost more than the draws it follows
 _PREFIX_SETS = 128
 
 
@@ -349,9 +349,9 @@ def stack_prefix(sets: list[ShiftedLatticeSet]) -> np.ndarray:
     from the same stream without materialising the chunk. One pass re-sets
     one generator to each chunk-0 stream and draws its P x t unit variates
     into a contiguous row of a (_PREFIX_SETS, P, t) buffer; one multiply by
-    the spacing per full buffer, written transposed, then gives the
-    shifts. That is _shift_rows bit for bit: uniform(0, s) is
-    0 + s * random(), and s * u rounds once, fused or not.
+    the spacing per buffer, written transposed, then gives the shifts.
+    That is _shift_rows bit for bit: uniform(0, s) is 0 + s * random(),
+    and s * u rounds once, fused or not.
     """
     params = sets[0].params
     size = min(STACK_PREFIX, params.num_shifts)

@@ -60,6 +60,13 @@ def _mul128(hi: np.ndarray, lo: np.ndarray, c_hi: int, c_lo: int) -> tuple[np.nd
     return carry + lo * np.uint64(c_hi) + hi * np.uint64(c_lo), lo * np.uint64(c_lo)
 
 
+def _pcg64_step(hi: np.ndarray, lo: np.ndarray, inc_hi: np.ndarray, inc_lo: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The PCG64 LCG's next state, (state * mult + inc) mod 2**128, as uint64 halves."""
+    hi, lo = _mul128(hi, lo, _PCG_MULT_HI, _PCG_MULT_LO)
+    lo = lo + inc_lo
+    return hi + inc_hi + (lo < inc_lo), lo
+
+
 def _hasher(const: int, mult: int):
     """numpy's SeedSequence hashmix on uint32 arrays: each call steps the hash constant by mult."""
 
@@ -105,13 +112,6 @@ def _pcg64_words(roots, *tags) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.n
     return (*_pcg64_step(hi, lo, inc_hi, inc_lo), inc_hi, inc_lo)
 
 
-def _pcg64_step(hi: np.ndarray, lo: np.ndarray, inc_hi: np.ndarray, inc_lo: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The PCG64 LCG's next state, (state * mult + inc) mod 2**128, as uint64 halves."""
-    hi, lo = _mul128(hi, lo, _PCG_MULT_HI, _PCG_MULT_LO)
-    lo = lo + inc_lo
-    return hi + inc_hi + (lo < inc_lo), lo
-
-
 def pcg64_states(roots, *tags) -> list[tuple[int, int]]:
     """The PCG64 (state, inc) that derive_rng(root, *tags) starts from, for every root at once.
 
@@ -149,10 +149,6 @@ def derived_generators(roots, *tags):
     return _generators(pcg64_states(roots, *tags))
 
 
-# the seed draws' exclusive bound: integers(0, _SEED_END) gives a seed in [0, 2**63 - 1)
-_SEED_END = 2**63 - 1
-
-
 def derived_seeds(roots, *tags) -> np.ndarray:
     """derive_rng(root, *tags).integers(0, 2**63 - 1) for every root at once, as an int64 array."""
     return _seed_draws(*_pcg64_words(roots, *tags))
@@ -170,12 +166,12 @@ def _seed_draws(hi: np.ndarray, lo: np.ndarray, inc_hi: np.ndarray, inc_lo: np.n
     s_hi, s_lo = _pcg64_step(hi, lo, inc_hi, inc_lo)
     x, rot = s_hi ^ s_lo, s_hi >> np.uint64(58)
     raw = (x >> rot) | (x << ((np.uint64(64) - rot) & np.uint64(63)))
-    m_hi, m_lo = _mul128(np.zeros_like(raw), raw, 0, _SEED_END)
+    m_hi, m_lo = _mul128(np.zeros_like(raw), raw, 0, 2**63 - 1)
     draws = m_hi.astype(np.int64)
     redraw = np.flatnonzero(m_lo < np.uint64(2))
     states = [(int(hi[i]) << 64 | int(lo[i]), int(inc_hi[i]) << 64 | int(inc_lo[i])) for i in redraw]
     for i, gen in zip(redraw, _generators(states)):
-        draws[i] = gen.integers(0, _SEED_END)
+        draws[i] = gen.integers(0, 2**63 - 1)
     return draws
 
 
