@@ -51,8 +51,7 @@ def main() -> int:
                         1.5,
                         profile=PROFILE_REMARK,
                         knobs=Knobs(kappa_w=kappa_w),
-                        overrides={"t": float(t), "delta": delta, "delta_fail": 1e-3},
-                        u_max=100_000,
+                        overrides={"t": float(t), "delta": delta, "delta_fail": 1e-3, "u_max": 100_000},
                         threshold_samples=200_000,
                     )
                     rng = derive_rng(args.seed, t, int(delta), int(kappa_w * 10), int(c))

@@ -70,7 +70,6 @@ from .scheme import (
 from .stable import (
     StableParams,
     Threshold,
-    ThresholdCache,
     compute_threshold,
     fit_tail_constant,
     sample_stable,
@@ -104,7 +103,6 @@ __all__ = [
     "ShiftedLatticeSet",
     "StableParams",
     "Threshold",
-    "ThresholdCache",
     "ball_volume_ratio",
     "build",
     "choose_k_l",

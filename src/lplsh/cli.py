@@ -32,7 +32,6 @@ from .datasets import (
 from .geometry import ContractViolation
 from .index import IndexParams, LshIndex, _check_max_candidates, build, check_safety, choose_k_l, load_index, save_index
 from .scheme import Knobs, derive_params
-from .stable import ThresholdCache
 from .util import FormatError, derive_rng, wilson_interval
 from .verify import format_report, run_checks
 
@@ -63,13 +62,6 @@ def _load_config_file(path: str) -> dict[str, str]:
 
 def _coerce(raw: str, typ, name: str):
     try:
-        if typ is bool:
-            low = raw.lower()
-            if low in ("1", "true", "yes"):
-                return True
-            if low in ("0", "false", "no"):
-                return False
-            raise ValueError(raw)
         return typ(raw)
     except ValueError:
         raise FormatError(f"config value for {name!r} is not a valid {typ.__name__}: {raw!r}") from None
@@ -81,6 +73,9 @@ class _Options:
     def __init__(self, ns: argparse.Namespace):
         self.ns = ns
         self.cfg = _load_config_file(ns.config) if getattr(ns, "config", None) else {}
+        unknown = sorted(set(self.cfg) - (set(vars(ns)) - {"command", "func", "config"}))
+        if unknown:
+            raise FormatError(f"{ns.config}: no option of this command reads {', '.join(unknown)}")
         self.effective: dict[str, object] = {}
 
     def get(self, name: str, typ, default=None, required: bool = False):
@@ -184,7 +179,7 @@ def _knobs(opts: _Options) -> Knobs:
     )
 
 
-def _prepare_build(opts: _Options, cache: ThresholdCache | None, queries: np.ndarray | None = None):
+def _prepare_build(opts: _Options, queries: np.ndarray | None = None):
     """Dataset, scheme, index params and the auto-sizing pilot's estimates (empty for set k, L).
 
     Queries, when given, are checked against the data's dimension before
@@ -198,7 +193,6 @@ def _prepare_build(opts: _Options, cache: ThresholdCache | None, queries: np.nda
     profile = opts.get("profile", str, "main")
     knobs = _knobs(opts)
     overrides = opts.overrides()
-    u_max = opts.get("u_max", int, 1_000_000)
     threshold_samples = opts.get("threshold_samples", int, _CLI_THRESHOLD_SAMPLES)
     max_candidates = opts.get("max_candidates", int)
     safety = opts.get("safety", float, 3.0)
@@ -215,8 +209,7 @@ def _prepare_build(opts: _Options, cache: ThresholdCache | None, queries: np.nda
     if queries is not None:
         _check_query_dim(queries, d)
     scheme = derive_params(
-        c, p, profile=profile, knobs=knobs, overrides=overrides, r=r, u_max=u_max,
-        threshold_samples=threshold_samples, cache=cache,
+        c, p, profile=profile, knobs=knobs, overrides=overrides, r=r, threshold_samples=threshold_samples
     )
     k = opts.get("k", int)
     l = opts.get("l", int)
@@ -238,8 +231,7 @@ def cmd_build(ns: argparse.Namespace) -> int:
     opts = _Options(ns)
     out = opts.get("out", str, required=True)
     _ensure_parent(out)
-    cache = ThresholdCache(os.path.join(os.path.dirname(os.path.abspath(out)), "thresholds.jsonl"))
-    points, scheme, params, extra = _prepare_build(opts, cache)
+    points, scheme, params, extra = _prepare_build(opts)
     n, d = points.shape
 
     start = time.perf_counter()
@@ -356,7 +348,7 @@ def cmd_bench(ns: argparse.Namespace) -> int:
     out = opts.get("out", str, required=True)
     # read every input before the build, so a bad query or truth file fails fast
     queries_path, queries, truth = _read_queries(opts)
-    points, scheme, params, _ = _prepare_build(opts, None, queries)
+    points, scheme, params, _ = _prepare_build(opts, queries)
     n, d = points.shape
 
     t0 = time.perf_counter()
@@ -460,7 +452,6 @@ def _add_build_flags(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--c", type=float, help="approximation factor > 1")
     sp.add_argument("--r", type=float, help="near radius (default 1)")
     _add_knob_flags(sp)
-    sp.add_argument("--u-max", dest="u_max", type=int, help="cap on the number of lattice shifts")
     sp.add_argument("--config")
 
 

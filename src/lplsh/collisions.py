@@ -82,7 +82,6 @@ def tuned_scheme(
     r: float = 1.0,
     threshold_samples: int = 1_000_000,
     threshold_seed: int = 0,
-    cache=None,
 ) -> SchemeParams:
     """Experiment scheme: linear-width profile with a pinned reduced dimension."""
     return derive_params(
@@ -98,7 +97,6 @@ def tuned_scheme(
         r=r,
         threshold_samples=threshold_samples,
         threshold_seed=threshold_seed,
-        cache=cache,
     )
 
 

@@ -154,10 +154,13 @@ def read_truth_csv(path: str) -> tuple[np.ndarray, np.ndarray]:
     ids = np.empty(len(body), dtype=np.int64)
     dists = np.empty(len(body), dtype=np.float64)
     for i, row in enumerate(body):
-        if len(row) != 3 or int(row[0]) != i:
-            raise FormatError(f"{path}: bad truth row {i}")
-        ids[i] = int(row[1])
-        dists[i] = float(row[2])
+        try:
+            if len(row) != 3 or int(row[0]) != i:
+                raise ValueError
+            ids[i] = int(row[1])
+            dists[i] = float(row[2])
+        except (ValueError, OverflowError):
+            raise FormatError(f"{path}: bad truth row {i}: {','.join(row)!r}") from None
     return ids, dists
 
 

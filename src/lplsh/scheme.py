@@ -24,7 +24,7 @@ import numpy as np
 
 from .geometry import ContractViolation, LpSpace
 from .lattice import DEFAULT_U_MAX, LatticeParams, ShiftedLatticeSet, compute_num_shifts
-from .stable import DEFAULT_THRESHOLD_SAMPLES, StableParams, Threshold, ThresholdCache, compute_threshold
+from .stable import DEFAULT_THRESHOLD_SAMPLES, StableParams, Threshold, compute_threshold
 from .util import derived_generators, derived_seeds
 from . import stable as _stable
 
@@ -111,10 +111,6 @@ class SchemeParams:
     def num_shifts(self) -> int:
         return self.lattice.num_shifts
 
-    @property
-    def u_saturated(self) -> bool:
-        return self.lattice.saturated
-
     def space(self) -> LpSpace:
         return LpSpace(self.p, self.t)
 
@@ -149,11 +145,8 @@ def derive_params(
     knobs: Knobs = Knobs(),
     overrides: dict[str, float] | None = None,
     r: float = 1.0,
-    delta: float = 4.0,
-    u_max: int = DEFAULT_U_MAX,
     threshold_samples: int = DEFAULT_THRESHOLD_SAMPLES,
     threshold_seed: int = 0,
-    cache: ThresholdCache | None = None,
 ) -> SchemeParams:
     """Derive the full scheme for approximation factor c in l_p."""
     if not (1.0 < c < math.inf):
@@ -169,10 +162,8 @@ def derive_params(
     if profile == PROFILE_MAIN and c < math.e:
         profile = PROFILE_REMARK
 
-    if "u_max" in ov:
-        u_max = _integral(ov, "u_max")
-    if "delta" in ov:
-        delta = float(ov["delta"])
+    u_max = _integral(ov, "u_max") if "u_max" in ov else DEFAULT_U_MAX
+    delta = float(ov.get("delta", 4.0))
 
     w = float(ov.get("w", knobs.kappa_w * (c * math.log(c) if profile == PROFILE_MAIN else c)))
     if not (0.0 < w < math.inf):
@@ -211,7 +202,7 @@ def derive_params(
         )
     else:
         threshold = compute_threshold(
-            t, epsilon, StableParams(p), n_samples=threshold_samples, seed=threshold_seed, cache=cache
+            t, epsilon, StableParams(p), n_samples=threshold_samples, seed=threshold_seed
         )
 
     return SchemeParams(

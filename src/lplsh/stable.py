@@ -5,15 +5,14 @@ function exp(-|xi|^p). Under it, <a, x> with i.i.d. standard p-stable a is
 distributed as ||x||_p * X, and p = 2 is the Gaussian with variance 2.
 
 The projection threshold is T = t * E[min(|X|, t^eps)^p] / 2, estimated by
-Monte Carlo (the truncated moment has no closed form we rely on) and cached
-by its full parameter key so reruns are free and reproducible.
+Monte Carlo (the truncated moment has no closed form we rely on). It is a
+function of (p, t, eps, samples, seed) alone and is memoised in-process
+only: each run recomputes it from its seed.
 """
 
 from __future__ import annotations
 
-import json
 import math
-import os
 from dataclasses import dataclass
 from functools import partial
 
@@ -152,63 +151,6 @@ class Threshold:
             raise ContractViolation(f"epsilon must lie in (0, 1), got {self.epsilon}")
 
 
-class ThresholdCache:
-    """JSON-lines cache of computed thresholds, keyed by the full parameter tuple.
-
-    Each record carries a version field; unknown versions are skipped on read
-    so the file can evolve. Safe to share between runs; lookups match keys
-    exactly (the derivation is bit-reproducible, so exact float match works).
-    """
-
-    VERSION = 1
-
-    def __init__(self, path: str | os.PathLike | None = None):
-        self.path = os.fspath(path) if path is not None else None
-        self._mem: dict[tuple, float] = {}
-        if self.path is not None and os.path.exists(self.path):
-            self._load()
-
-    @staticmethod
-    def _key(p: float, t: int, epsilon: float, n_samples: int, seed: int) -> tuple:
-        return (float(p), int(t), float(epsilon), int(n_samples), int(seed))
-
-    def _load(self) -> None:
-        with open(self.path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    rec = json.loads(line)
-                except json.JSONDecodeError:
-                    continue
-                if rec.get("version") != self.VERSION:
-                    continue
-                key = self._key(rec["p"], rec["t"], rec["eps"], rec["n_samples"], rec["seed"])
-                self._mem[key] = float(rec["T"])
-
-    def get(self, p: float, t: int, epsilon: float, n_samples: int, seed: int) -> float | None:
-        return self._mem.get(self._key(p, t, epsilon, n_samples, seed))
-
-    def put(self, threshold: Threshold) -> None:
-        key = self._key(threshold.p, threshold.t, threshold.epsilon, threshold.sample_count, threshold.seed)
-        if key in self._mem:
-            return
-        self._mem[key] = threshold.value
-        if self.path is not None:
-            rec = {
-                "version": self.VERSION,
-                "p": threshold.p,
-                "t": threshold.t,
-                "eps": threshold.epsilon,
-                "n_samples": threshold.sample_count,
-                "seed": threshold.seed,
-                "T": threshold.value,
-            }
-            with open(self.path, "a", encoding="utf-8") as fh:
-                fh.write(json.dumps(rec, sort_keys=True) + "\n")
-
-
 # In-process memo so repeated derivations inside one run do not resample.
 _THRESHOLD_MEMO: dict[tuple, float] = {}
 
@@ -219,7 +161,6 @@ def compute_threshold(
     params: StableParams,
     n_samples: int = DEFAULT_THRESHOLD_SAMPLES,
     seed: int = 0,
-    cache: ThresholdCache | None = None,
 ) -> Threshold:
     """T = t * E[min(|X|, t^eps)^p] / 2 by seeded Monte Carlo."""
     if t < 2:
@@ -228,16 +169,12 @@ def compute_threshold(
         raise ContractViolation(f"epsilon must lie in (0, 1), got {epsilon}")
     key = (float(params.p), int(t), float(epsilon), int(n_samples), int(seed))
     value = _THRESHOLD_MEMO.get(key)
-    if value is None and cache is not None:
-        value = cache.get(params.p, t, epsilon, n_samples, seed)
     if value is None:
         m = float(t) ** epsilon
         est = truncated_moment(params, max(m, 1.0), 1, n_samples, derive_rng(seed, 7, t))
         value = t * est.value / 2.0
     threshold = Threshold(value=value, t=t, epsilon=epsilon, p=params.p, sample_count=n_samples, seed=seed)
     _THRESHOLD_MEMO[key] = value
-    if cache is not None:
-        cache.put(threshold)
     return threshold
 
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
 import tempfile
 import time
 from dataclasses import dataclass
@@ -40,6 +39,7 @@ from .lattice import (
 )
 from .scheme import PROFILE_MAIN, Knobs, derive_params, sample_hash
 from .stable import (
+    _THRESHOLD_MEMO,
     StableParams,
     compute_threshold,
     fit_tail_constant,
@@ -153,19 +153,15 @@ def _tail_suite(level: str, seed: int) -> tuple[bool, str]:
     )
 
 
-def _threshold_cache_suite(level: str, seed: int) -> tuple[bool, str]:
+def _threshold_suite(level: str, seed: int) -> tuple[bool, str]:
     params = StableParams(1.5)
     n = 200_000
-    with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "thresholds.jsonl")
-        from .stable import ThresholdCache
-
-        cache = ThresholdCache(path)
-        t1 = compute_threshold(8, 0.3, params, n_samples=n, seed=seed, cache=cache)
-        cache2 = ThresholdCache(path)
-        t2 = compute_threshold(8, 0.3, params, n_samples=n, seed=seed, cache=cache2)
-        ok = t1.value == t2.value and t1.value > 0
-    detail = f"T={t1.value:.6f} cache_replay={int(ok)}"
+    t1 = compute_threshold(8, 0.3, params, n_samples=n, seed=seed)
+    _THRESHOLD_MEMO.clear()
+    t2 = compute_threshold(8, 0.3, params, n_samples=n, seed=seed)
+    identical = t1.value == t2.value
+    ok = identical and t1.value > 0
+    detail = f"T={t1.value:.6f} recomputed_identical={int(identical)}"
     if level == "full":
         # quadrature value for T(t=64, eps=0.25) from scripts/pin_oracles.py;
         # 0.1 is ~6 sigma at 10^7 samples
@@ -417,7 +413,7 @@ SUITES = {
     "sampler_determinism": _sampler_determinism_suite,
     "truncated_moment_monotone": _moment_monotone_suite,
     "tail_bounds": _tail_suite,
-    "threshold_cache": _threshold_cache_suite,
+    "threshold": _threshold_suite,
     "covering": _covering_suite,
     "covering_monotone": _covering_monotone_suite,
     "disjointness": _disjointness_suite,

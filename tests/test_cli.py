@@ -9,6 +9,7 @@ from lplsh import LpSpace, linear_scan_nn, load_index, read_vectors
 from lplsh.cli import main
 from lplsh.collisions import RHO_CSV_COLUMNS
 from lplsh.datasets import read_truth_csv
+from lplsh.stable import _THRESHOLD_MEMO
 from lplsh.util import crc64
 
 FAST_SCHEME = [
@@ -145,10 +146,37 @@ class TestBuild:
         index = load_index(out)
         assert index.n == 60
 
-    def test_threshold_cache_created(self, built_index):
-        import os
-        cache = os.path.join(os.path.dirname(built_index), "thresholds.jsonl")
-        assert os.path.exists(cache)
+    def test_build_leaves_only_the_index_file(self, instance, built_index, tmp_path):
+        # T comes from its seed alone: a build writes no side file, and a
+        # stale threshold record beside the index does not change its bytes,
+        # even when the in-process memo is empty
+        fresh, stale = tmp_path / "fresh", tmp_path / "stale"
+        stale.mkdir()
+        (stale / "thresholds.jsonl").write_text(
+            '{"version": 1, "p": 1.5, "t": 3, "eps": 0.9102392266268373, "n_samples": 10000, "seed": 0, "T": 123.0}\n'
+        )
+        for root in (fresh, stale):
+            _THRESHOLD_MEMO.clear()
+            assert main([
+                "build", "--data", instance + ".fvecs", "--out", str(root / "toy.lplsh"), "--seed", "7",
+                "--k", "2", "--l", "3", *FAST_SCHEME,
+            ]) == 0
+        assert [path.name for path in fresh.iterdir()] == ["toy.lplsh"]
+        expected = open(built_index, "rb").read()
+        assert (fresh / "toy.lplsh").read_bytes() == expected
+        assert (stale / "toy.lplsh").read_bytes() == expected
+
+    def test_config_key_no_option_reads_is_format_error(self, instance, tmp_path, capsys):
+        cfg = tmp_path / "build.cfg"
+        cfg.write_text("safty=0.5\nmax_candidate=1\nu_max=10\nseed=7\n")
+        out = tmp_path / "idx.lplsh"
+        code = main(["build", "--config", str(cfg), "--data", instance + ".fvecs", "--out", str(out),
+                     "--k", "2", "--l", "3", *FAST_SCHEME])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"format error: {cfg}: no option of this command reads max_candidate, safty, u_max\n"
+        )
+        assert not out.exists()
 
     def test_auto_sizing(self, instance, tmp_path, capsys):
         out = str(tmp_path / "auto.lplsh")
@@ -374,6 +402,15 @@ class TestQuery:
         assert code == 1
         assert "3 rows for 6 queries" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("row", ["0,abc,1.0", "0,1,far"])
+    def test_non_numeric_truth_row_is_format_error(self, instance, built_index, tmp_path, capsys, row):
+        truth = tmp_path / "bad.truth.csv"
+        truth.write_text(f"query_id,answer_id,distance\n{row}\n")
+        code = main(["query", "--index", built_index, "--queries", instance + ".queries.fvecs",
+                     "--truth", str(truth), "--out", str(tmp_path / "res.csv")])
+        assert code == 2
+        assert capsys.readouterr().err == f"format error: {truth}: bad truth row 0: {row!r}\n"
 
     @pytest.mark.parametrize(("at", "message"), [
         (struct.calcsize("<H2d"), "r must be > 0 and finite, got nan"),

@@ -340,7 +340,7 @@ class TestTunedScheme:
         assert scheme.t == 3
         assert scheme.lattice.delta == 3.0
         assert scheme.num_shifts == 6638
-        assert not scheme.u_saturated
+        assert not scheme.lattice.saturated
 
     def test_shift_count_independent_of_c(self):
         a = tuned_scheme(2.0, 1.5, threshold_samples=10_000)

@@ -1,9 +1,10 @@
 """The package's public names: each one in `lplsh.__all__` exists, and the
-per-function hashing wrappers that hash_batch replaced, and the radius
-ladder, stay gone."""
+per-function hashing wrappers that hash_batch replaced, the radius ladder
+and the threshold file cache stay gone."""
 
 import lplsh
 import lplsh.index
+import lplsh.stable
 
 
 def test_every_exported_name_resolves():
@@ -14,6 +15,7 @@ def test_every_exported_name_resolves():
 def test_removed_hashing_wrappers_are_gone():
     removed = ("HashValue", "hash_point", "make_lattices", "eval_hash", "eval_hash_batch", "evaluation_cost")
     ladder = ("RadiusLadder", "radius_ladder_query", "LadderResult")
-    assert [name for name in removed + ladder if hasattr(lplsh, name)] == []
+    assert [name for name in removed + ladder + ("ThresholdCache",) if hasattr(lplsh, name)] == []
     assert [name for name in ladder if hasattr(lplsh.index, name)] == []
+    assert not hasattr(lplsh.stable, "ThresholdCache")
     assert "hash_batch" in lplsh.__all__

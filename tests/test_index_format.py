@@ -187,7 +187,7 @@ def reference_load_bytes(raw: bytes):
 
 def main_profile_scheme():
     # the main profile with its derived t, eps and U; only the threshold is cheapened
-    return derive_params(2.0, 1.5, threshold_samples=10_000, u_max=64)
+    return derive_params(2.0, 1.5, overrides={"u_max": 64}, threshold_samples=10_000)
 
 
 def indexed(scheme, n, d=5, k=2, l=3, seed=7, max_candidates=None):

@@ -86,10 +86,10 @@ class TestDeriveParams:
     def test_u_override_and_cap(self):
         params = pinned(3.0, 1.5, overrides={"u": 50})
         assert params.num_shifts == 50
-        assert not params.u_saturated
+        assert not params.lattice.saturated
         capped = pinned(3.0, 1.5, overrides={"u": 50, "u_max": 10})
         assert capped.num_shifts == 10
-        assert capped.u_saturated
+        assert capped.lattice.saturated
 
     def test_eps_leaves_unit_interval(self):
         # remark eps = 1/ln t exceeds 1 at t = 2

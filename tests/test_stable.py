@@ -17,7 +17,6 @@ from lplsh import (
     ContractViolation,
     LpSpace,
     StableParams,
-    ThresholdCache,
     compute_threshold,
     fit_tail_constant,
     lp_norm,
@@ -144,20 +143,6 @@ class TestThreshold:
     def test_epsilon_validation(self):
         with pytest.raises(ContractViolation):
             compute_threshold(8, 1.2, StableParams(1.5), n_samples=20_000)
-
-    def test_cache_roundtrip(self, tmp_path):
-        path = tmp_path / "thresholds.jsonl"
-        params = StableParams(1.5)
-        first = compute_threshold(8, 0.3, params, n_samples=30_000, seed=7, cache=ThresholdCache(path))
-        again = compute_threshold(8, 0.3, params, n_samples=30_000, seed=7, cache=ThresholdCache(path))
-        assert first.value == again.value
-        # a fresh cache file replays the exact float
-        assert ThresholdCache(path).get(1.5, 8, 0.3, 30_000, 7) == first.value
-
-    def test_cache_skips_unknown_version(self, tmp_path):
-        path = tmp_path / "thresholds.jsonl"
-        path.write_text('{"version": 99, "p": 1.5, "t": 8, "eps": 0.3, "n_samples": 30000, "seed": 7, "T": 123.0}\n')
-        assert ThresholdCache(path).get(1.5, 8, 0.3, 30_000, 7) is None
 
 
 class TestTailBounds:

@@ -30,7 +30,7 @@ def test_suite_names_and_order():
         "sampler_determinism",
         "truncated_moment_monotone",
         "tail_bounds",
-        "threshold_cache",
+        "threshold",
         "covering",
         "covering_monotone",
         "disjointness",
@@ -50,7 +50,7 @@ def test_suite_names_and_order():
         "norm_properties",
         "sampler_determinism",
         "truncated_moment_monotone",
-        "threshold_cache",
+        "threshold",
         "covering_monotone",
         "locate_bruteforce",
         "translation_equivariance",
