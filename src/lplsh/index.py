@@ -330,20 +330,20 @@ class LshIndex:
         """Results of a group of queries from their (m, l) fingerprints, all tables at once."""
         flat, l, n = self.flat, self.params.l, self.n
         m = qs.shape[0]
-        # pair (query, table) is query * l + table; find the first bucket whose
-        # fingerprint is >= the key inside each pair's table segment
-        keys = query_fps.ravel()
-        lo = np.tile(flat.bounds[:-1], m)
-        hi = end = np.tile(flat.bounds[1:], m)
-        for _ in range(int(np.diff(flat.bounds).max()).bit_length()):
-            mid = (lo + hi) >> 1
-            right = (lo < hi) & (flat.fps.take(mid, mode="clip") < keys)
-            lo = np.where(right, mid + 1, lo)
-            hi = np.where(right, hi, mid)
-        pair = np.flatnonzero(lo < end)
-        pair = pair[flat.fps[lo[pair]] == keys[pair]]
+        # pair (query, table) is query * l + table. A pair's candidate bucket
+        # is the last one in its table's segment whose fingerprint is <= its
+        # key, or the segment's first. It lies in [base, base + size), and
+        # each step halves size, so every probe stays inside the segment. The
+        # pair hits when that bucket holds the key; an empty index has none
+        base, size = flat.bounds[None, :-1].repeat(m, axis=0), flat.bounds[1:] - flat.bounds[:-1]
+        for _ in range(int(size.max() - 1).bit_length() if n else 0):
+            half = size >> 1
+            mid = base + half
+            base = np.where(flat.fps[mid] <= query_fps, mid, base)
+            size = size - half
+        pair = np.flatnonzero(flat.fps[base] == query_fps) if n else np.empty(0, dtype=np.intp)
         table = pair % l
-        local = lo[pair] + table
+        local = base.ravel()[pair] + table
         start = flat.offsets[local]
         # Before any probed table a query holds fewer than budget candidates,
         # so a bucket's first budget members always complete the budget.
@@ -369,7 +369,8 @@ class LshIndex:
         dists = np.asarray(lp_norm(self.points[cand_pos] - qs[cand_query], self.space()))
         cand_ids = self.ids[cand_pos]
         order = np.lexsort((cand_ids, dists, cand_query))
-        best = order[np.flatnonzero(np.diff(cand_query[order], prepend=-1))]
+        # cand_query ascends, and query i holds examined[i] candidates: the first of each run is its best
+        best = order[(np.cumsum(examined) - examined)[examined > 0]]
         answers: list[tuple[int, float] | None] = [None] * m
         for qi, cand_id, dist in zip(cand_query[best].tolist(), cand_ids[best].tolist(), dists[best].tolist()):
             answers[qi] = (cand_id, dist)
@@ -454,11 +455,12 @@ def build(
             new = np.ones(n, dtype=bool)  # sorted row i starts a bucket
             new[1:] = sorted_fps[1:] != sorted_fps[:-1]
             starts = np.flatnonzero(new)
-            # a fingerprint collision is a bucket whose full keys are not all equal
-            sorted_rows = key_mat[order]
-            bad = ~new[1:] & (sorted_rows[1:] != sorted_rows[:-1]).any(axis=1)
-            if bad.any():
-                owner = np.searchsorted(starts, np.flatnonzero(bad), side="right") - 1
+            # a fingerprint collision is a bucket whose full keys are not all
+            # equal; only sorted rows i, i + 1 of one bucket need comparing
+            tied = np.flatnonzero(~new[1:])
+            bad = tied[(key_mat[order[tied]] != key_mat[order[tied + 1]]).any(axis=1)]
+            if bad.size:
+                owner = np.searchsorted(starts, bad, side="right") - 1
                 collisions += int(np.unique(owner).size)
             table_fps.append(sorted_fps[starts])
             table_offsets.append(np.concatenate((starts, [n])))

@@ -213,44 +213,49 @@ def locate(x: np.ndarray, u: int, lattices: ShiftedLatticeSet, space: LpSpace) -
         raise ContractViolation(f"x must have shape ({params.t},), got {xa.shape}")
     shift = lattices.shift_block(u - 1, u)
     # the scan's own test and cell arithmetic, on one row and one shift
-    if not _covered(xa[:, None], shift.T[:, :, None], params, space.p)[0, 0]:
+    hit, cell = _covered(xa[:, None], shift.T[:, :, None], params, space.p)
+    if not hit[0, 0]:
         return None
-    return np.rint((xa - shift[0]) / params.spacing).astype(np.int64)
+    return cell[:, 0, 0].astype(np.int64)
 
 
-def _covered(cols: np.ndarray, shifts: np.ndarray, params: LatticeParams, p: float) -> np.ndarray:
-    """(b, rows) test ||x - shift - spacing * cell||_p <= w of each row x of cols (t, rows) against its b shifts.
+def _covered(cols: np.ndarray, shifts: np.ndarray, params: LatticeParams, p: float) -> tuple[np.ndarray, np.ndarray]:
+    """(b, rows) test ||x - shift - spacing * cell||_p <= w of each row x of cols (t, rows) against its b shifts, and the cells.
 
     shifts is (t, b, c): laid out as a (rows / c, c) grid, row r sees
-    shifts[:, :, r % c]. rel, cell and the power terms are (t, b, rows)
-    arrays computed in place in two buffers, in the memory order of the
-    operands: the rows are contiguous for shared, grid and gathered
-    blocks, while a transposed view (the lab's trial-major draws) keeps
-    its shifts contiguous, so it is never copied. Coordinates here are
-    bounded by the lattice spacing, so the powers stay well conditioned
-    without rescaling.
+    shifts[:, :, r % c]. Returns (hit, cell): cell is the (t, b, rows)
+    rint((x - shift) / spacing), the nearest lattice point, kept in its
+    own buffer so the scan reads a hit's cell from it. rel and the power
+    terms are computed in place in a second and a third buffer, in the
+    memory order of the operands: the rows are contiguous for shared,
+    grid and gathered blocks, while a transposed view (the lab's
+    trial-major draws) keeps its shifts contiguous, so it is never
+    copied. Coordinates here are bounded by the lattice spacing, so the
+    powers stay well conditioned without rescaling.
     """
     t, b, c = shifts.shape
     rel = np.subtract(cols.reshape(t, 1, -1, c), shifts[:, :, None, :])
     cell = np.divide(rel, params.spacing)
     np.rint(cell, out=cell)
     # rel becomes |rel - spacing * cell|, then its p-th power
-    np.subtract(rel, np.multiply(cell, params.spacing, out=cell), out=rel)
-    _abs_pow(np.abs(rel, out=rel), p, cell)
-    return _column_sum(list(rel.reshape(t, b, -1))) <= params.w**p
+    scratch = np.multiply(cell, params.spacing)
+    np.subtract(rel, scratch, out=rel)
+    _abs_pow(np.abs(rel, out=rel), p, scratch)
+    return _column_sum(list(rel.reshape(t, b, -1))) <= params.w**p, cell.reshape(t, b, -1)
 
 
 def _first_hit(hit: np.ndarray) -> np.ndarray:
-    """Row of the first True in each column of the (b, rows) hit, or b where there is none."""
-    if hit.shape[0] * 200 > hit.shape[1]:
-        return np.where(hit.any(axis=0), hit.argmax(axis=0), hit.shape[0])
-    # argmax down many short columns is slow, so count each column's leading misses
-    alive = ~hit[0]
-    first = alive.astype(np.intp)
-    for row in hit[1:]:
-        alive &= ~row
-        first += alive
-    return first
+    """Row of the first True in each column of the (b, rows) hit, or b where there is none, as intp.
+
+    Row i ranks b - i, so a column's largest hit * rank is b - first, or 0
+    without a hit: one reduction down the shift axis, which is contiguous
+    in either memory order of hit. int16 ranks hold any b up to 2**15 - 1
+    and are widened before the subtraction, so u = lo + first + 1 never
+    sees them.
+    """
+    b = hit.shape[0]
+    ranks = np.arange(b, 0, -1, dtype=np.int16)[:, None]
+    return np.subtract(b, np.multiply(hit, ranks).max(axis=0), dtype=np.intp)
 
 
 def first_cover(
@@ -297,49 +302,59 @@ def _scan(
 
     The first block asks for `block` shifts, and the schedule grows from
     there by SCAN_BLOCKS' factor. Row slices hold about elems (shift, row)
-    pairs at most. Returns the block size the schedule reached.
+    pairs at most. A hit takes its cell from the ball test's own rounding.
+    One point set carries its missed rows to the next block; several
+    recount the rows some set still needs. Returns the block size the
+    schedule reached.
     """
     n = point_sets[0].shape[0]
     # coordinate-major copies, so each block gathers its rows from contiguous memory
     point_cols = [np.ascontiguousarray(pts.T) for pts in point_sets]
+    one_set = len(out) == 1
+    active = _pending(out)
     lo = span.start
-    while lo < span.stop:
-        pending = out[0][0] == 0
-        for u, _ in out[1:]:
-            pending |= u == 0
-        active = pending.nonzero()[0]
-        if not active.size:
-            break
+    while lo < span.stop and active.size:
         shifts = draw(lo, min(block, span.stop - lo), active)
         b, c = shifts.shape[1:]
         # row slices bound the (t, b, rows) temporaries: a run of a per-row
         # block's columns, or whole rows of a grid
         per_row = c == active.size
         step = max(1, elems // b) if per_row else c * max(1, elems // (b * c))
+        missed = []
         for base in range(0, active.size, step):
             part = active[base : base + step]
             block_shifts = shifts[:, :, base : base + step] if per_row else shifts
             for pts_cols, (u, coords) in zip(point_cols, out):
                 rows, part_shifts = part, block_shifts
-                if len(out) > 1:  # another set may have resolved some of these rows
+                if not one_set:  # another set may have resolved some of these rows
                     todo = u[part] == 0
                     rows = part[todo]
                     if not rows.size:
                         continue
                     if per_row and rows.size < part.size:
                         part_shifts = block_shifts[:, :, todo]
-                cols = pts_cols if rows.size == n else np.take(pts_cols, rows, axis=1)
-                first = _first_hit(_covered(cols, part_shifts, params, p))
+                cols = pts_cols if rows.size == n else pts_cols.take(rows, axis=1)
+                hit, cell = _covered(cols, part_shifts, params, p)
+                first = _first_hit(hit)
                 found = (first < b).nonzero()[0]
                 if found.size:
-                    first, hit_rows = first[found], rows[found]
-                    u[hit_rows] = lo + first + 1
-                    # the hit's cell, recomputed with the scan's arithmetic
-                    hit_shifts = part_shifts[:, first, found % part_shifts.shape[2]]
-                    coords[hit_rows] = np.rint((np.take(cols, found, axis=1) - hit_shifts) / params.spacing).T
+                    hit_rows, hit_first = rows[found], first[found]
+                    u[hit_rows] = hit_first + (lo + 1)
+                    coords[hit_rows] = cell[:, hit_first, found].T
+                if one_set:
+                    missed.append(rows[first == b] if found.size else rows)
         lo += b
         block = min(math.ceil(block * SCAN_BLOCKS[1]), SHIFT_CHUNK)
+        active = np.concatenate(missed) if one_set else _pending(out)
     return block
+
+
+def _pending(out: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
+    """The rows some (u, coords) of out still has at u = 0."""
+    pending = out[0][0] == 0
+    for u, _ in out[1:]:
+        pending |= u == 0
+    return pending.nonzero()[0]
 
 
 def stack_prefix(sets: list[ShiftedLatticeSet]) -> np.ndarray:
@@ -396,10 +411,10 @@ def _grid_block(
         # a flat index into the contiguous prefix, so np.take copies no (t, b, len(sets)) slice of it
         b = min(b, size - lo)
         at = np.arange(lo * count, (lo + b) * count, count)[:, None] + owner
-        return np.take(prefix.reshape(prefix.shape[0], -1), at, axis=1)
+        return prefix.reshape(prefix.shape[0], -1).take(at, axis=1)
     used, inverse = np.unique(owner, return_inverse=True)
     blocks = np.stack([sets[i].shift_block(lo, lo + b).T for i in used], axis=-1)
-    return np.take(blocks, inverse, axis=2)
+    return blocks.take(inverse, axis=2)
 
 
 def hash_batch(

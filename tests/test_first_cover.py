@@ -502,11 +502,34 @@ def test_covered_matches_reference_ball_test(t, p, per_set, sets):
     direction /= (np.abs(direction) ** p).sum(axis=1, keepdims=True) ** (1.0 / p)
     radius = params.w * rng.choice([0.5, 1.0, 1.5], size=(rows, 1))
     cols = np.ascontiguousarray((centres + radius * direction).T)
-    got = lplsh.lattice._covered(cols, shifts, params, p)
+    got, _ = lplsh.lattice._covered(cols, shifts, params, p)
     want = reference_covered(cols, shifts, params, p)
     assert got.shape == want.shape == (12, per_set * sets)
     assert np.array_equal(got, want)
     assert got.any() and not got.all()
+
+
+def reference_first_hit(hit):
+    """The frozen first hit: argmax down each column of the (b, rows) hit, b where the column has none."""
+    return np.where(hit.any(axis=0), hit.argmax(axis=0), hit.shape[0])
+
+
+@pytest.mark.parametrize("order", ["C", "F"], ids=["rows-contiguous", "shifts-contiguous"])
+@pytest.mark.parametrize("b", [1, 2, 7, 8, 9, 200, 1024])
+def test_first_hit_matches_argmax_reference(b, order):
+    # sparse hits leave some columns without one; column 0 never hits, column
+    # 1 hits on every row and column 2 only on the last. An F-ordered hit is
+    # the layout the lab's transposed (t, b, rows) blocks give
+    rng = derive_rng(1, 9322, b)
+    hit = rng.random((b, 300)) < 1.5 / b
+    hit[:, :3] = False
+    hit[:, 1] = True
+    hit[-1, 2] = True
+    hit = np.array(hit, order=order)
+    got = lplsh.lattice._first_hit(hit)
+    assert got.dtype == np.intp
+    assert np.array_equal(got, reference_first_hit(hit))
+    assert (got == b).any() and (got < b).any()
 
 
 def test_threaded_scan_matches_reference(monkeypatch):

@@ -140,6 +140,29 @@ class TestBuild:
         assert index.fallback_rate is not None and 0.0 <= index.fallback_rate <= 0.05
         assert index.avg_probes is not None and 1.0 <= index.avg_probes <= scheme.num_shifts
 
+    def test_fingerprint_collisions_counted_at_forced_ties(self, scheme, monkeypatch):
+        # a fold keeping 2 bits of the real fingerprint puts distinct keys in
+        # one bucket; the count is the buckets, over all tables, that hold at
+        # least two distinct full keys
+        real = lplsh.index.fingerprint_rows
+        monkeypatch.setattr(lplsh.index, "fingerprint_rows", lambda keys: real(keys) & np.uint64(3))
+        rng = derive_rng(0, 9501)
+        pts = np.repeat(rng.normal(size=(8, 5)), 6, axis=0) + 0.05 * rng.normal(size=(48, 5))
+        params = IndexParams(k=2, l=6, seed=12)
+        index = build(pts, scheme, params)
+        unit = lplsh.scheme.scale_to_unit(pts, scheme.r)
+        keys = lplsh.index._key_rows(index.functions(), unit, range(params.l), params.k, scheme.space())
+        keys = keys.reshape(pts.shape[0], params.l, -1)
+        want = buckets = 0
+        for ell in range(params.l):
+            folded = (real(keys[:, ell]) & np.uint64(3)).tolist()
+            for fp in set(folded):
+                members = {tuple(row) for row, f in zip(keys[:, ell].tolist(), folded) if f == fp}
+                want += len(members) >= 2
+                buckets += 1
+        assert 0 < want < buckets
+        assert index.fingerprint_collisions == want
+
     def test_empty_dataset(self, scheme):
         pts = np.empty((0, 4))
         index = build(pts, scheme, IndexParams(k=1, l=2, seed=0))
