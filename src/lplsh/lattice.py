@@ -248,10 +248,10 @@ def _first_hit(hit: np.ndarray) -> np.ndarray:
     """Row of the first True in each column of the (b, rows) hit, or b where there is none, as intp.
 
     Row i ranks b - i, so a column's largest hit * rank is b - first, or 0
-    without a hit: one reduction down the shift axis, which is contiguous
-    in either memory order of hit. int16 ranks hold any b up to 2**15 - 1
-    and are widened before the subtraction, so u = lo + first + 1 never
-    sees them.
+    without a hit: one reduction down the shift axis, which numpy runs
+    over whole rows or whole columns in either memory order of hit. int16
+    ranks hold any b up to 2**15 - 1 and are widened before the
+    subtraction, so u = lo + first + 1 never sees them.
     """
     b = hit.shape[0]
     ranks = np.arange(b, 0, -1, dtype=np.int16)[:, None]
@@ -341,6 +341,7 @@ def _scan(
                     hit_rows, hit_first = rows[found], first[found]
                     u[hit_rows] = hit_first + (lo + 1)
                     coords[hit_rows] = cell[:, hit_first, found].T
+                del cell  # before the next ball test allocates its buffers
                 if one_set:
                     missed.append(rows[first == b] if found.size else rows)
         lo += b
