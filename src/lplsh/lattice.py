@@ -409,7 +409,7 @@ def _grid_block(
     b = max(1, min(b, elems // rows.size))
     owner = rows % count
     if lo < size:
-        # a flat index into the contiguous prefix, so np.take copies no (t, b, len(sets)) slice of it
+        # a flat index into the contiguous prefix, so take copies no (t, b, len(sets)) slice of it
         b = min(b, size - lo)
         at = np.arange(lo * count, (lo + b) * count, count)[:, None] + owner
         return prefix.reshape(prefix.shape[0], -1).take(at, axis=1)
