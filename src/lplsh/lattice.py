@@ -226,21 +226,24 @@ def _covered(cols: np.ndarray, shifts: np.ndarray, params: LatticeParams, p: flo
     shifts[:, :, r % c]. Returns (hit, cell): cell is the (t, b, rows)
     rint((x - shift) / spacing), the nearest lattice point, kept in its
     own buffer so the scan reads a hit's cell from it. rel and the power
-    terms are computed in place in a second and a third buffer, in the
-    memory order of the operands: the rows are contiguous for shared,
-    grid and gathered blocks, while a transposed view (the lab's
-    trial-major draws) keeps its shifts contiguous, so it is never
-    copied. Coordinates here are bounded by the lattice spacing, so the
-    powers stay well conditioned without rescaling.
+    terms are computed in place in a second buffer, in the memory order
+    of the operands: the rows are contiguous for shared, grid and
+    gathered blocks, while a transposed view (the lab's trial-major
+    draws) keeps its shifts contiguous, so it is never copied.
+    Coordinates here are bounded by the lattice spacing, so the powers
+    stay well conditioned without rescaling.
     """
     t, b, c = shifts.shape
     rel = np.subtract(cols.reshape(t, 1, -1, c), shifts[:, :, None, :])
     cell = np.divide(rel, params.spacing)
     np.rint(cell, out=cell)
-    # rel becomes |rel - spacing * cell|, then its p-th power
-    scratch = np.multiply(cell, params.spacing)
-    np.subtract(rel, scratch, out=rel)
-    _abs_pow(np.abs(rel, out=rel), p, scratch)
+    # rel becomes |rel - spacing * cell|, then its p-th power, one coordinate
+    # at a time: spacing * cell and the power chain's square roots take a
+    # scratch of one coordinate's size, not a third (t, b, rows) buffer
+    scratch = np.empty_like(rel[0])
+    for rel_i, cell_i in zip(rel, cell):
+        np.subtract(rel_i, np.multiply(cell_i, params.spacing, out=scratch), out=rel_i)
+        _abs_pow(np.abs(rel_i, out=rel_i), p, scratch)
     return _column_sum(list(rel.reshape(t, b, -1))) <= params.w**p, cell.reshape(t, b, -1)
 
 
@@ -302,31 +305,31 @@ def _scan(
 
     The first block asks for `block` shifts, and the schedule grows from
     there by SCAN_BLOCKS' factor. Row slices hold about elems (shift, row)
-    pairs at most. A hit takes its cell from the ball test's own rounding.
-    One point set carries its missed rows to the next block; several
-    recount the rows some set still needs. Returns the block size the
-    schedule reached.
+    pairs at most. A hit takes its cell from the ball test's own rounding,
+    and each block scans only the rows the last one left pending. Returns
+    the block size the schedule reached.
     """
     n = point_sets[0].shape[0]
     # coordinate-major copies, so each block gathers its rows from contiguous memory
     point_cols = [np.ascontiguousarray(pts.T) for pts in point_sets]
-    one_set = len(out) == 1
-    active = _pending(out)
+    active = np.arange(n)
     lo = span.start
-    while lo < span.stop and active.size:
+    while lo < span.stop:
+        active = _pending(out, active)
+        if not active.size:
+            break
         shifts = draw(lo, min(block, span.stop - lo), active)
         b, c = shifts.shape[1:]
         # row slices bound the (t, b, rows) temporaries: a run of a per-row
         # block's columns, or whole rows of a grid
         per_row = c == active.size
         step = max(1, elems // b) if per_row else c * max(1, elems // (b * c))
-        missed = []
         for base in range(0, active.size, step):
             part = active[base : base + step]
             block_shifts = shifts[:, :, base : base + step] if per_row else shifts
             for pts_cols, (u, coords) in zip(point_cols, out):
                 rows, part_shifts = part, block_shifts
-                if not one_set:  # another set may have resolved some of these rows
+                if len(out) > 1:  # another set may have resolved some of these rows
                     todo = u[part] == 0
                     rows = part[todo]
                     if not rows.size:
@@ -342,20 +345,17 @@ def _scan(
                     u[hit_rows] = hit_first + (lo + 1)
                     coords[hit_rows] = cell[:, hit_first, found].T
                 del cell  # before the next ball test allocates its buffers
-                if one_set:
-                    missed.append(rows[first == b] if found.size else rows)
         lo += b
         block = min(math.ceil(block * SCAN_BLOCKS[1]), SHIFT_CHUNK)
-        active = np.concatenate(missed) if one_set else _pending(out)
     return block
 
 
-def _pending(out: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
-    """The rows some (u, coords) of out still has at u = 0."""
-    pending = out[0][0] == 0
+def _pending(out: list[tuple[np.ndarray, np.ndarray]], rows: np.ndarray) -> np.ndarray:
+    """The rows, of the given ones, that some (u, coords) of out still has at u = 0, in order."""
+    pending = out[0][0][rows] == 0
     for u, _ in out[1:]:
-        pending |= u == 0
-    return pending.nonzero()[0]
+        pending |= u[rows] == 0
+    return rows[pending]
 
 
 def stack_prefix(sets: list[ShiftedLatticeSet]) -> np.ndarray:
