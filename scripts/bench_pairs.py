@@ -12,7 +12,9 @@ reads a few percent slower than a clone. For every workload and seed it runs
 the refs' own, unchanged `perfbench/run.py` once per side, back to back: the
 parent first on odd seeds, the change first on even ones. From each run it
 reads the result line (the last line of standard output) and the `digests`
-and `env` lines.
+and `env` lines, and from a traced run the tracer's health: its
+`trace spans=... outlasting_children=...` line and any
+`trace absent targets: ...` line.
 
 Per metric it reports each side's median and quartiles (numpy's linear
 percentiles), the relative change of the medians and the pairs the change
@@ -20,7 +22,8 @@ won (ties count for neither side), with the unit, direction and bound that
 the change's BENCHMARK.json declares. A claim is met when the change wins at
 least nine tenths of its pairs and its median is better than the parent's by
 more than the parent's interquartile range. `--traced` adds one `--trace 1`
-pair per workload:seed, reported metric by metric. The output file is
+pair per workload:seed, reported metric by metric with each side's tracer
+health. The output file is
 rewritten after every pair, so an interrupted run leaves the pairs it
 finished.
 """
@@ -69,8 +72,27 @@ def checkout(repo: str, ref: str, into: Path) -> str:
     return git("rev-parse", "HEAD", cwd=into)
 
 
+def trace_health(lines: list[str]) -> dict:
+    """The tracer's span count, spans outlasting their parent and absent targets, from a traced run's lines.
+
+    Raises when the spans line is missing, so a traced record never lacks it.
+    """
+    health: dict = {"absent_targets": []}
+    for line in lines:
+        if line.startswith("trace spans="):
+            fields = dict(field.split("=", 1) for field in line.split()[1:])
+            health["spans"] = int(fields["spans"])
+            health["outlasting_children"] = int(fields["outlasting_children"])
+        elif line.startswith("trace absent targets: "):
+            health["absent_targets"] = line.split(": ", 1)[1].split(", ")
+    if "spans" not in health:
+        raise RuntimeError("a traced run printed no 'trace spans=' line")
+    return health
+
+
 def run_once(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
-    """One perfbench run in `tree`: its metric values, failed and attempted counts, digests and environment."""
+    """One perfbench run in `tree`: its metric values, failed and attempted counts, digests, environment
+    and, when traced, the tracer's health."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed)]
     cmd += ["--seconds", str(seconds), "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
@@ -79,13 +101,16 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float, trace: int) -
         raise RuntimeError(f"{' '.join(cmd)} in {tree} exited {proc.returncode}:\n{proc.stderr[-2000:]}")
     result = json.loads(lines[-1])
     tagged = {line.split(" ", 1)[0]: line.split(" ", 1)[1] for line in lines if line.startswith(("digests ", "env "))}
-    return {
+    run = {
         "metrics": {name: entry["value"] for name, entry in result["metrics"].items()},
         "failed": result["failed"],
         "attempted": result["attempted"],
         "digests": json.loads(tagged["digests"]),
         "env": json.loads(tagged["env"]),
     }
+    if trace:
+        run["trace"] = trace_health(lines)
+    return run
 
 
 def run_pair(trees: dict[str, Path], workload: str, seed: int, seconds: float, trace: int) -> dict[str, dict]:
@@ -208,6 +233,7 @@ def main(argv: list[str] | None = None) -> int:
             traced.setdefault(workload, {})[seed] = {
                 **{f"{name}_equal": same_digest(runs, name) for name in DIGESTS},
                 "failed_ops": runs["parent"]["failed"] + runs["change"]["failed"],
+                "trace": {side: runs[side]["trace"] for side in SIDES},
                 "metrics": {
                     name: {side: runs[side]["metrics"].get(name) for side in SIDES}
                     for name in runs["parent"]["metrics"]

@@ -5,11 +5,12 @@ independent tables (OR). k is sized so a far point survives a table with
 probability about 1/n, L so a near point is found with constant probability
 per unit of safety factor.
 
-Bucket keys are the k-tuples of hash values, folded to a 64-bit fingerprint;
+Bucket keys are the k-tuples of hash values, folded to a 32-bit fingerprint;
 builds compare the full keys inside every bucket and report fingerprint
 collisions rather than leaving them silent. Queries compute exact distances
 on the stored points, so a returned answer's distance is always real; the
-approximation contract only governs which candidates are met.
+approximation contract only governs which candidates are met, and a false
+fingerprint match only adds a candidate.
 """
 
 from __future__ import annotations
@@ -37,10 +38,8 @@ from .stable import Threshold
 from .util import FormatError, crc64, derived_seeds
 
 MAGIC = b"LPLSH"
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
-_FNV_OFFSET = np.uint64(0xCBF29CE484222325)
-_FNV_PRIME = np.uint64(0x100000001B3)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 
@@ -57,15 +56,9 @@ _ROW_BLOCK = 4096
 _HASH_RANGE = 2.0**32
 
 
-def fingerprint_rows(key_mat: np.ndarray) -> np.ndarray:
-    """Fold int64 key rows to 64-bit fingerprints (FNV fold + avalanche)."""
-    mat = np.ascontiguousarray(key_mat, dtype=np.int64).view(np.uint64)
-    if mat.ndim != 2:
-        raise ContractViolation("key matrix must be 2-d")
-    h = np.full(mat.shape[0], _FNV_OFFSET, dtype=np.uint64)
-    for col in range(mat.shape[1]):
-        h = (h ^ mat[:, col]) * _FNV_PRIME
-    h ^= h >> np.uint64(30)
+def _avalanche(h: np.ndarray) -> np.ndarray:
+    """splitmix64's finalizer, a bijection of uint64 whose every output bit depends on every input bit."""
+    h = h ^ (h >> np.uint64(30))
     h = h * _MIX1
     h ^= h >> np.uint64(27)
     h = h * _MIX2
@@ -73,15 +66,39 @@ def fingerprint_rows(key_mat: np.ndarray) -> np.ndarray:
     return h
 
 
+def _fold_coefs(width: int) -> np.ndarray:
+    """The fold's multiplier of key column j: output j + 1 of splitmix64 seeded at 0, made odd so it is invertible."""
+    return _avalanche(np.arange(1, width + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)) | np.uint64(1)
+
+
+# enough columns for k * (1 + t) up to 256; wider keys compute their multipliers per call
+_FOLD_COEFS = _fold_coefs(256)
+
+
+def fingerprint_rows(key_mat: np.ndarray) -> np.ndarray:
+    """Fold int64 key rows to 32-bit fingerprints: a sum of odd multiples, avalanched, top 32 bits.
+
+    The sum wraps mod 2**64, and numpy's integer matmul computes it in one
+    call. Two rows that differ in one column always differ in the sum; rows
+    that differ in several collide in it with chance about 2**-64.
+    """
+    mat = np.ascontiguousarray(key_mat, dtype=np.int64).view(np.uint64)
+    if mat.ndim != 2:
+        raise ContractViolation("key matrix must be 2-d")
+    width = mat.shape[1]
+    h = _avalanche(mat @ (_FOLD_COEFS[:width] if width <= _FOLD_COEFS.size else _fold_coefs(width)))
+    return (h >> np.uint64(32)).astype(np.uint32)
+
+
 class Buckets(NamedTuple):
     """One table's buckets in sorted-fingerprint CSR layout."""
 
-    fps: np.ndarray  # unique fingerprints, ascending, uint64
+    fps: np.ndarray  # unique fingerprints, ascending, uint32
     offsets: np.ndarray  # int64, len(fps) + 1; bucket i is positions[offsets[i]:offsets[i+1]]
-    positions: np.ndarray  # uint32 rows into points, ascending within each bucket
+    positions: np.ndarray  # rows into points (uint16 below 2**16 points, else uint32), ascending within each bucket
 
     def get(self, fp: int) -> np.ndarray | None:
-        i = int(np.searchsorted(self.fps, np.uint64(fp)))
+        i = int(np.searchsorted(self.fps, self.fps.dtype.type(fp)))
         if i == self.fps.size or int(self.fps[i]) != fp:
             return None
         return self.positions[self.offsets[i] : self.offsets[i + 1]]
@@ -96,15 +113,20 @@ class FlatTables(NamedTuple):
     positions are read-only views of the file's bytes.
     """
 
-    fps: np.ndarray  # uint64, each table's ascending fingerprints, table after table
+    fps: np.ndarray  # uint32, each table's ascending fingerprints, table after table
     bounds: np.ndarray  # int64, l + 1
     offsets: np.ndarray  # int64, len(fps) + l; each table's run starts at 0 and ends at n
-    positions: np.ndarray  # uint32, C-contiguous (l, n)
+    positions: np.ndarray  # position_dtype(n), C-contiguous (l, n)
 
     def table(self, ell: int) -> Buckets:
         """Table ell as views of the flat arrays."""
         lo, hi = int(self.bounds[ell]), int(self.bounds[ell + 1])
         return Buckets(self.fps[lo:hi], self.offsets[lo + ell : hi + ell + 1], self.positions[ell])
+
+
+def position_dtype(n: int) -> type[np.unsignedinteger]:
+    """The positions' dtype for n points, in memory and on disk: uint16 below 2**16 points, else uint32."""
+    return np.uint16 if n < 2**16 else np.uint32
 
 
 class TableShape(NamedTuple):
@@ -293,7 +315,7 @@ class LshIndex:
         k, l = self.params.k, self.params.l
         space_t = self.scheme.space()
         unit = scale_to_unit(queries, self.scheme.r)
-        fps = np.empty((unit.shape[0], l), dtype=np.uint64)
+        fps = np.empty((unit.shape[0], l), dtype=np.uint32)
         group = max(1, _KEY_ROWS // (k * l))
         for lo in range(0, unit.shape[0], group):
             keys = _key_rows(funcs, unit[lo : lo + group], range(l), k, space_t)
@@ -433,7 +455,7 @@ def build(
     space_t = scheme.space()
     funcs = _sample_functions(scheme, d, params)
     table_fps, table_offsets = [], []
-    positions = np.empty((params.l, n), dtype=np.uint32)
+    positions = np.empty((params.l, n), dtype=position_dtype(n))
     probe_total = fallback_total = collisions = 0
     width = params.k * (1 + space_t.dim)
     group = max(1, _KEY_ROWS // max(1, n * params.k))
@@ -504,35 +526,44 @@ _PROFILE_CODE = {PROFILE_MAIN: 0, PROFILE_REMARK: 1}
 _PROFILE_NAME = {v: k for k, v in _PROFILE_CODE.items()}
 
 
-# The fixed header after the magic, in order: format version; p, c, r; d, n,
-# k, l; root seed; max_candidates (0 for None); w, t, eps, delta,
-# delta_fail, U, saturated flag, profile code; kappa_w, kappa_t, kappa_eps;
-# threshold value, sample count and seed; the number of override records
-# that follow it (each a u1 name length, the ASCII name and an f8 value).
-_HEADER = struct.Struct("<H3dIQIIQIdIdddQBB3ddQQH")
+# The magic is followed by the u2 format version, read first so any older
+# file is refused by it, then the fixed header, in order: p, c, r; d, n, k,
+# l; root seed; max_candidates (0 for None); w, t, eps, delta, delta_fail,
+# U, saturated flag, profile code; kappa_w, kappa_t, kappa_eps; threshold
+# value, sample count and seed; the fingerprint and position widths in
+# bytes; the number of override records that follow it (each a u1 name
+# length, the ASCII name and an f8 value).
+_VERSION = struct.Struct("<H")
+_HEADER = struct.Struct("<3dIQIIQIdIdddQBB3ddQQBBH")
 _TRAILER = struct.Struct("<Q")  # CRC-64 of every byte before it
+_FP_WIDTH = 4
 
 
 def save_index(index: LshIndex, path: str) -> None:
     """Serialize to the LPLSH container (little-endian, CRC-64 trailer).
 
-    The header and overrides, zero padding to an 8-byte offset, then one
-    section per array: ids <i8[n], points <f8[n*d], bucket counts <u8[l],
-    fingerprints <u8[sum of counts], positions <u4[l*n], and a boundary
-    bitmap row of ceil(n/8) bytes per table, whose bit i (little bit order)
-    is set where a bucket starts. Hash functions are regenerated from seeds.
+    The version, header and overrides, then one section per array, each
+    behind the zero padding that brings it to an 8-byte offset: ids
+    <i8[n], points <f8[n*d], bucket counts <u8[l], fingerprints
+    <u4[sum of counts], positions <u2[l*n] below 2**16 points and <u4[l*n]
+    from there, and a boundary bitmap row of ceil(n/8) bytes per table,
+    whose bit i (little bit order) is set where a bucket starts. Hash
+    functions are regenerated from seeds.
     """
     scheme, params = index.scheme, index.params
     lattice, knobs, threshold = scheme.lattice, scheme.knobs, scheme.threshold
+    flat, l, n = index.flat, params.l, index.n
+    pos_width = np.dtype(position_dtype(n)).itemsize
     try:
         parts = [
             MAGIC,
+            _VERSION.pack(FORMAT_VERSION),
             _HEADER.pack(
-                FORMAT_VERSION, scheme.p, scheme.c, scheme.r, index.d, index.n, params.k, params.l, params.seed,
+                scheme.p, scheme.c, scheme.r, index.d, n, params.k, params.l, params.seed,
                 params.max_candidates or 0, lattice.w, lattice.t, threshold.epsilon, lattice.delta, lattice.delta_fail,
                 lattice.num_shifts, int(lattice.saturated), _PROFILE_CODE[scheme.profile],
                 knobs.kappa_w, knobs.kappa_t, knobs.kappa_eps, threshold.value, threshold.sample_count, threshold.seed,
-                len(scheme.overrides),
+                _FP_WIDTH, pos_width, len(scheme.overrides),
             ),
         ]
         for name, value in scheme.overrides:
@@ -540,23 +571,24 @@ def save_index(index: LshIndex, path: str) -> None:
             parts.append(struct.pack("<B", len(raw)) + raw + struct.pack("<d", value))
     except struct.error as exc:
         raise ContractViolation(f"index header does not fit the file format: {exc}") from None
-    parts.append(bytes(-sum(map(len, parts)) % 8))
-    flat, l, n = index.flat, params.l, index.n
-    if flat.positions.size and (int(flat.positions.min()) < 0 or int(flat.positions.max()) >= 2**32):
-        raise ContractViolation("bucket positions do not fit the index file's u4 field")
+    if flat.positions.size and (int(flat.positions.min()) < 0 or int(flat.positions.max()) >= 2 ** (8 * pos_width)):
+        raise ContractViolation(f"bucket positions do not fit the index file's u{pos_width} field")
     counts = np.diff(flat.bounds)
     # every offset but each table's closing n starts a bucket; n lands in a spare column
     bits = np.zeros((l, 8 * -(-n // 8) + 1), dtype=bool)
     bits.ravel()[flat.offsets + np.repeat(np.arange(l) * bits.shape[1], counts + 1)] = True
     bits[:, n] = False
-    parts += [
+    size = sum(map(len, parts))
+    for section in (
         np.ascontiguousarray(index.ids, dtype="<i8"),
         np.ascontiguousarray(index.points, dtype="<f8"),
         counts.astype("<u8"),
-        np.ascontiguousarray(flat.fps, dtype="<u8"),
-        np.ascontiguousarray(flat.positions, dtype="<u4"),
+        np.ascontiguousarray(flat.fps, dtype=f"<u{_FP_WIDTH}"),
+        np.ascontiguousarray(flat.positions, dtype=f"<u{pos_width}"),
         np.packbits(bits[:, :-1], axis=1, bitorder="little"),
-    ]
+    ):
+        parts += [bytes(-size % 8), section]
+        size += -size % 8 + section.nbytes
     # one join and one write: faster than chaining the CRC over the parts and writing each
     body = b"".join(parts)
     with open(path, "wb") as fh:
@@ -568,7 +600,8 @@ def load_index(path: str) -> LshIndex:
     """Parse and verify an LPLSH container; any corruption is a FormatError.
 
     The file is read into one 8-byte-aligned buffer, and the ids, points,
-    fingerprints and positions are read-only views of it.
+    fingerprints and positions are read-only views of it; each section
+    starts at an 8-byte offset, so every view is aligned.
     """
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
@@ -593,17 +626,28 @@ def load_index(path: str) -> LshIndex:
         off += size
         return off - size
 
-    def take_array(dtype: str, count: int) -> np.ndarray:
+    def take_array(dtype: str, count: int, after: str) -> np.ndarray:
+        """The next section, behind the zero padding that follows the part named `after`."""
+        at = claim(-off % 8, "payload")
+        if raw[at:off].any():
+            raise FormatError(f"nonzero padding after the {after}")
         offset = claim(np.dtype(dtype).itemsize * count, "payload")
         return np.frombuffer(raw, dtype=dtype, count=count, offset=offset)
 
-    header = _HEADER.unpack_from(raw, claim(_HEADER.size, "header"))
-    (version, p, c, r, d, n, k, l, root_seed, max_candidates, w, t, eps, delta, delta_fail, num_shifts,
-     saturated, profile_code, kappa_w, kappa_t, kappa_eps, t_value, t_samples, t_seed, n_overrides) = header
+    (version,) = _VERSION.unpack_from(raw, claim(_VERSION.size, "header"))
     if version != FORMAT_VERSION:
         raise FormatError(f"unsupported format version {version}")
+    header = _HEADER.unpack_from(raw, claim(_HEADER.size, "header"))
+    (p, c, r, d, n, k, l, root_seed, max_candidates, w, t, eps, delta, delta_fail, num_shifts, saturated,
+     profile_code, kappa_w, kappa_t, kappa_eps, t_value, t_samples, t_seed, fp_width, pos_width, n_overrides) = header
     if d < 1:
         raise FormatError(f"invalid header value: d must be >= 1, got {d}")
+    if fp_width != _FP_WIDTH:
+        raise FormatError(f"unsupported fingerprint width {fp_width}")
+    if pos_width not in (2, 4):
+        raise FormatError(f"unsupported position width {pos_width}")
+    if pos_width != np.dtype(position_dtype(n)).itemsize:
+        raise FormatError(f"position width {pos_width} does not match the point count {n}")
     overrides = []
     for _ in range(n_overrides):
         name_len = int(raw[claim(1, "header")])
@@ -614,19 +658,17 @@ def load_index(path: str) -> LshIndex:
             raise FormatError(f"unknown override name {name!r}")
         (value,) = struct.unpack_from("<d", raw, claim(8, "header"))
         overrides.append((name, value))
-    if raw[claim(-off % 8, "header") : off].any():
-        raise FormatError("nonzero padding after the header")
 
-    ids = take_array("<i8", n)
+    ids = take_array("<i8", n, "header")
     if np.unique(ids).size != n:
         raise FormatError("duplicate ids")
-    points = take_array("<f8", n * d).reshape(n, d)
-    counts = take_array("<u8", l)
-    fps = take_array("<u8", sum(counts.tolist()))
+    points = take_array("<f8", n * d, "ids").reshape(n, d)
+    counts = take_array("<u8", l, "points")
+    fps = take_array(f"<u{fp_width}", sum(counts.tolist()), "bucket counts")
     counts = counts.astype(np.int64)  # each fits: their sum fit in the file
-    positions = take_array("<u4", l * n).reshape(l, n)
+    positions = take_array(f"<u{pos_width}", l * n, "fingerprints").reshape(l, n)
     row = -(-n // 8)
-    bitmap = take_array("u1", l * row).reshape(l, row)
+    bitmap = take_array("u1", l * row, "positions").reshape(l, row)
     if off != end:
         raise FormatError("trailing bytes after payload")
     # one spare column past the padding; bits from column n on must be clear

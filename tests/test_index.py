@@ -93,7 +93,7 @@ class TestFingerprints:
         a = fingerprint_rows(mat)
         b = fingerprint_rows(mat.copy())
         assert np.array_equal(a, b)
-        assert a.dtype == np.uint64
+        assert a.dtype == np.uint32
         mat2 = mat.copy()
         mat2[17, 3] += 1
         c = fingerprint_rows(mat2)
@@ -104,6 +104,21 @@ class TestFingerprints:
         mat = rng.integers(0, 2**40, size=(2_000, 4)).astype(np.int64)
         fps = fingerprint_rows(mat)
         assert np.unique(fps).size == 2_000
+
+    def test_matches_python_integer_fold(self, rng):
+        # the fold in Python integers mod 2**64, on widths below and above the 256 precomputed multipliers
+        mask = 2**64 - 1
+
+        def mix(z):
+            z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & mask
+            z = (z ^ (z >> 27)) * 0x94D049BB133111EB & mask
+            return z ^ (z >> 31)
+
+        for width in (1, 24, 300):
+            mat = rng.integers(-(2**62), 2**62, size=(6, width))
+            coefs = [mix((j + 1) * 0x9E3779B97F4A7C15 & mask) | 1 for j in range(width)]
+            want = [mix(sum(c * (v & mask) for c, v in zip(coefs, row)) & mask) >> 32 for row in mat.tolist()]
+            assert fingerprint_rows(mat).tolist() == want
 
     def test_rejects_non_matrix(self):
         with pytest.raises(ContractViolation):
@@ -517,7 +532,7 @@ class TestPersistence:
         for idx in (index, load_index(str(path))):
             wholes = (idx.flat.fps, idx.flat.offsets, idx.flat.positions)
             for table in idx.tables:
-                for got, whole, dtype in zip(table, wholes, (np.uint64, np.int64, np.uint32)):
+                for got, whole, dtype in zip(table, wholes, (np.uint32, np.int64, np.uint16)):
                     assert got.dtype == dtype
                     assert np.shares_memory(got, whole)
 
@@ -574,9 +589,10 @@ class TestPersistence:
         assert loaded.query(np.zeros(3)).answer is None
 
     def test_unfit_u4_count_refused(self, scheme, tmp_path):
+        # below 2**16 points the file's positions are u2, so a position past u4 is past u2 too
         _, index = small_index(scheme, n=10)
         index.flat = index.flat._replace(positions=index.flat.positions.astype(np.int64) + 2**32)
-        with pytest.raises(ContractViolation, match="u4"):
+        with pytest.raises(ContractViolation, match="do not fit the index file's u2 field"):
             save_index(index, str(tmp_path / "idx.lplsh"))
 
     def test_loaded_arrays_are_aligned_read_only_views(self, scheme, tmp_path):
@@ -604,10 +620,10 @@ class TestPersistence:
     PROFILE_AT = len(b"LPLSH") + struct.calcsize("<H3dIQIIQIdIdddQB")
     W_AT = len(b"LPLSH") + struct.calcsize("<H3dIQIIQI")
     D_AT = len(b"LPLSH") + struct.calcsize("<H3d")
-    # and before r and before the threshold value; then where the fixed header ends
+    # and before r and before the threshold value; then where the fixed header ends, after the two widths
     R_AT = len(b"LPLSH") + struct.calcsize("<H2d")
     T_AT = len(b"LPLSH") + struct.calcsize("<H3dIQIIQIdIdddQBB3d")
-    HEADER_END = len(b"LPLSH") + struct.calcsize("<H3dIQIIQIdIdddQBB3ddQQH")
+    HEADER_END = len(b"LPLSH") + struct.calcsize("<H3dIQIIQIdIdddQBB3ddQQBBH")
 
     def _forge(self, scheme, tmp_path, patch):
         """Save a small index, patch its bytes, re-seal the checksum."""
@@ -652,7 +668,7 @@ class TestPersistence:
         def edit(ell, count, fps, bits, positions):
             if ell == index.params.l - 1:
                 # a zero-size last bucket, with the largest fingerprint, starts at n: the first padding bit
-                fps = np.append(fps, np.uint64(2**64 - 1))
+                fps = np.append(fps, np.uint32(2**32 - 1))
                 count += 1
                 bits[5] = 1
             return count, fps, bits, positions
@@ -703,26 +719,28 @@ class TestPersistence:
         """Save index, rewrite each table's (count, fps, bits, positions) with edit(ell, ...), re-seal the checksum.
 
         bits is the table's boundary bitmap row unpacked to one 0/1 byte per bit, padding included.
+        The sections after the points are written anew, each behind zero padding to an 8-byte offset.
         """
         path = tmp_path / "idx.lplsh"
         save_index(index, str(path))
         body = path.read_bytes()[:-8]
-        n, l = index.n, index.params.l
-        row = -(-n // 8)
-        at = len(body) - (8 * l + 8 * index.flat.fps.size + 4 * l * n + l * row)
+        row = -(-index.n // 8)
+        stored = np.ascontiguousarray(index.points, dtype="<f8").tobytes()
+        body = bytearray(body[: body.index(stored) + len(stored)])
         tables = []
         for ell, table in enumerate(index.tables):
             bits = np.zeros(8 * row, dtype=np.uint8)
             bits[table.offsets[:-1]] = 1
             tables.append(edit(ell, table.fps.size, table.fps.copy(), bits, table.positions.copy()))
         counts, fps, bits, positions = zip(*tables)
-        body = b"".join(
-            [body[:at], np.array(counts, dtype="<u8").tobytes()]
-            + [f.astype("<u8").tobytes() for f in fps]
-            + [pos.astype("<u4").tobytes() for pos in positions]
-            + [np.packbits(b, bitorder="little").tobytes() for b in bits]
-        )
-        path.write_bytes(body + struct.pack("<Q", crc64(body)))
+        for section in (
+            np.array(counts, dtype="<u8").tobytes(),
+            b"".join(f.astype("<u4").tobytes() for f in fps),
+            b"".join(pos.astype(f"<u{index.flat.positions.itemsize}").tobytes() for pos in positions),
+            b"".join(np.packbits(b, bitorder="little").tobytes() for b in bits),
+        ):
+            body += bytes(-len(body) % 8) + section
+        path.write_bytes(bytes(body) + struct.pack("<Q", crc64(bytes(body))))
         return str(path)
 
     def test_loaded_flat_tables_equal_built(self, scheme, tmp_path):
@@ -744,7 +762,7 @@ class TestPersistence:
                 count += 1
                 if not moved:
                     # the extra count has a fingerprint, so the sections keep their sizes
-                    fps = np.append(fps, np.uint64(2**64 - 1))
+                    fps = np.append(fps, np.uint32(2**32 - 1))
             if moved and ell == 2:
                 # the count table 1 gained comes out of table 2, so only per-table counts differ from the bitmap
                 count -= 1
@@ -807,11 +825,14 @@ class TestPersistence:
         _, index = small_index(scheme, n=37, d=4, l=3)
         path = tmp_path / "idx.lplsh"
         save_index(index, str(path))
-        fixed = 5 + 2 + 24 + 20 + 8 + 4 + 46 + 24 + 24 + 2
+        fixed = 5 + 2 + 24 + 20 + 8 + 4 + 46 + 24 + 24 + 2 + 2
         overrides = sum(9 + len(name) for name, _ in index.scheme.overrides)
         head = fixed + overrides + -(fixed + overrides) % 8
         payload = 8 * index.n + 8 * index.n * index.d
-        # per table: a u8 bucket count, u8 fingerprints, u4 positions and a ceil(37/8) = 5 byte bitmap row
-        tables = sum(8 + 8 * t.fps.size + 4 * t.positions.size + 5 for t in index.tables)
+        # per table: a u8 bucket count, u4 fingerprints, u2 positions and a ceil(37/8) = 5 byte bitmap row;
+        # the fingerprints and the positions are each followed by zero padding to an 8-byte offset
+        fps = sum(4 * t.fps.size for t in index.tables)
+        positions = sum(2 * t.positions.size for t in index.tables)
+        tables = 8 * 3 + fps + -fps % 8 + positions + -positions % 8 + 5 * 3
         assert path.stat().st_size == head + payload + tables + 8
 

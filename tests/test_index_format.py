@@ -1,12 +1,14 @@
-"""Index file layout: the section-per-array save/load against a field-by-field reading of format v2.
+"""Index file layout: the section-per-array save/load against a field-by-field reading of format v3.
 
 `reference_save_bytes` and `reference_load_bytes` write and parse format
-v2 one field and one table at a time, from `index.tables`: one
-`struct.pack` per field group into a growing `bytearray`, each table's
-boundary bitmap row set bit by bit, and mirrored `take(...)` calls on
-load. `save_index` must write the same bytes, and `load_index` must return
-the same fields. The truncation sweep cuts a saved file at every offset
-and re-seals the checksum, so every bounds check of the loader is reached.
+v3 one field and one table at a time, from `index.tables`: one
+`struct.pack` per field group into a growing `bytearray`, zero bytes up to
+an 8-byte offset before each section, each table's boundary bitmap row set
+bit by bit, and mirrored `take(...)` calls on load. `save_index` must write
+the same bytes, and `load_index` must return the same fields. The
+truncation sweep cuts a saved file at every offset and re-seals the
+checksum, so every bounds check of the loader is reached. Forged widths
+and padding must be FormatErrors, which `lplsh query` reports with exit 2.
 """
 
 import struct
@@ -15,6 +17,8 @@ import numpy as np
 import pytest
 
 from lplsh import ContractViolation, FormatError, IndexParams, build, derive_params, load_index, save_index, tuned_scheme
+from lplsh.cli import main
+from lplsh.datasets import write_fvecs
 from lplsh.index import _OVERRIDE_FIELDS, _PROFILE_CODE, _PROFILE_NAME, MAGIC, FORMAT_VERSION, Buckets
 from lplsh.lattice import LatticeParams
 from lplsh.scheme import Knobs, SchemeParams
@@ -24,8 +28,12 @@ from lplsh.util import crc64, derive_rng
 from conftest import cheap_scheme
 
 
-def reference_header_bytes(index, version: int) -> bytearray:
-    """The magic, the fixed header and the override records, as formats v1 and v2 both write them."""
+def reference_header_bytes(index, version: int, widths: tuple[int, ...] = ()) -> bytearray:
+    """The magic, the fixed header and the override records.
+
+    Formats v1 and v2 write no widths; v3 writes the fingerprint and
+    position widths, one byte each, before the override count.
+    """
     scheme = index.scheme
     params = index.params
     buf = bytearray()
@@ -48,6 +56,8 @@ def reference_header_bytes(index, version: int) -> bytearray:
     )
     buf += struct.pack("<3d", scheme.knobs.kappa_w, scheme.knobs.kappa_t, scheme.knobs.kappa_eps)
     buf += struct.pack("<dQQ", scheme.threshold.value, scheme.threshold.sample_count, scheme.threshold.seed)
+    for width in widths:
+        buf += struct.pack("<B", width)
     buf += struct.pack("<H", len(scheme.overrides))
     for name, value in scheme.overrides:
         raw = name.encode("ascii")
@@ -55,8 +65,40 @@ def reference_header_bytes(index, version: int) -> bytearray:
     return buf
 
 
+def position_width(n: int) -> int:
+    return 2 if n < 2**16 else 4
+
+
+def bitmap_row(table, n: int) -> bytearray:
+    """A table's boundary bitmap row, set bit by bit: bit i (little bit order) where a bucket starts."""
+    row = bytearray((n + 7) // 8)
+    for start in table.offsets[:-1].tolist():
+        row[start // 8] |= 1 << (start % 8)
+    return row
+
+
 def reference_save_bytes(index) -> bytes:
-    buf = reference_header_bytes(index, FORMAT_VERSION)
+    width = position_width(index.n)
+    buf = reference_header_bytes(index, FORMAT_VERSION, widths=(4, width))
+
+    def section(data: bytes) -> None:
+        while len(buf) % 8:
+            buf.append(0)
+        buf.extend(data)
+
+    section(index.ids.astype("<i8").tobytes())
+    section(np.ascontiguousarray(index.points, dtype="<f8").tobytes())
+    section(b"".join(struct.pack("<Q", table.fps.size) for table in index.tables))
+    section(b"".join(table.fps.astype("<u4").tobytes() for table in index.tables))
+    section(b"".join(table.positions.astype(f"<u{width}").tobytes() for table in index.tables))
+    section(b"".join(bitmap_row(table, index.n) for table in index.tables))
+    buf += struct.pack("<Q", crc64(buf))
+    return bytes(buf)
+
+
+def v2_save_bytes(index) -> bytes:
+    """A format v2 file: after the header's padding, ids, points, u8 counts, u8 fps, u4 positions and bitmap rows."""
+    buf = reference_header_bytes(index, 2)
     while len(buf) % 8:
         buf += b"\x00"
     buf += index.ids.astype("<i8").tobytes()
@@ -68,10 +110,7 @@ def reference_save_bytes(index) -> bytes:
     for table in index.tables:
         buf += table.positions.astype("<u4").tobytes()
     for table in index.tables:
-        row = bytearray((index.n + 7) // 8)
-        for start in table.offsets[:-1].tolist():
-            row[start // 8] |= 1 << (start % 8)
-        buf += row
+        buf += bitmap_row(table, index.n)
     buf += struct.pack("<Q", crc64(buf))
     return bytes(buf)
 
@@ -120,6 +159,7 @@ def reference_load_bytes(raw: bytes):
     w, t, eps, delta, delta_fail, num_shifts, saturated, profile_code = take("<dIdddQBB")
     kappa_w, kappa_t, kappa_eps = take("<3d")
     t_value, t_samples, t_seed = take("<dQQ")
+    fp_width, pos_width = take("<BB")
     (n_overrides,) = take("<H")
     overrides = []
     for _ in range(n_overrides):
@@ -132,9 +172,24 @@ def reference_load_bytes(raw: bytes):
         off += name_len
         (value,) = take("<d")
         overrides.append((name, value))
-    while off % 8:
-        if take("<B") != (0,):
-            raise FormatError("nonzero padding after the header")
+    if d < 1:
+        raise FormatError(f"invalid header value: d must be >= 1, got {d}")
+    if fp_width != 4:
+        raise FormatError(f"unsupported fingerprint width {fp_width}")
+    if pos_width not in (2, 4):
+        raise FormatError(f"unsupported position width {pos_width}")
+    if pos_width != position_width(n):
+        raise FormatError(f"position width {pos_width} does not match the point count {n}")
+
+    def pad(after):
+        """Step over the zero bytes that bring the offset to a multiple of 8."""
+        nonlocal off
+        while off % 8:
+            if off >= len(raw) - 8:
+                raise FormatError("truncated payload")
+            if raw[off] != 0:
+                raise FormatError(f"nonzero padding after the {after}")
+            off += 1
 
     def take_array(dtype, count):
         nonlocal off
@@ -145,11 +200,17 @@ def reference_load_bytes(raw: bytes):
         off += size
         return arr
 
+    pad("header")
     ids = take_array("<i8", n)
+    pad("ids")
     points = take_array("<f8", n * d).reshape(n, d)
-    counts = take_array("<u8", l).tolist()
-    fps = [take_array("<u8", count) for count in counts]
-    positions = [take_array("<u4", n) for _ in range(l)]
+    pad("points")
+    counts = [int(count) for count in take_array("<u8", l)]
+    pad("bucket counts")
+    fps = [take_array("<u4", count) for count in counts]
+    pad("fingerprints")
+    positions = [take_array(f"<u{pos_width}", n) for _ in range(l)]
+    pad("positions")
     rows = [take_array("u1", (n + 7) // 8).tolist() for _ in range(l)]
     if off != len(raw) - 8:
         raise FormatError("trailing bytes after payload")
@@ -248,3 +309,87 @@ def test_v1_file_is_refused_by_version(tmp_path):
     path.write_bytes(v1_save_bytes(indexed(cheap_scheme(), n=20, k=2, l=3)))
     with pytest.raises(FormatError, match="^unsupported format version 1$"):
         load_index(str(path))
+
+
+def test_v2_file_is_refused_by_version(tmp_path):
+    path = tmp_path / "v2.lplsh"
+    path.write_bytes(v2_save_bytes(indexed(cheap_scheme(), n=20, k=2, l=3)))
+    with pytest.raises(FormatError, match="^unsupported format version 2$"):
+        load_index(str(path))
+
+
+@pytest.mark.parametrize(("n", "d", "k", "l", "dtype"), [(20, 5, 2, 3, np.uint16), (2**16, 1, 1, 1, np.uint32)])
+def test_positions_roundtrip_at_each_width(n, d, k, l, dtype, tmp_path):
+    index = indexed(cheap_scheme(), n=n, d=d, k=k, l=l)
+    path = tmp_path / "idx.lplsh"
+    save_index(index, str(path))
+    assert path.read_bytes() == reference_save_bytes(index)
+    loaded = load_index(str(path))
+    for idx in (index, loaded):
+        assert idx.flat.fps.dtype == np.uint32
+        assert idx.flat.positions.dtype == dtype
+    for got, want in zip(loaded.flat, index.flat):
+        assert np.array_equal(got, want)
+    queries = index.points[:: max(1, n // 50)] + 0.01
+    assert loaded.query_batch(queries) == index.query_batch(queries)
+
+
+# where the fingerprint width byte sits, the position width byte right after it
+WIDTHS_AT = len(MAGIC) + struct.calcsize("<H3dIQIIQIdIdddQBB3ddQQ")
+
+
+def forge_index():
+    """An index whose file pads after both its fingerprints (55 of them) and its positions (3 * 21 u2)."""
+    return indexed(cheap_scheme(), n=21, k=2, l=3, seed=8)
+
+
+def padding_after(index, section: str) -> int:
+    """The first padding byte after the fingerprints or the positions in index's file."""
+    n, l = index.n, index.params.l
+    head = len(reference_header_bytes(index, FORMAT_VERSION, widths=(4, 2)))
+    fps_end = head + -head % 8 + 8 * n + 8 * n * index.d + 8 * l + 4 * index.flat.fps.size
+    pos_end = fps_end + -fps_end % 8 + 2 * l * n
+    end = fps_end if section == "fingerprints" else pos_end
+    assert end % 8  # the section is followed by padding
+    return end
+
+
+def set_byte(at_of, value):
+    def patch(body, index):
+        body[at_of(index)] = value
+
+    return patch
+
+
+FORGERIES = {
+    "fingerprint-width": (set_byte(lambda index: WIDTHS_AT, 8), "^unsupported fingerprint width 8$"),
+    "position-width": (set_byte(lambda index: WIDTHS_AT + 1, 3), "^unsupported position width 3$"),
+    "position-width-for-n": (
+        set_byte(lambda index: WIDTHS_AT + 1, 4),
+        "^position width 4 does not match the point count 21$",
+    ),
+    "padding-after-fingerprints": (
+        set_byte(lambda index: padding_after(index, "fingerprints"), 1),
+        "^nonzero padding after the fingerprints$",
+    ),
+    "padding-after-positions": (
+        set_byte(lambda index: padding_after(index, "positions") + 1, 0x80),
+        "^nonzero padding after the positions$",
+    ),
+}
+
+
+@pytest.mark.parametrize("forgery", sorted(FORGERIES))
+def test_forged_layout_is_a_format_error(forgery, tmp_path):
+    patch, message = FORGERIES[forgery]
+    index = forge_index()
+    path = tmp_path / "idx.lplsh"
+    save_index(index, str(path))
+    body = bytearray(path.read_bytes()[:-8])
+    patch(body, index)
+    path.write_bytes(bytes(body) + struct.pack("<Q", crc64(bytes(body))))
+    with pytest.raises(FormatError, match=message):
+        load_index(str(path))
+    queries = tmp_path / "q.fvecs"
+    write_fvecs(str(queries), index.points[:3])
+    assert main(["query", "--index", str(path), "--queries", str(queries), "--out", str(tmp_path / "out.csv")]) == 2
