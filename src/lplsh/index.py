@@ -116,7 +116,7 @@ class FlatTables(NamedTuple):
     fps: np.ndarray  # uint32, each table's ascending fingerprints, table after table
     bounds: np.ndarray  # int64, l + 1
     offsets: np.ndarray  # int64, len(fps) + l; each table's run starts at 0 and ends at n
-    positions: np.ndarray  # position_dtype(n), C-contiguous (l, n)
+    positions: np.ndarray  # uint16 below 2**16 points, else uint32; C-contiguous (l, n)
 
     def table(self, ell: int) -> Buckets:
         """Table ell as views of the flat arrays."""
@@ -124,9 +124,9 @@ class FlatTables(NamedTuple):
         return Buckets(self.fps[lo:hi], self.offsets[lo + ell : hi + ell + 1], self.positions[ell])
 
 
-def position_dtype(n: int) -> type[np.unsignedinteger]:
-    """The positions' dtype for n points, in memory and on disk: uint16 below 2**16 points, else uint32."""
-    return np.uint16 if n < 2**16 else np.uint32
+def _position_width(n: int) -> int:
+    """Bytes per position for n points, in memory and on disk: 2 (uint16) below 2**16 points, else 4 (uint32)."""
+    return 2 if n < 2**16 else 4
 
 
 class TableShape(NamedTuple):
@@ -455,7 +455,7 @@ def build(
     space_t = scheme.space()
     funcs = _sample_functions(scheme, d, params)
     table_fps, table_offsets = [], []
-    positions = np.empty((params.l, n), dtype=position_dtype(n))
+    positions = np.empty((params.l, n), dtype=f"u{_position_width(n)}")
     probe_total = fallback_total = collisions = 0
     width = params.k * (1 + space_t.dim)
     group = max(1, _KEY_ROWS // max(1, n * params.k))
@@ -553,7 +553,7 @@ def save_index(index: LshIndex, path: str) -> None:
     scheme, params = index.scheme, index.params
     lattice, knobs, threshold = scheme.lattice, scheme.knobs, scheme.threshold
     flat, l, n = index.flat, params.l, index.n
-    pos_width = np.dtype(position_dtype(n)).itemsize
+    pos_width = _position_width(n)
     try:
         parts = [
             MAGIC,
@@ -646,7 +646,7 @@ def load_index(path: str) -> LshIndex:
         raise FormatError(f"unsupported fingerprint width {fp_width}")
     if pos_width not in (2, 4):
         raise FormatError(f"unsupported position width {pos_width}")
-    if pos_width != np.dtype(position_dtype(n)).itemsize:
+    if pos_width != _position_width(n):
         raise FormatError(f"position width {pos_width} does not match the point count {n}")
     overrides = []
     for _ in range(n_overrides):
