@@ -57,7 +57,7 @@ _HASH_RANGE = 2.0**32
 
 
 def _avalanche(h: np.ndarray) -> np.ndarray:
-    """splitmix64's finalizer, a bijection of uint64 whose every output bit depends on every input bit."""
+    """splitmix64's finalizer: a bijection of uint64 that spreads each input bit over the high output bits."""
     h = h ^ (h >> np.uint64(30))
     h = h * _MIX1
     h ^= h >> np.uint64(27)

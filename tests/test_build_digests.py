@@ -12,8 +12,10 @@ that moves a single hash value moves all three.
 
 `v2_answers.json` holds, per case, the answer (id, distance) or null that
 format v2's index gave each of 80 seeded queries. A v3 answer must be the
-same, or a strictly closer real point: a 32-bit fingerprint can only merge
-buckets, which adds candidates and never removes one.
+same, or a strictly closer real point: a 32-bit fingerprint tie merges two
+buckets, which adds candidates. (Under a binding candidate budget an added
+candidate could also push out a nearer one; these builds of 300 points
+meet no 32-bit tie.)
 
 The digests were recorded with numpy 2.4 (OpenBLAS) on x86-64; another BLAS
 may round the projection matmul differently.
