@@ -354,26 +354,19 @@ def padding_after(index, section: str) -> int:
     return end
 
 
-def set_byte(at_of, value):
-    def patch(body, index):
-        body[at_of(index)] = value
-
-    return patch
-
-
+# (offset of the forged byte, its value, the error)
 FORGERIES = {
-    "fingerprint-width": (set_byte(lambda index: WIDTHS_AT, 8), "^unsupported fingerprint width 8$"),
-    "position-width": (set_byte(lambda index: WIDTHS_AT + 1, 3), "^unsupported position width 3$"),
-    "position-width-for-n": (
-        set_byte(lambda index: WIDTHS_AT + 1, 4),
-        "^position width 4 does not match the point count 21$",
-    ),
+    "fingerprint-width": (lambda index: WIDTHS_AT, 8, "^unsupported fingerprint width 8$"),
+    "position-width": (lambda index: WIDTHS_AT + 1, 3, "^unsupported position width 3$"),
+    "position-width-for-n": (lambda index: WIDTHS_AT + 1, 4, "^position width 4 does not match the point count 21$"),
     "padding-after-fingerprints": (
-        set_byte(lambda index: padding_after(index, "fingerprints"), 1),
+        lambda index: padding_after(index, "fingerprints"),
+        1,
         "^nonzero padding after the fingerprints$",
     ),
     "padding-after-positions": (
-        set_byte(lambda index: padding_after(index, "positions") + 1, 0x80),
+        lambda index: padding_after(index, "positions") + 1,
+        0x80,
         "^nonzero padding after the positions$",
     ),
 }
@@ -381,12 +374,12 @@ FORGERIES = {
 
 @pytest.mark.parametrize("forgery", sorted(FORGERIES))
 def test_forged_layout_is_a_format_error(forgery, tmp_path):
-    patch, message = FORGERIES[forgery]
+    at, value, message = FORGERIES[forgery]
     index = forge_index()
     path = tmp_path / "idx.lplsh"
     save_index(index, str(path))
     body = bytearray(path.read_bytes()[:-8])
-    patch(body, index)
+    body[at(index)] = value
     path.write_bytes(bytes(body) + struct.pack("<Q", crc64(bytes(body))))
     with pytest.raises(FormatError, match=message):
         load_index(str(path))
