@@ -21,7 +21,13 @@ percentiles), the relative change of the medians and the pairs the change
 won (ties count for neither side), with the unit, direction and bound that
 the change's BENCHMARK.json declares. A claim is met when the change wins at
 least nine tenths of its pairs and its median is better than the parent's by
-more than the parent's interquartile range. `--traced` adds one `--trace 1`
+more than the parent's interquartile range. Against its bound every metric
+is marked `regressed` when the change's median is worse than the parent's by
+more than the bound times the parent's median, and `unresolved` when the
+parent's interquartile range exceeds the bound times its median and not every
+change run beats every parent run; both lists are printed per workload after
+the claim line (a metric without a declared bound is marked neither, as
+null). `--traced` adds one `--trace 1`
 pair per workload:seed, reported metric by metric with each side's tracer
 health. The output file is
 rewritten after every pair, so an interrupted run leaves the pairs it
@@ -132,6 +138,22 @@ def better(a: float, b: float, direction: str) -> bool:
     return a < b if direction == "lower" else a > b
 
 
+def verdicts(parent_runs: list[float], change_runs: list[float], direction: str, bound: float | None) -> dict:
+    """`regressed` and `unresolved` of one metric against its bound, both relative to the parent's median.
+
+    regressed: the change's median is worse by more than bound * |parent median|. unresolved: the parent's
+    interquartile range exceeds bound * |parent median| and not every change run beats every parent run.
+    Both are None without a bound.
+    """
+    if bound is None:
+        return {"regressed": None, "unresolved": None}
+    q1, median, q3 = np.percentile(parent_runs, [25, 50, 75])
+    worse = np.median(change_runs) - median if direction == "lower" else median - np.median(change_runs)
+    allowed = bound * abs(median)
+    every_run_beats = all(better(c, p, direction) for c in change_runs for p in parent_runs)
+    return {"regressed": bool(worse > allowed), "unresolved": bool(q3 - q1 > allowed and not every_run_beats)}
+
+
 def summarise(pairs: list[dict[str, dict]], declared: dict[str, dict]) -> dict:
     """One workload's pairs: digests, failures and every metric's medians, quartiles and wins."""
     metrics = {}
@@ -153,6 +175,7 @@ def summarise(pairs: list[dict[str, dict]], declared: dict[str, dict]) -> dict:
             else None,
             "change_wins": sum(better(c, p, direction) for p, c in zip(runs["parent"], runs["change"])),
             "bound": decl.get("bound"),
+            **verdicts(runs["parent"], runs["change"], direction, decl.get("bound")),
             "parent_runs": runs["parent"],
             "change_runs": runs["change"],
         }
@@ -182,6 +205,16 @@ def claim_result(metric: str, workload: str, summary: dict) -> dict:
         "pairs": summary["pairs"],
         "met": entry["change_wins"] >= WIN_SHARE * summary["pairs"] and gain > iqr,
     }
+
+
+def verdict_lines(workloads: dict[str, dict]) -> list[str]:
+    """Per workload, the metrics marked regressed and those marked unresolved ('none' for neither)."""
+    lines = []
+    for workload, summary in workloads.items():
+        for mark in ("regressed", "unresolved"):
+            names = [name for name, entry in summary["metrics"].items() if entry[mark]]
+            lines.append(f"{mark} on {workload}: {', '.join(names) or 'none'}")
+    return lines
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -243,6 +276,7 @@ def main(argv: list[str] | None = None) -> int:
             out.write_text(json.dumps(record, indent=1) + "\n")
     for metric, result in record["claim_result"].items():
         print(f"claim {metric} on {result['workload']}: {'met' if result['met'] else 'NOT met'} {result}")
+    print("\n".join(verdict_lines(record["workloads"])))
     return 0
 
 

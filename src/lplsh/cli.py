@@ -500,7 +500,14 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("rho", help="collision-probability sweep over c")
     sp.add_argument("--p", type=float)
     sp.add_argument("--c-list", dest="c_list", help="comma-separated approximation factors")
-    sp.add_argument("--d", type=int)
+    sp.add_argument(
+        "--d",
+        type=int,
+        help="dimension the rates stand for, >= 1 (default 32); the rates do not depend on it, since a "
+        "p-stable projection of a pair's difference has one law in every d and the uniform lattice shifts "
+        "make the hash blind to the base point, so each trial is drawn in R^t (the pilot of build and "
+        "bench still projects pairs from R^d, keeping their (k, L))",
+    )
     sp.add_argument("--trials", type=int)
     sp.add_argument("--seed", type=int)
     sp.add_argument("--out")

@@ -1,9 +1,11 @@
 """Collision-probability laboratory.
 
 Estimates the scheme's collision probabilities p1 (at distance r) and
-p2 (at distance c*r) over the full pipeline, with a fresh hash function and
-a fresh pair per trial, so the probability is over the hash family as in
-the sensitivity definition. A geometric route estimates the same quantity
+p2 (at distance c*r) with a fresh hash function and a fresh pair per
+trial, so the probability is over the hash family as in the sensitivity
+definition. `estimate_collision` runs the full pipeline from a pair in R^d;
+`estimate_rho` draws each trial's projected pair in R^t directly, which
+has the same law. A geometric route estimates the same quantity
 for a fixed projected pair from ball-overlap volume ratios, giving an
 independent cross-check of the lattice machinery.
 
@@ -14,6 +16,7 @@ counted as collisions; the fallback rate is always reported separately.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,8 +58,8 @@ RHO_CSV_COLUMNS = (
 )
 
 _ELEM_BUDGET = 4_000_000  # cap on the elements of one block of per-trial shifts
-# pair trials per block of estimate_collision and estimate_collision_projected;
-# the block sizes set the random stream, and so the rho CSV
+# pair trials per block of the full-pipeline and R^t estimates (_PAIR_BLOCK) and of
+# estimate_collision_projected; the block sizes set the random stream, and so the rho CSV
 _PAIR_BLOCK = 2048
 _PROJECTED_BLOCK = 4096
 # estimate_rho's far estimate doubles its trials until it sees this many collisions
@@ -188,6 +191,43 @@ def _count_block(ux, ax, uy, ay) -> tuple[int, int]:
     return int(same.sum()), int(fallback.sum())
 
 
+def _check_inputs(d: int, distance: float, trials: int) -> None:
+    if trials < 1:
+        raise ContractViolation(f"trials must be >= 1, got {trials}")
+    if d < 1:
+        raise ContractViolation(f"d must be >= 1, got {d}")
+    if not (0.0 <= distance < math.inf):
+        raise ContractViolation(f"distance must be >= 0 and finite, got {distance}")
+
+
+def _estimate(
+    scheme: SchemeParams,
+    distance: float,
+    trials: int,
+    rng: np.random.Generator,
+    projected_pairs: Callable[[int], tuple[np.ndarray, np.ndarray]],
+) -> CollisionEstimate:
+    """The trial loop: `projected_pairs(b)` gives b unit-frame pairs in R^t, each hashed under fresh shifts."""
+    collisions = 0
+    fallbacks = 0
+    done = 0
+    while done < trials:
+        b = min(_PAIR_BLOCK, trials - done)
+        xp, yp = projected_pairs(b)
+        csame, cfall = _count_block(*_lattice_stage(xp, yp, scheme.lattice, scheme.p, rng))
+        collisions += csame
+        fallbacks += cfall
+        done += b
+    return CollisionEstimate(
+        distance=float(distance),
+        trials=trials,
+        collisions=collisions,
+        p_hat=collisions / trials,
+        ci95=wilson_interval(collisions, trials),
+        fallback_rate=fallbacks / trials,
+    )
+
+
 def estimate_collision(
     scheme: SchemeParams,
     d: int,
@@ -200,38 +240,41 @@ def estimate_collision(
 
     `distance` is in the original frame; pairs are rescaled by 1/r before
     hashing, matching the index pipeline. distance = 0 collides surely.
+    Each trial draws a pair in R^d and a t x d p-stable matrix, as a hash
+    function of the index does. The pilot that sizes (k, L) calls it, and
+    tests hold estimate_rho's R^t draw to it.
     """
-    if trials < 1:
-        raise ContractViolation(f"trials must be >= 1, got {trials}")
-    if d < 1:
-        raise ContractViolation(f"d must be >= 1, got {d}")
-    if not (0.0 <= distance < math.inf):
-        raise ContractViolation(f"distance must be >= 0 and finite, got {distance}")
+    _check_inputs(d, distance, trials)
     space = LpSpace(scheme.p, d)
     stable = StableParams(scheme.p)
     scale = scheme.T ** (-1.0 / scheme.p) / scheme.r
-    collisions = 0
-    fallbacks = 0
-    done = 0
-    while done < trials:
-        b = min(_PAIR_BLOCK, trials - done)
+
+    def projected_pairs(b: int) -> tuple[np.ndarray, np.ndarray]:
         x, y = _pair_block(space, distance, rng, b, offset)
         a = sample_stable(stable, rng, size=(b, scheme.t, d))
-        xp = np.einsum("btd,bd->bt", a, x) * scale
-        yp = np.einsum("btd,bd->bt", a, y) * scale
-        ux, ax_, uy, ay_ = _lattice_stage(xp, yp, scheme.lattice, scheme.p, rng)
-        csame, cfall = _count_block(ux, ax_, uy, ay_)
-        collisions += csame
-        fallbacks += cfall
-        done += b
-    return CollisionEstimate(
-        distance=float(distance),
-        trials=trials,
-        collisions=collisions,
-        p_hat=collisions / trials,
-        ci95=wilson_interval(collisions, trials),
-        fallback_rate=fallbacks / trials,
-    )
+        return np.einsum("btd,bd->bt", a, x) * scale, np.einsum("btd,bd->bt", a, y) * scale
+
+    return _estimate(scheme, distance, trials, rng, projected_pairs)
+
+
+def _estimate_in_projection(
+    scheme: SchemeParams, distance: float, trials: int, rng: np.random.Generator
+) -> CollisionEstimate:
+    """estimate_collision's rates, drawn in R^t without a pair in R^d.
+
+    By p-stability A(y - x) is distance * X in law, X a vector of t iid
+    standard p-stable variates, whatever d and the direction of y - x. The
+    iid uniform shifts make the lattice stage translation-invariant, so the
+    base point only has to be some point: a uniform one of [0, spacing)^t.
+    """
+    stable = StableParams(scheme.p)
+    gap = distance * scheme.T ** (-1.0 / scheme.p) / scheme.r
+
+    def projected_pairs(b: int) -> tuple[np.ndarray, np.ndarray]:
+        xp = rng.uniform(0.0, scheme.lattice.spacing, size=(b, scheme.t))
+        return xp, xp + gap * sample_stable(stable, rng, size=(b, scheme.t))
+
+    return _estimate(scheme, distance, trials, rng, projected_pairs)
 
 
 def estimate_collision_projected(
@@ -409,15 +452,26 @@ def estimate_rho(
     doubles its trial count until it has seen _MIN_FAR_COLLISIONS collisions
     or the trial budget is spent; if no far collision ever shows up, rho is
     reported as an upper bound through the Wilson upper limit of p2.
+
+    The rates do not depend on d, and each trial is drawn in R^t: by
+    p-stability the projected difference of a pair at distance s is s times
+    t iid standard p-stable variates, and the uniform shifts make the
+    lattice stage blind to the base point. d is still checked (d >= 1) as
+    the dimension the rates stand for. The pilot that sizes (k, L) keeps
+    estimate_collision's R^d pipeline, because switching its stream would
+    re-size indexes on noise alone: at pilot seed 0 the R^t draw read p1
+    0.4703 against 0.4845 and moved (k, L) from (6, 163) to (6, 201) at
+    n = 1500 and from (6, 131) to (6, 159) at n = 1000.
     """
-    p1 = estimate_collision(scheme, d, scheme.r, trials, rng)
     far = scheme.c * scheme.r
+    _check_inputs(d, far, trials)
+    p1 = _estimate_in_projection(scheme, scheme.r, trials, rng)
     total = 0
     coll = 0
     fall = 0
     batch = trials
     while True:
-        got = estimate_collision(scheme, d, far, batch, rng)
+        got = _estimate_in_projection(scheme, far, batch, rng)
         total += got.trials
         coll += got.collisions
         fall += round(got.fallback_rate * got.trials)
@@ -461,9 +515,15 @@ def rho_sweep(
     budget: int = 10_000_000,
     derive_kwargs: dict | None = None,
 ) -> list[RhoReport]:
-    """One RhoReport per c, schemes derived with shared knobs/overrides."""
+    """One RhoReport per c, schemes derived with shared knobs/overrides.
+
+    The rates do not depend on d (see estimate_rho); d >= 1 is checked
+    before any scheme is derived.
+    """
     if not c_list:
         raise ContractViolation("c_list must be nonempty")
+    if d < 1:
+        raise ContractViolation(f"d must be >= 1, got {d}")
     reports = []
     for c in c_list:
         scheme = derive_params(c, p, profile=profile, knobs=knobs, overrides=overrides, **(derive_kwargs or {}))

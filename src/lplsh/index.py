@@ -9,8 +9,11 @@ Bucket keys are the k-tuples of hash values, folded to a 32-bit fingerprint;
 builds compare the full keys inside every bucket and report fingerprint
 collisions rather than leaving them silent. Queries compute exact distances
 on the stored points, so a returned answer's distance is always real; the
-approximation contract only governs which candidates are met, and a false
-fingerprint match only adds a candidate.
+approximation contract only governs which candidates are met. A false
+fingerprint match adds a candidate, and without a binding candidate budget
+that is all it does. Queries cut their candidates at the budget in (table,
+position) order, so under a binding budget a falsely matched point can take
+the place of a nearer one from a later table and make the answer farther.
 """
 
 from __future__ import annotations

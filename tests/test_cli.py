@@ -569,6 +569,14 @@ class TestRho:
         assert capsys.readouterr().err == "error: c must be > 1 and finite, got inf\n"
         assert not out.exists()
 
+    def test_dimension_below_one_rejected(self, tmp_path, capsys):
+        out = tmp_path / "r.csv"
+        code = main(["rho", "--p", "1.5", "--c-list", "2", "--d", "0", "--trials", "200", "--seed", "0",
+                     "--threshold-samples", "10000", "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == "error: d must be >= 1, got 0\n"
+        assert not out.exists()
+
     def test_invalid_c_list(self, tmp_path, capsys):
         code = main(["rho", "--p", "1.5", "--c-list", "2,x", "--seed", "0",
                      "--out", str(tmp_path / "r.csv")])

@@ -21,6 +21,7 @@ from lplsh import (
 )
 from lplsh.collisions import (
     RHO_CSV_COLUMNS,
+    _estimate_in_projection,
     estimate_collision_projected,
     make_pair_at_distance,
     rho_point_estimate,
@@ -104,6 +105,41 @@ class TestEstimateCollision:
     def test_negative_or_non_finite_distance_rejected(self, distance):
         with pytest.raises(ContractViolation, match="distance must be >= 0 and finite"):
             estimate_collision(cheap_scheme(), d=8, distance=distance, trials=10, rng=derive_rng(0, 9409))
+
+
+def two_sample_z(rate_a, rate_b, trials_a, trials_b):
+    """Pooled two-proportion z; 0 when both rates are 0 or both 1."""
+    pooled = (rate_a * trials_a + rate_b * trials_b) / (trials_a + trials_b)
+    spread = math.sqrt(pooled * (1.0 - pooled) * (1.0 / trials_a + 1.0 / trials_b))
+    return 0.0 if spread == 0.0 else abs(rate_a - rate_b) / spread
+
+
+class TestEstimateInProjection:
+    """The R^t draw of estimate_rho against the R^d pipeline it replaces in the lab."""
+
+    TRIALS = 4_000
+
+    def assert_rates_agree(self, scheme, d_list, distances, tag):
+        for j, s in enumerate(distances):
+            fast = _estimate_in_projection(scheme, s, self.TRIALS, derive_rng(tag, j))
+            for i, d in enumerate(d_list):
+                ref = estimate_collision(scheme, d, s, self.TRIALS, derive_rng(tag, j, i + 1))
+                for name in ("p_hat", "fallback_rate"):
+                    z = two_sample_z(getattr(fast, name), getattr(ref, name), self.TRIALS, self.TRIALS)
+                    assert z <= 3.0, (scheme.p, d, s, name, getattr(fast, name), getattr(ref, name))
+            if s == 0.0:
+                assert fast.p_hat == 1.0
+
+    @pytest.mark.parametrize("p", [1.25, 1.5, 2.0])
+    def test_rates_match_the_pipeline(self, p):
+        self.assert_rates_agree(cheap_scheme(p=p), [8, 32, 128], [0.0, 0.5, 1.0, 2.0], 9440)
+
+    def test_fallback_heavy_rates_match_the_pipeline(self):
+        # 40 lattices spaced 12 radii apart cover a point only now and then
+        scheme = cheap_scheme(delta=12.0, u=40)
+        self.assert_rates_agree(scheme, [8, 32], [0.5, 1.0, 2.0], 9441)
+        got = _estimate_in_projection(scheme, 1.0, self.TRIALS, derive_rng(0, 9442))
+        assert got.fallback_rate > 0.5
 
 
 class TestProjectedCollision:
@@ -259,6 +295,14 @@ class TestEstimateRho:
             rho_point_estimate(rep.p1.p_hat, rep.p2.ci95[1])
         )
 
+    @pytest.mark.parametrize(
+        "d, trials, message", [(0, 100, "d must be >= 1"), (8, 0, "trials must be >= 1")]
+    )
+    def test_bad_dimension_or_trials_rejected(self, d, trials, message):
+        # the rates do not depend on d, but d < 1 names no space
+        with pytest.raises(ContractViolation, match=message):
+            estimate_rho(cheap_scheme(), d=d, trials=trials, rng=derive_rng(0, 9443))
+
     def test_rho_std_finite_inside_unit_square(self):
         scheme = cheap_scheme()
         rep = estimate_rho(scheme, d=8, trials=400, rng=derive_rng(0, 9421))
@@ -290,6 +334,11 @@ class TestRhoSweep:
             assert row["inv_cp"] < row["inv_c"]
             assert rep.fallback_rate <= 0.01
         assert r5.rho_hat < r2.rho_hat + 3.0 * (r2.rho_se + r5.rho_se)
+
+    @pytest.mark.parametrize("d", [0, -2])
+    def test_dimension_below_one_rejected(self, d):
+        with pytest.raises(ContractViolation, match="d must be >= 1"):
+            rho_sweep(1.5, [2.0], d=d, trials=10, rng=derive_rng(0, 9444))
 
     def test_empty_c_list_rejected(self):
         with pytest.raises(ContractViolation):

@@ -5,8 +5,9 @@ is written with `write_rho_csv` and its sha256 compared with a recorded
 value. Every column is pinned: the scheme's own values (w, t, eps, U,
 saturated), the estimates, and the reference curves derived from c and p.
 Any change to the lab's random stream, its estimators, or the row
-arithmetic moves the digest. The digest was recorded with numpy 2.4
-(OpenBLAS) on x86-64; another BLAS may round the projection differently.
+arithmetic moves the digest. The digest was recorded with numpy 2.4 on
+x86-64. The sweep draws each trial's projected pair in R^t, so no
+projection matmul, and no BLAS, enters it.
 """
 
 import hashlib
@@ -15,7 +16,7 @@ from lplsh import Knobs, rho_sweep, write_rho_csv
 from lplsh.collisions import TUNED_DELTA, TUNED_DELTA_FAIL, TUNED_KAPPA_W, TUNED_T
 from lplsh.util import derive_rng
 
-TUNED_SWEEP_SHA256 = "28a894cf37a46916456be9fa1ada679a9cd704d6869fc6f297a78e1276a03667"
+TUNED_SWEEP_SHA256 = "f75a0befdf06dda64b724090fb968c142becae6300ff9b82d03c6c779838a1b4"
 
 
 def test_tuned_sweep_csv_matches_golden_digest(tmp_path):
