@@ -32,6 +32,10 @@ pair per workload:seed, reported metric by metric with each side's tracer
 health. The output file is
 rewritten after every pair, so an interrupted run leaves the pairs it
 finished.
+
+The arguments are checked before anything is cloned: an empty seed range, a
+seed listed twice, a claimed workload missing from `--workloads` and a
+claimed metric that the change's BENCHMARK.json does not declare each exit 2.
 """
 
 from __future__ import annotations
@@ -51,11 +55,18 @@ WIN_SHARE = 0.9
 
 
 def seed_range(text: str) -> list[int]:
-    """'2021-2030' or '2021,2025' as a list of seeds."""
+    """'2021-2030' or '2021,2025' as a list of seeds; an empty range or a seed listed twice is an error."""
     seeds: list[int] = []
     for part in text.split(","):
         lo, _, hi = part.partition("-")
-        seeds += range(int(lo), int(hi or lo) + 1)
+        span = range(int(lo), int(hi or lo) + 1)
+        if not span:
+            raise argparse.ArgumentTypeError(f"empty seed range {part!r}")
+        seeds += span
+    repeated = sorted({seed for seed in seeds if seeds.count(seed) > 1})
+    if repeated:
+        # one seed run twice is one pair counted twice
+        raise argparse.ArgumentTypeError(f"seeds listed more than once: {repeated}")
     return seeds
 
 
@@ -228,12 +239,20 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--traced", type=pair, action="append", default=[], help="WORKLOAD:SEED, one --trace 1 pair")
     ap.add_argument("--out", required=True, help="the JSON record to write")
     args = ap.parse_args(argv)
-
+    if args.claim is not None and args.claim[1] not in args.workloads:
+        ap.error(f"--claim workload {args.claim[1]!r} is not among --workloads")
     repo = git("rev-parse", "--show-toplevel")
+    try:
+        benchmark = json.loads(git("show", f"{args.change}:BENCHMARK.json", cwd=repo))
+    except subprocess.CalledProcessError:
+        ap.error(f"--change {args.change!r} has no BENCHMARK.json")
+    declared = {m["name"]: m for m in benchmark["end_to_end"]}
+    if args.claim is not None and args.claim[0] not in declared:
+        ap.error(f"--claim metric {args.claim[0]!r} is not an end-to-end metric of the change's BENCHMARK.json")
+
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
         trees = {side: Path(tmp) / side for side in SIDES}
         commits = {side: checkout(repo, getattr(args, side), trees[side]) for side in SIDES}
-        declared = {m["name"]: m for m in json.loads((trees["change"] / "BENCHMARK.json").read_text())["end_to_end"]}
         record: dict = {
             "commits": commits,
             "claimed": None if args.claim is None else dict(zip(("metric", "workload"), args.claim)),

@@ -59,9 +59,15 @@ RHO_CSV_COLUMNS = (
 
 _ELEM_BUDGET = 4_000_000  # cap on the elements of one block of per-trial shifts
 # pair trials per block of the full-pipeline and R^t estimates (_PAIR_BLOCK) and of
-# estimate_collision_projected; the block sizes set the random stream, and so the rho CSV
+# estimate_collision_projected; the block sizes and first shift chunks set the
+# random stream: the pilot's, and so (k, L) and index bytes, and the lab's rho CSV
 _PAIR_BLOCK = 2048
 _PROJECTED_BLOCK = 4096
+# first shift chunk per trial: estimate_collision (the pilot) and
+# estimate_collision_projected keep 128; the R^t lab takes 8, because a point
+# needs about 9 lattices at the tuned delta = 3 and a trial stops at its cover
+_PILOT_CHUNK = 128
+_LAB_CHUNK = 8
 # estimate_rho's far estimate doubles its trials until it sees this many collisions
 _MIN_FAR_COLLISIONS = 20
 
@@ -148,6 +154,7 @@ def _lattice_stage(
     params: LatticeParams,
     p: float,
     rng: np.random.Generator,
+    first_chunk: int = _PILOT_CHUNK,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Hash projected pairs, one fresh shifted-lattice set per trial.
 
@@ -155,15 +162,17 @@ def _lattice_stage(
     x and y of one trial always see the same shifts. Returns
     (u_x, a_x, u_y, a_y) with u = 0 for fallback.
 
-    Shifts are drawn in chunks of 128, then x4 up to SHIFT_CHUNK, each
-    capped at the element budget and at U, for the trials pending when
-    the chunk starts; these sizes set the random stream, and so the rho
-    CSV. The scan tests a chunk in its own shorter steps, so a draw
-    returns at most the rest of the current chunk, and a trial stops
-    being tested at its first cover.
+    Shifts are drawn in chunks of first_chunk, then x4 up to SHIFT_CHUNK,
+    each capped at the element budget and at U, trial-major for the
+    trials pending when the chunk starts; these sizes set the random
+    stream. The scan tests a chunk in its own steps, so a draw returns
+    at most the rest of the current chunk, and a trial stops being
+    tested at its first cover. A chunk is drawn only once the scan has
+    tested every shift before it, so the stream does not depend on the
+    scan's steps (lattice.SCAN_BLOCKS).
     """
     t = xp.shape[1]
-    size = 128
+    size = first_chunk
     start = stop = 0
     chunk = chunk_rows = None
 
@@ -206,15 +215,17 @@ def _estimate(
     trials: int,
     rng: np.random.Generator,
     projected_pairs: Callable[[int], tuple[np.ndarray, np.ndarray]],
+    first_chunk: int,
 ) -> CollisionEstimate:
-    """The trial loop: `projected_pairs(b)` gives b unit-frame pairs in R^t, each hashed under fresh shifts."""
+    """The trial loop: `projected_pairs(b)` gives b unit-frame pairs in R^t, each hashed under fresh shifts
+    drawn from a first chunk of first_chunk shifts."""
     collisions = 0
     fallbacks = 0
     done = 0
     while done < trials:
         b = min(_PAIR_BLOCK, trials - done)
         xp, yp = projected_pairs(b)
-        csame, cfall = _count_block(*_lattice_stage(xp, yp, scheme.lattice, scheme.p, rng))
+        csame, cfall = _count_block(*_lattice_stage(xp, yp, scheme.lattice, scheme.p, rng, first_chunk))
         collisions += csame
         fallbacks += cfall
         done += b
@@ -254,7 +265,7 @@ def estimate_collision(
         a = sample_stable(stable, rng, size=(b, scheme.t, d))
         return np.einsum("btd,bd->bt", a, x) * scale, np.einsum("btd,bd->bt", a, y) * scale
 
-    return _estimate(scheme, distance, trials, rng, projected_pairs)
+    return _estimate(scheme, distance, trials, rng, projected_pairs, _PILOT_CHUNK)
 
 
 def _estimate_in_projection(
@@ -274,7 +285,7 @@ def _estimate_in_projection(
         xp = rng.uniform(0.0, scheme.lattice.spacing, size=(b, scheme.t))
         return xp, xp + gap * sample_stable(stable, rng, size=(b, scheme.t))
 
-    return _estimate(scheme, distance, trials, rng, projected_pairs)
+    return _estimate(scheme, distance, trials, rng, projected_pairs, _LAB_CHUNK)
 
 
 def estimate_collision_projected(

@@ -1,10 +1,11 @@
-"""The benchmark-pairs script's regressed and unresolved marks.
+"""The benchmark-pairs script's regressed and unresolved marks, and its argument checks.
 
 `scripts/bench_pairs.py` is a script, not a package module, so it is
 loaded by path. A metric is regressed when the change's median is worse
 than the parent's by more than the metric's bound times the parent's
 median, and unresolved when the parent's interquartile range exceeds that
-amount and not every change run beats every parent run.
+amount and not every change run beats every parent run. Bad arguments exit
+2 before either side is cloned.
 """
 
 import importlib.util
@@ -12,7 +13,8 @@ from pathlib import Path
 
 import pytest
 
-BENCH_PAIRS = Path(__file__).resolve().parent.parent / "scripts" / "bench_pairs.py"
+ROOT = Path(__file__).resolve().parent.parent
+BENCH_PAIRS = ROOT / "scripts" / "bench_pairs.py"
 
 
 @pytest.fixture(scope="module")
@@ -75,3 +77,42 @@ def test_summary_marks_each_metric_and_lists_them_per_workload(bench_pairs):
     assert (metrics["recall"]["regressed"], metrics["recall"]["unresolved"]) == (False, False)
     assert metrics["undeclared"]["regressed"] is None
     assert bench_pairs.verdict_lines({"w": summary}) == ["regressed on w: build_s", "unresolved on w: none"]
+
+
+class Cloned(Exception):
+    """Raised in place of a clone: the arguments got past every check."""
+
+
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        (["--seeds", "2030-2021"], "empty seed range '2030-2021'"),
+        (["--seeds", "5,5"], "seeds listed more than once: [5]"),
+        (["--seeds", "2021-2025,2023"], "seeds listed more than once: [2023]"),
+        (["--seeds", "1-3", "--claim", "no_such_metric:query-n1k"], "--claim metric 'no_such_metric'"),
+        (["--seeds", "1-3", "--claim", "rho_trials_per_s:planted-n1500"], "--claim workload 'planted-n1500'"),
+    ],
+    ids=["reversed-range", "repeated-seed", "overlapping-parts", "undeclared-metric", "unrun-workload"],
+)
+def test_bad_arguments_exit_2_before_any_clone(bench_pairs, monkeypatch, capsys, tmp_path, extra, message):
+    # git answers from the working tree, so the checks need no second ref
+    def git(*args, cwd=None):
+        if args == ("rev-parse", "--show-toplevel"):
+            return str(ROOT)
+        assert args == ("show", "HEAD:BENCHMARK.json")
+        return (ROOT / "BENCHMARK.json").read_text()
+
+    def checkout(repo, ref, into):
+        raise Cloned
+
+    monkeypatch.setattr(bench_pairs, "git", git)
+    monkeypatch.setattr(bench_pairs, "checkout", checkout)
+    argv = ["--parent", "HEAD~1", "--change", "HEAD", "--workloads", "query-n1k", "--out", str(tmp_path / "b.json")]
+    with pytest.raises(SystemExit) as exc:
+        bench_pairs.main(argv + extra)
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+    # the same call with good seeds and claim gets as far as the clone
+    with pytest.raises(Cloned):
+        bench_pairs.main(argv + ["--seeds", "1-3", "--claim", "rho_trials_per_s:query-n1k"])
+    assert not (tmp_path / "b.json").exists()

@@ -14,6 +14,13 @@ its shift prefix must be the head of every set's first shift chunk, bit for
 bit, and a scan split over threads must hash as the unsplit one. The lab
 tests its drawn chunks in the scan's shorter steps, so a trial's tests stop
 at about its first cover; one test counts the (shift, row) pairs tested.
+
+`_lattice_stage` draws from a first chunk of 128 shifts for the pilot
+(`estimate_collision`, which sizes (k, L)) and of 8 for the R^t lab
+(`estimate_rho`). The cases and digests at 128 were recorded before the
+first chunk became an argument and pin the pilot's stream; the cases and
+the digest at 8 pin the lab's. Neither stream depends on the scan's block
+schedule, and the lab draws at most twice the shifts it tests per point.
 """
 
 import hashlib
@@ -27,9 +34,18 @@ import lplsh.collisions
 import lplsh.lattice
 import lplsh.util
 from lplsh import LatticeParams, LpSpace, ShiftedLatticeSet
-from lplsh.collisions import _ELEM_BUDGET, _lattice_stage, estimate_collision, tuned_scheme
+from lplsh.collisions import (
+    _ELEM_BUDGET,
+    _estimate_in_projection,
+    _lattice_stage,
+    estimate_collision,
+    estimate_rho,
+    tuned_scheme,
+)
 from lplsh.lattice import SHIFT_CHUNK, STACK_PREFIX, _column_sum, hash_batch, locate, stack_prefix
 from lplsh.util import derive_rng
+
+from conftest import cheap_scheme
 
 # rows per slice of the reference loops, which predate the kernel's element budget
 ROW_BLOCK = 4096
@@ -84,7 +100,7 @@ def reference_hash_batch(points, lattices, space, chunk=SHIFT_CHUNK):
     return u_out, coords_out, probes
 
 
-def reference_lattice_stage(xp, yp, params, p, rng):
+def reference_lattice_stage(xp, yp, params, p, rng, first_chunk=128):
     b, t = xp.shape
     w, spacing, total = params.w, params.spacing, params.num_shifts
     ux = np.zeros(b, dtype=np.int64)
@@ -92,7 +108,7 @@ def reference_lattice_stage(xp, yp, params, p, rng):
     ax = np.zeros((b, t), dtype=np.int64)
     ay = np.zeros((b, t), dtype=np.int64)
     lo = 0
-    chunk = 128
+    chunk = first_chunk
     while lo < total:
         active = np.flatnonzero((ux == 0) | (uy == 0))
         if active.size == 0:
@@ -152,26 +168,66 @@ LAB_CASES = [
 ]
 
 
-@pytest.mark.parametrize("case,params,n", LAB_CASES, ids=[c[0] for c in LAB_CASES])
-def test_lattice_stage_matches_reference(case, params, n):
+# the lab's schedule, chunks of 8, 32, 128, ...: (case, params, n, element
+# budget or None for _ELEM_BUDGET). At the patched budget of 30_000 the
+# second chunk is cut from 32 shifts to the floor of 16 while 1000-odd
+# trials pend; the chunk of 32 at lo = 8 is tested in steps of 12 and 18
+LAB_CASES_8 = [
+    ("chunk8", LatticeParams(w=1.0, t=3, num_shifts=3000, delta=8.0), 900, None),
+    ("chunk8-budget-capped", LatticeParams(w=1.0, t=3, num_shifts=3000, delta=8.0), 1200, 30_000),
+    ("chunk8-x-before-y", LatticeParams(w=1.0, t=3, num_shifts=3000, delta=6.0), 800, None),
+]
+
+
+class DrawRecorder:
+    """Passes the lattice stage's uniform draws through to a generator, recording each one's shape."""
+
+    def __init__(self, rng):
+        self.rng = rng
+        self.shapes = []
+
+    def uniform(self, low, high, size):
+        self.shapes.append(size)
+        return self.rng.uniform(low, high, size=size)
+
+
+@pytest.mark.parametrize(
+    "case,params,n,first_chunk,budget",
+    [(*c, 128, None) for c in LAB_CASES] + [(case, params, n, 8, budget) for case, params, n, budget in LAB_CASES_8],
+    ids=[c[0] for c in LAB_CASES + LAB_CASES_8],
+)
+def test_lattice_stage_matches_reference(case, params, n, first_chunk, budget, monkeypatch):
+    if budget is not None:
+        monkeypatch.setattr(lplsh.collisions, "_ELEM_BUDGET", budget)
+        monkeypatch.setitem(globals(), "_ELEM_BUDGET", budget)
     data = derive_rng(0, 9302)
     xp = data.normal(size=(n, params.t))
     yp = xp + data.normal(scale=0.5, size=(n, params.t))
     rng_want = derive_rng(5, 9303)
     rng_got = derive_rng(5, 9303)
-    want = reference_lattice_stage(xp, yp, params, 1.5, rng_want)
-    got = _lattice_stage(xp, yp, params, 1.5, rng_got)
+    recorder = DrawRecorder(rng_got)
+    want = reference_lattice_stage(xp, yp, params, 1.5, rng_want, first_chunk)
+    got = _lattice_stage(xp, yp, params, 1.5, recorder, first_chunk)
     for w_arr, g_arr in zip(want, got):
         assert w_arr.dtype == g_arr.dtype and w_arr.shape == g_arr.shape
         assert np.array_equal(w_arr, g_arr)
     # the same random numbers were drawn, in the same block sizes
     assert rng_got.bit_generator.state == rng_want.bit_generator.state
+    assert recorder.shapes[0] == (n, min(first_chunk, params.num_shifts), params.t)
     ux, _, uy, _ = got
     if case == "fallback":
         assert ((ux == 0) | (uy == 0)).any() and ((ux > 0) & (uy > 0)).any()
+    elif case == "chunk8-budget-capped":
+        assert [shape[1] for shape in recorder.shapes[:2]] == [8, 16]
+        assert (ux > 128).any()
+    elif case == "chunk8-x-before-y":
+        # within the chunk of shifts 9 to 40 some trial's x hits in its first
+        # step while its y is tested on in the next, gathered from the chunk's rows
+        assert ((ux > 8) & (ux <= 20) & (uy > 20) & (uy <= 40)).any()
+        assert ((uy > 8) & (uy <= 20) & (ux > 20) & (ux <= 40)).any()
     else:
         # some trial's x resolves in the first block while its y scans on
-        assert ((ux > 0) & (ux <= 128) & ((uy > 128) | (uy == 0))).any()
+        assert ((ux > 0) & (ux <= first_chunk) & ((uy > first_chunk) | (uy == 0))).any()
 
 
 def test_lattice_stage_broadcast_pair_matches_reference():
@@ -263,6 +319,68 @@ def test_lattice_stage_stops_testing_at_first_cover(monkeypatch):
     # testing whole chunks cost 128 pairs per row and set: 524288 here,
     # against 60683 tested and 36999 needed
     assert 2 * needed < 128 * 2 * ux.size
+
+
+@pytest.mark.parametrize("blocks", [(4, 2.0), (16, 1.5)], ids=["4-x2", "16-x1.5"])
+def test_streams_do_not_depend_on_the_scan_schedule(blocks, monkeypatch):
+    # a chunk is drawn once every shift before it has been tested, for the
+    # trials pending then, so the scan's steps only order the tests: the
+    # lab's and the pilot's estimates and the generator's state stay put
+    # under other schedules, with long scans (tuned) and with fallbacks (U = 40)
+    schemes = [tuned_scheme(2.0, 1.5, threshold_samples=10_000), cheap_scheme(delta=12.0, u=40)]
+
+    def run_all():
+        out = []
+        for i, scheme in enumerate(schemes):
+            for j, run in enumerate((
+                lambda rng: _estimate_in_projection(scheme, scheme.r, 2500, rng),
+                lambda rng: estimate_collision(scheme, 16, scheme.r, 2500, rng),
+            )):
+                rng = derive_rng(3, 9323, i, j)
+                got = run(rng)
+                out.append((got.collisions, got.fallback_rate, rng.bit_generator.state))
+        return out
+
+    want = run_all()
+    assert any(fallback > 0.5 for _, fallback, _ in want)
+    monkeypatch.setattr(lplsh.lattice, "SCAN_BLOCKS", blocks)
+    assert run_all() == want
+
+
+def test_lab_draws_at_most_twice_the_shifts_it_tests_per_point(monkeypatch):
+    # the benchmark lab's sweep (c in {2, 3, 5}, p = 1.5, tuned_scheme's
+    # knobs, 1000 trials; a cheaper threshold): a point needs about 9.3
+    # lattices at delta = 3, so a first chunk of 128 shifts per trial drew
+    # some 8x the shifts tested per point, and 8 draws under 2x. The pilot
+    # keeps its first chunk of 128, and so its stream
+    draws = []
+    pairs = []
+    covered = lplsh.lattice._covered
+    stage = lplsh.collisions._lattice_stage
+
+    def counting(cols, shifts, *rest):
+        pairs.append(shifts.shape[1] * cols.shape[1])
+        return covered(cols, shifts, *rest)
+
+    def recording(xp, yp, params, p, rng, *rest):
+        recorder = DrawRecorder(rng)
+        out = stage(xp, yp, params, p, recorder, *rest)
+        draws.extend(recorder.shapes)
+        return out
+
+    monkeypatch.setattr(lplsh.lattice, "_covered", counting)
+    monkeypatch.setattr(lplsh.collisions, "_lattice_stage", recording)
+    rng = derive_rng(0, 9324)
+    reports = [estimate_rho(tuned_scheme(c, 1.5, threshold_samples=10_000), 32, 1000, rng) for c in (2.0, 3.0, 5.0)]
+    trials = sum(rep.p1.trials + rep.p2.trials for rep in reports)
+    drawn_per_trial = sum(rows * shifts for rows, shifts, _ in draws) / trials
+    tested_per_point = sum(pairs) / (2 * trials)
+    assert drawn_per_trial <= 2.0 * tested_per_point
+    draws.clear()
+    scheme = tuned_scheme(2.0, 1.5, threshold_samples=10_000)
+    estimate_collision(scheme, 32, scheme.r, 2048, derive_rng(0, 9325))
+    assert draws[0] == (2048, 128, scheme.t)
+    assert sum(rows * shifts for rows, shifts, _ in draws) >= 128 * 2048
 
 
 def reference_hash_stacked(points, sets, space):
@@ -460,14 +578,31 @@ LAB_GOLDEN = [
 ]
 
 
-@pytest.mark.parametrize("case,params,n,digest", LAB_GOLDEN, ids=[c[0] for c in LAB_GOLDEN])
-def test_lattice_stage_golden_digest(case, params, n, digest):
+# the lab's first chunk of 8, recorded when the lab took it: chunks of 8, 32
+# and 128 shifts, then 405 where the element budget caps 512 at 3287 pending
+# trials of 6000, then 1024
+LAB_GOLDEN_8 = [
+    (
+        "capped-chunk8",
+        LatticeParams(w=1.0, t=3, num_shifts=3000, delta=8.0),
+        6000,
+        "98915e245d890120735bda67537fdb8b4f06010f0c6312e61eb7f9c269ba211a",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "case,params,n,digest,first_chunk",
+    [(*c, 128) for c in LAB_GOLDEN] + [(*c, 8) for c in LAB_GOLDEN_8],
+    ids=[c[0] for c in LAB_GOLDEN + LAB_GOLDEN_8],
+)
+def test_lattice_stage_golden_digest(case, params, n, digest, first_chunk):
     data = derive_rng(1, 9310)
     xp = data.normal(size=(n, params.t))
     yp = xp + data.normal(scale=0.5, size=(n, params.t))
     rng = derive_rng(1, 9311)
     h = hashlib.sha256()
-    for arr in _lattice_stage(xp, yp, params, 1.5, rng):
+    for arr in _lattice_stage(xp, yp, params, 1.5, rng, first_chunk):
         h.update(np.ascontiguousarray(arr).tobytes())
     h.update(str(rng.bit_generator.state["state"]).encode())
     assert h.hexdigest() == digest

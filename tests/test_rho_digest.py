@@ -16,7 +16,7 @@ from lplsh import Knobs, rho_sweep, write_rho_csv
 from lplsh.collisions import TUNED_DELTA, TUNED_DELTA_FAIL, TUNED_KAPPA_W, TUNED_T
 from lplsh.util import derive_rng
 
-TUNED_SWEEP_SHA256 = "f75a0befdf06dda64b724090fb968c142becae6300ff9b82d03c6c779838a1b4"
+TUNED_SWEEP_SHA256 = "2ec18d7143413fc2bddcb8dc658c33938667f281d67234deaa5f6117792503d8"
 
 
 def test_tuned_sweep_csv_matches_golden_digest(tmp_path):
