@@ -34,8 +34,9 @@ rewritten after every pair, so an interrupted run leaves the pairs it
 finished.
 
 The arguments are checked before anything is cloned: an empty seed range, a
-seed listed twice, a claimed workload missing from `--workloads` and a
-claimed metric that the change's BENCHMARK.json does not declare each exit 2.
+seed listed twice, a traced seed that is not an integer, a claimed workload
+missing from `--workloads` and a claimed metric that the change's
+BENCHMARK.json does not declare each exit 2.
 """
 
 from __future__ import annotations
@@ -76,6 +77,12 @@ def pair(text: str) -> tuple[str, str]:
     if not (sep and a and b):
         raise argparse.ArgumentTypeError(f"expected NAME:VALUE, got {text!r}")
     return a, b
+
+
+def traced_pair(text: str) -> tuple[str, int]:
+    """'workload:seed' as (workload, seed)."""
+    workload, seed = pair(text)
+    return workload, int(seed)
 
 
 def git(*args: str, cwd: str | Path | None = None) -> str:
@@ -236,7 +243,7 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--seeds", type=seed_range, required=True, help="e.g. 2021-2030")
     ap.add_argument("--seconds", type=float, default=40.0)
     ap.add_argument("--claim", type=pair, help="METRIC:WORKLOAD, the one claimed gain")
-    ap.add_argument("--traced", type=pair, action="append", default=[], help="WORKLOAD:SEED, one --trace 1 pair")
+    ap.add_argument("--traced", type=traced_pair, action="append", default=[], help="WORKLOAD:SEED, one --trace 1 pair")
     ap.add_argument("--out", required=True, help="the JSON record to write")
     args = ap.parse_args(argv)
     if args.claim is not None and args.claim[1] not in args.workloads:
@@ -281,7 +288,7 @@ def main(argv: list[str] | None = None) -> int:
                 out.write_text(json.dumps(record, indent=1) + "\n")
         traced: dict = {}
         for workload, seed in args.traced:
-            runs = run_pair(trees, workload, int(seed), args.seconds, 1)
+            runs = run_pair(trees, workload, seed, args.seconds, 1)
             traced.setdefault(workload, {})[seed] = {
                 **{f"{name}_equal": same_digest(runs, name) for name in DIGESTS},
                 "failed_ops": runs["parent"]["failed"] + runs["change"]["failed"],

@@ -217,8 +217,7 @@ def _estimate(
     projected_pairs: Callable[[int], tuple[np.ndarray, np.ndarray]],
     first_chunk: int,
 ) -> CollisionEstimate:
-    """The trial loop: `projected_pairs(b)` gives b unit-frame pairs in R^t, each hashed under fresh shifts
-    drawn from a first chunk of first_chunk shifts."""
+    """The trial loop: `projected_pairs(b)` gives b unit-frame pairs in R^t, each hashed under fresh shifts."""
     collisions = 0
     fallbacks = 0
     done = 0
@@ -469,10 +468,12 @@ def estimate_rho(
     t iid standard p-stable variates, and the uniform shifts make the
     lattice stage blind to the base point. d is still checked (d >= 1) as
     the dimension the rates stand for. The pilot that sizes (k, L) keeps
-    estimate_collision's R^d pipeline, because switching its stream would
-    re-size indexes on noise alone: at pilot seed 0 the R^t draw read p1
-    0.4703 against 0.4845 and moved (k, L) from (6, 163) to (6, 201) at
-    n = 1500 and from (6, 131) to (6, 159) at n = 1000.
+    estimate_collision's R^d pipeline and its first shift chunk of 128,
+    where the lab starts at 8, because switching its stream would re-size
+    indexes on noise alone: at pilot seed 0 the R^t draw read p1 0.4703
+    against 0.4845 and moved (k, L) from (6, 163) to (6, 201) at n = 1500
+    and from (6, 131) to (6, 159) at n = 1000; a first chunk of 8 alone
+    moved them to (6, 162) and (6, 130).
     """
     far = scheme.c * scheme.r
     _check_inputs(d, far, trials)

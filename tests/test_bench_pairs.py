@@ -91,8 +91,9 @@ class Cloned(Exception):
         (["--seeds", "2021-2025,2023"], "seeds listed more than once: [2023]"),
         (["--seeds", "1-3", "--claim", "no_such_metric:query-n1k"], "--claim metric 'no_such_metric'"),
         (["--seeds", "1-3", "--claim", "rho_trials_per_s:planted-n1500"], "--claim workload 'planted-n1500'"),
+        (["--seeds", "1-3", "--traced", "query-n1k:x"], "invalid traced_pair value: 'query-n1k:x'"),
     ],
-    ids=["reversed-range", "repeated-seed", "overlapping-parts", "undeclared-metric", "unrun-workload"],
+    ids=["reversed-range", "repeated-seed", "overlapping-parts", "undeclared-metric", "unrun-workload", "traced-seed"],
 )
 def test_bad_arguments_exit_2_before_any_clone(bench_pairs, monkeypatch, capsys, tmp_path, extra, message):
     # git answers from the working tree, so the checks need no second ref
