@@ -19,15 +19,20 @@ import numpy as np
 from scipy import stats
 from scipy.integrate import quad
 
-from lplsh.stable import StableParams, compute_threshold, fit_tail_constant, truncated_moment
+from lplsh.stable import (
+    TAIL_FIT_RANGE,
+    TAIL_GRID_SIZE,
+    StableParams,
+    compute_threshold,
+    fit_tail_constant,
+    truncated_moment,
+)
 from lplsh.util import derive_rng
 
 P = 1.5
 T_DIM = 64
 EPSILON = 0.25
 M_PIN = T_DIM**EPSILON  # 2.8284...
-FIT_RANGE = (10.0, 100.0)
-GRID_SIZE = 12
 N_MC = 10_000_000
 
 
@@ -46,7 +51,7 @@ def main() -> None:
     moment_exact = exact_truncated_moment(P, M_PIN)
     threshold_exact = T_DIM * moment_exact / 2.0
 
-    grid = np.geomspace(*FIT_RANGE, GRID_SIZE)
+    grid = np.geomspace(*TAIL_FIT_RANGE, TAIL_GRID_SIZE)
     tail_exact = np.array([dist.sf(m) for m in grid])
     scaled_exact = P * grid**P * tail_exact
     a_exact = float(np.exp(np.mean(np.log(scaled_exact))))
@@ -61,9 +66,9 @@ def main() -> None:
 
     params = StableParams(P)
     t0 = time.time()
-    mom = truncated_moment(params, M_PIN, order=1, n_samples=N_MC, rng=derive_rng(0, 201))
+    mom = truncated_moment(params, M_PIN, n_samples=N_MC, rng=derive_rng(0, 201))
     z_mom = (mom.value - moment_exact) / mom.std_error
-    print(f"\n# library side at 10^7 samples ({time.time() - t0:.1f}s)")
+    print(f"\n# library side at {N_MC:.0e} samples ({time.time() - t0:.1f}s)")
     print(f"moment_mc        = {mom.value:.6f} +- {mom.std_error:.6f}   z={z_mom:+.2f}")
 
     t0 = time.time()
@@ -72,7 +77,7 @@ def main() -> None:
     print(f"threshold_mc     = {thr.value:.6f}   z={z_thr:+.2f}   ({time.time() - t0:.1f}s)")
 
     t0 = time.time()
-    fit = fit_tail_constant(params, n_samples=N_MC, rng=derive_rng(0, 202), fit_range=FIT_RANGE)
+    fit = fit_tail_constant(params, n_samples=N_MC, rng=derive_rng(0, 202))
     print(f"tail_fit_mc      = a_hat {fit.constants.a_hat:.6f}  b_hat {fit.constants.b_hat:.6f}"
           f"  flatness {fit.flatness:.4f}  n_tail {fit.constants.n_tail}   ({time.time() - t0:.1f}s)")
 

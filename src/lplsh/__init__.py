@@ -14,7 +14,6 @@ from .collisions import (
     estimate_collision,
     estimate_rho,
     geometric_collision,
-    make_pair_at_distance,
     rho_sweep,
     tuned_scheme,
     write_rho_csv,
@@ -123,7 +122,6 @@ __all__ = [
     "locate",
     "lp_distance",
     "lp_norm",
-    "make_pair_at_distance",
     "random_lp_direction",
     "read_fvecs",
     "read_vectors",

@@ -348,7 +348,7 @@ def cmd_bench(ns: argparse.Namespace) -> int:
     out = opts.get("out", str, required=True)
     # read every input before the build, so a bad query or truth file fails fast
     queries_path, queries, truth = _read_queries(opts)
-    points, scheme, params, _ = _prepare_build(opts, queries)
+    points, scheme, params, auto = _prepare_build(opts, queries)
     n, d = points.shape
 
     t0 = time.perf_counter()
@@ -356,7 +356,7 @@ def cmd_bench(ns: argparse.Namespace) -> int:
     build_s = time.perf_counter() - t0
     head = [f"data={opts.effective['data']}", f"queries={queries_path}", f"k={params.k}", f"l={params.l}"]
     summary, query_s = _answer_queries(index, queries, truth, params.max_candidates, out, head)
-    summary.update({"k": params.k, "l": params.l, "n": n, "d": d})
+    summary.update({**auto, "k": params.k, "l": params.l, "n": n, "d": d})
     _echo(opts.effective, summary)
     per_query_ms = 1000.0 * query_s / max(1, summary["queries"])
     print(
@@ -511,7 +511,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--trials", type=int)
     sp.add_argument("--seed", type=int)
     sp.add_argument("--out")
-    sp.add_argument("--budget", type=int, help="max far-pair trials per c")
+    sp.add_argument("--budget", type=int, help="max far-pair trials per c, at least --trials")
     _add_knob_flags(sp)
     sp.add_argument("--config")
     sp.set_defaults(func=cmd_rho)

@@ -5,9 +5,11 @@ p2 (at distance c*r) with a fresh hash function and a fresh pair per
 trial, so the probability is over the hash family as in the sensitivity
 definition. `estimate_collision` runs the full pipeline from a pair in R^d;
 `estimate_rho` draws each trial's projected pair in R^t directly, which
-has the same law. A geometric route estimates the same quantity
-for a fixed projected pair from ball-overlap volume ratios, giving an
-independent cross-check of the lattice machinery.
+has the same law; `estimate_collision_projected` holds one projected pair
+fixed. All three are one trial loop, `_estimate`, fed different pairs. A
+geometric route estimates the same quantity for a fixed projected pair
+from ball-overlap volume ratios, giving an independent cross-check of the
+lattice machinery.
 
 Fallback hashes (no covering lattice) collide with each other and are
 counted as collisions; the fallback rate is always reported separately.
@@ -58,11 +60,9 @@ RHO_CSV_COLUMNS = (
 )
 
 _ELEM_BUDGET = 4_000_000  # cap on the elements of one block of per-trial shifts
-# pair trials per block of the full-pipeline and R^t estimates (_PAIR_BLOCK) and of
-# estimate_collision_projected; the block sizes and first shift chunks set the
-# random stream: the pilot's, and so (k, L) and index bytes, and the lab's rho CSV
+# pair trials per block of _estimate; the block size and the first shift chunks
+# set the random stream: the pilot's, and so (k, L) and index bytes, and the lab's rho CSV
 _PAIR_BLOCK = 2048
-_PROJECTED_BLOCK = 4096
 # first shift chunk per trial: estimate_collision (the pilot) and
 # estimate_collision_projected keep 128; the R^t lab takes 8, because a point
 # needs about 9 lattices at the tuned delta = 3 and a trial stops at its cover
@@ -111,41 +111,36 @@ def tuned_scheme(
 
 @dataclass(frozen=True)
 class CollisionEstimate:
-    """Binomial estimate of a collision probability."""
+    """Binomial estimate of a collision probability, kept as its counts."""
 
     distance: float
     trials: int
     collisions: int
-    p_hat: float
-    ci95: tuple[float, float]
-    fallback_rate: float
+    fallbacks: int
+
+    @property
+    def p_hat(self) -> float:
+        return self.collisions / self.trials
+
+    @property
+    def ci95(self) -> tuple[float, float]:
+        return wilson_interval(self.collisions, self.trials)
+
+    @property
+    def fallback_rate(self) -> float:
+        return self.fallbacks / self.trials
 
     @property
     def std_error(self) -> float:
         return binomial_se(self.collisions, self.trials)
 
 
-def make_pair_at_distance(
-    space: LpSpace, distance: float, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
-    """A random pair at exact l_p distance: random base plus a scaled direction."""
-    if not (0.0 <= distance < math.inf):
-        raise ContractViolation(f"distance must be >= 0 and finite, got {distance}")
-    x = rng.standard_normal(space.dim)
-    y = x + distance * random_lp_direction(space, rng)
-    return x, y
-
-
 def _pair_block(
-    space: LpSpace, distance: float, rng: np.random.Generator, size: int, offset: np.ndarray | None
+    space: LpSpace, distance: float, rng: np.random.Generator, size: int
 ) -> tuple[np.ndarray, np.ndarray]:
+    """`size` random pairs at exact l_p distance: a Gaussian base plus a scaled direction."""
     x = rng.standard_normal((size, space.dim))
-    dirs = random_lp_direction(space, rng, size=size)
-    y = x + distance * dirs
-    if offset is not None:
-        x = x + offset[None, :]
-        y = y + offset[None, :]
-    return x, y
+    return x, x + distance * random_lp_direction(space, rng, size=size)
 
 
 def _lattice_stage(
@@ -194,12 +189,6 @@ def _lattice_stage(
     return ux, ax, uy, ay
 
 
-def _count_block(ux, ax, uy, ay) -> tuple[int, int]:
-    same = (ux == uy) & (ax == ay).all(axis=1)
-    fallback = (ux == 0) | (uy == 0)
-    return int(same.sum()), int(fallback.sum())
-
-
 def _check_inputs(d: int, distance: float, trials: int) -> None:
     if trials < 1:
         raise ContractViolation(f"trials must be >= 1, got {trials}")
@@ -209,33 +198,34 @@ def _check_inputs(d: int, distance: float, trials: int) -> None:
         raise ContractViolation(f"distance must be >= 0 and finite, got {distance}")
 
 
+def _check_budget(trials: int, budget: int) -> None:
+    if budget < trials:
+        raise ContractViolation(f"budget must be >= trials ({trials}), got {budget}")
+
+
 def _estimate(
-    scheme: SchemeParams,
-    distance: float,
+    params: LatticeParams,
+    p: float,
     trials: int,
     rng: np.random.Generator,
     projected_pairs: Callable[[int], tuple[np.ndarray, np.ndarray]],
     first_chunk: int,
-) -> CollisionEstimate:
-    """The trial loop: `projected_pairs(b)` gives b unit-frame pairs in R^t, each hashed under fresh shifts."""
-    collisions = 0
-    fallbacks = 0
-    done = 0
-    while done < trials:
-        b = min(_PAIR_BLOCK, trials - done)
-        xp, yp = projected_pairs(b)
-        csame, cfall = _count_block(*_lattice_stage(xp, yp, scheme.lattice, scheme.p, rng, first_chunk))
-        collisions += csame
-        fallbacks += cfall
-        done += b
-    return CollisionEstimate(
-        distance=float(distance),
-        trials=trials,
-        collisions=collisions,
-        p_hat=collisions / trials,
-        ci95=wilson_interval(collisions, trials),
-        fallback_rate=fallbacks / trials,
-    )
+) -> tuple[int, int, int]:
+    """The lab's one trial loop: `projected_pairs(b)` gives b pairs in R^t, each hashed under fresh shifts.
+
+    Returns (collisions, fallbacks, covered collisions). A trial falls back
+    when x or y does; a covered collision is one where neither did.
+    """
+    collisions = fallbacks = covered = 0
+    for done in range(0, trials, _PAIR_BLOCK):
+        xp, yp = projected_pairs(min(_PAIR_BLOCK, trials - done))
+        ux, ax, uy, ay = _lattice_stage(xp, yp, params, p, rng, first_chunk)
+        same = (ux == uy) & (ax == ay).all(axis=1)
+        fall = (ux == 0) | (uy == 0)
+        collisions += int(same.sum())
+        fallbacks += int(fall.sum())
+        covered += int((same & ~fall).sum())
+    return collisions, fallbacks, covered
 
 
 def estimate_collision(
@@ -244,7 +234,6 @@ def estimate_collision(
     distance: float,
     trials: int,
     rng: np.random.Generator,
-    offset: np.ndarray | None = None,
 ) -> CollisionEstimate:
     """Collision probability over the family: fresh pair + fresh hash per trial.
 
@@ -260,11 +249,12 @@ def estimate_collision(
     scale = scheme.T ** (-1.0 / scheme.p) / scheme.r
 
     def projected_pairs(b: int) -> tuple[np.ndarray, np.ndarray]:
-        x, y = _pair_block(space, distance, rng, b, offset)
+        x, y = _pair_block(space, distance, rng, b)
         a = sample_stable(stable, rng, size=(b, scheme.t, d))
         return np.einsum("btd,bd->bt", a, x) * scale, np.einsum("btd,bd->bt", a, y) * scale
 
-    return _estimate(scheme, distance, trials, rng, projected_pairs, _PILOT_CHUNK)
+    collisions, fallbacks, _ = _estimate(scheme.lattice, scheme.p, trials, rng, projected_pairs, _PILOT_CHUNK)
+    return CollisionEstimate(float(distance), trials, collisions, fallbacks)
 
 
 def _estimate_in_projection(
@@ -284,7 +274,8 @@ def _estimate_in_projection(
         xp = rng.uniform(0.0, scheme.lattice.spacing, size=(b, scheme.t))
         return xp, xp + gap * sample_stable(stable, rng, size=(b, scheme.t))
 
-    return _estimate(scheme, distance, trials, rng, projected_pairs, _LAB_CHUNK)
+    collisions, fallbacks, _ = _estimate(scheme.lattice, scheme.p, trials, rng, projected_pairs, _LAB_CHUNK)
+    return CollisionEstimate(float(distance), trials, collisions, fallbacks)
 
 
 def estimate_collision_projected(
@@ -294,13 +285,13 @@ def estimate_collision_projected(
     space: LpSpace,
     trials: int,
     rng: np.random.Generator,
-    conditioned: bool = True,
 ) -> CollisionEstimate:
     """Collision probability of a fixed projected pair over fresh lattice sets.
 
-    With conditioned=True the estimate is Pr[same ball | neither falls back],
-    which is what the ball-overlap identity predicts; it is undefined, and
-    a ContractViolation, when every trial falls back.
+    The estimate is Pr[same ball | neither falls back], which is what the
+    ball-overlap identity predicts: the record holds only the covered
+    trials, as `trials`, and 0 fallbacks. It is undefined, and a
+    ContractViolation, when every trial falls back.
     """
     xa = np.asarray(x_t, dtype=np.float64)
     ya = np.asarray(y_t, dtype=np.float64)
@@ -308,42 +299,17 @@ def estimate_collision_projected(
         raise ContractViolation(f"projected points must have shape ({params.t},)")
     if trials < 1:
         raise ContractViolation(f"trials must be >= 1, got {trials}")
-    collisions = 0
-    fallbacks = 0
-    covered_hits = 0
-    covered_n = 0
-    done = 0
-    while done < trials:
-        b = min(_PROJECTED_BLOCK, trials - done)
-        xp = np.broadcast_to(xa, (b, params.t))
-        yp = np.broadcast_to(ya, (b, params.t))
-        ux, ax_, uy, ay_ = _lattice_stage(xp, yp, params, space.p, rng)
-        same = (ux == uy) & (ax_ == ay_).all(axis=1)
-        fall = (ux == 0) | (uy == 0)
-        collisions += int(same.sum())
-        fallbacks += int(fall.sum())
-        covered_hits += int((same & ~fall).sum())
-        covered_n += int((~fall).sum())
-        done += b
-    if conditioned:
-        if covered_n == 0:
-            raise ContractViolation(
-                f"no trial covered both points ({trials} trials, all fell back): "
-                "the conditioned estimate is undefined"
-            )
-        n = covered_n
-        k = covered_hits
-    else:
-        n = trials
-        k = collisions
-    return CollisionEstimate(
-        distance=float(lp_distance(xa, ya, space)),
-        trials=n,
-        collisions=k,
-        p_hat=k / n,
-        ci95=wilson_interval(k, n),
-        fallback_rate=fallbacks / trials,
-    )
+
+    def projected_pairs(b: int) -> tuple[np.ndarray, np.ndarray]:
+        return np.broadcast_to(xa, (b, params.t)), np.broadcast_to(ya, (b, params.t))
+
+    _, fallbacks, covered = _estimate(params, space.p, trials, rng, projected_pairs, _PILOT_CHUNK)
+    if fallbacks == trials:
+        raise ContractViolation(
+            f"no trial covered both points ({trials} trials, all fell back): "
+            "the conditioned estimate is undefined"
+        )
+    return CollisionEstimate(float(lp_distance(xa, ya, space)), trials - fallbacks, covered, 0)
 
 
 @dataclass(frozen=True)
@@ -460,8 +426,9 @@ def estimate_rho(
 
     p1 is measured at distance r and p2 at distance c*r. The far estimate
     doubles its trial count until it has seen _MIN_FAR_COLLISIONS collisions
-    or the trial budget is spent; if no far collision ever shows up, rho is
-    reported as an upper bound through the Wilson upper limit of p2.
+    or the budget of far trials, at least `trials`, is spent; if no far
+    collision ever shows up, rho is reported as an upper bound through the
+    Wilson upper limit of p2.
 
     The rates do not depend on d, and each trial is drawn in R^t: by
     p-stability the projected difference of a pair at distance s is s times
@@ -477,27 +444,19 @@ def estimate_rho(
     """
     far = scheme.c * scheme.r
     _check_inputs(d, far, trials)
+    _check_budget(trials, budget)
     p1 = _estimate_in_projection(scheme, scheme.r, trials, rng)
-    total = 0
-    coll = 0
-    fall = 0
+    total = coll = fall = 0
     batch = trials
     while True:
         got = _estimate_in_projection(scheme, far, batch, rng)
-        total += got.trials
+        total += batch
         coll += got.collisions
-        fall += round(got.fallback_rate * got.trials)
+        fall += got.fallbacks
         if coll >= _MIN_FAR_COLLISIONS or total >= budget:
             break
         batch = min(total, budget - total)
-    p2 = CollisionEstimate(
-        distance=far,
-        trials=total,
-        collisions=coll,
-        p_hat=coll / total,
-        ci95=wilson_interval(coll, total),
-        fallback_rate=fall / total,
-    )
+    p2 = CollisionEstimate(far, total, coll, fall)
     upper_only = coll == 0
     if upper_only:
         rho_hat = rho_point_estimate(p1.p_hat, p2.ci95[1])
@@ -529,13 +488,14 @@ def rho_sweep(
 ) -> list[RhoReport]:
     """One RhoReport per c, schemes derived with shared knobs/overrides.
 
-    The rates do not depend on d (see estimate_rho); d >= 1 is checked
-    before any scheme is derived.
+    The rates do not depend on d (see estimate_rho); d >= 1 and
+    budget >= trials are checked before any scheme is derived.
     """
     if not c_list:
         raise ContractViolation("c_list must be nonempty")
     if d < 1:
         raise ContractViolation(f"d must be >= 1, got {d}")
+    _check_budget(trials, budget)
     reports = []
     for c in c_list:
         scheme = derive_params(c, p, profile=profile, knobs=knobs, overrides=overrides, **(derive_kwargs or {}))
@@ -610,13 +570,13 @@ def compare_estimators(
     non-fallback) is then compared with the overlap ratio of two radius-w
     balls at the realized projected distance.
     """
-    space_d = LpSpace(scheme.p, d)
-    x, y = make_pair_at_distance(space_d, distance, rng)
+    _check_inputs(d, distance, trials_lattice)
+    (x,), (y,) = _pair_block(LpSpace(scheme.p, d), distance, rng, 1)
     h = sample_hash(scheme, d, seed=int(rng.integers(0, 2**63 - 1)))
     xp = h.project(x / scheme.r)
     yp = h.project(y / scheme.r)
     space_t = scheme.space()
-    lat = estimate_collision_projected(xp, yp, scheme.lattice, space_t, trials_lattice, rng, conditioned=True)
+    lat = estimate_collision_projected(xp, yp, scheme.lattice, space_t, trials_lattice, rng)
     geo = geometric_collision(xp, yp, scheme.w, space_t, trials_geom, rng)
     spread = math.sqrt(lat.std_error**2 + geo.std_error**2)
     z = abs(lat.p_hat - geo.value) / spread if spread > 0 else 0.0

@@ -29,6 +29,11 @@ _TRANSFORM_CHUNK = 1 << 16
 # 2-CPU host two workers broke even at about 2^13 elements each, and this
 # leaves a margin for the pool's start-up on a busy host
 _TRANSFORM_SHARE = 1 << 15
+# fit_tail_constant's log grid of truncation levels M, and the tail samples
+# above its first level below which a fit is marked degenerate
+TAIL_FIT_RANGE = (10.0, 100.0)
+TAIL_GRID_SIZE = 12
+_MIN_TAIL_COUNT = 200
 
 
 @dataclass(frozen=True)
@@ -91,34 +96,26 @@ class MomentEstimate:
     value: float
     std_error: float
     m: float
-    order: int
     n_samples: int
 
 
 def truncated_moment(
     params: StableParams,
     m: float,
-    order: int,
     n_samples: int,
     rng: np.random.Generator,
 ) -> MomentEstimate:
-    """Monte Carlo estimate of E[min(|X|, M)^(order * p)].
-
-    order = 1 gives the threshold moment, order = 2 its variance proxy.
-    """
+    """Monte Carlo estimate of the threshold moment E[min(|X|, M)^p]."""
     if not (1.0 <= m < math.inf):
         raise ContractViolation(f"truncation level must be >= 1 and finite, got {m}")
-    if order not in (1, 2):
-        raise ContractViolation(f"order must be 1 or 2, got {order}")
     if n_samples < 10_000:
         raise ContractViolation(f"n_samples must be >= 10^4, got {n_samples}")
-    power = order * params.p
     total = 0.0
     total_sq = 0.0
     done = 0
     while done < n_samples:
         block = min(_SAMPLE_BLOCK, n_samples - done)
-        z = np.minimum(np.abs(sample_stable(params, rng, size=block)), m) ** power
+        z = np.minimum(np.abs(sample_stable(params, rng, size=block)), m) ** params.p
         total += float(z.sum())
         total_sq += float(np.square(z).sum())
         done += block
@@ -128,7 +125,6 @@ def truncated_moment(
         value=mean,
         std_error=math.sqrt(var / n_samples),
         m=m,
-        order=order,
         n_samples=n_samples,
     )
 
@@ -171,7 +167,7 @@ def compute_threshold(
     value = _THRESHOLD_MEMO.get(key)
     if value is None:
         m = float(t) ** epsilon
-        est = truncated_moment(params, max(m, 1.0), 1, n_samples, derive_rng(seed, 7, t))
+        est = truncated_moment(params, max(m, 1.0), n_samples, derive_rng(seed, 7, t))
         value = t * est.value / 2.0
     threshold = Threshold(value=value, t=t, epsilon=epsilon, p=params.p, sample_count=n_samples, seed=seed)
     _THRESHOLD_MEMO[key] = value
@@ -223,30 +219,20 @@ def tail_probability_bounds(
     return lower, upper
 
 
-def fit_tail_constant(
-    params: StableParams,
-    n_samples: int,
-    rng: np.random.Generator,
-    fit_range: tuple[float, float] = (10.0, 100.0),
-    grid_size: int = 12,
-    min_tail_count: int = 200,
-) -> TailFit:
+def fit_tail_constant(params: StableParams, n_samples: int, rng: np.random.Generator) -> TailFit:
     """Fit the leading tail constant a_hat (and correction b_hat) empirically.
 
-    a_hat is the flat fit of p * M^p * Pr[X > M] over a log grid on fit_range
-    (least squares on the log scale). b_hat absorbs the worst sub-leading
-    deficit, inflated by three binomial standard errors, so the empirical
-    tail sits inside the resulting sandwich by construction; it is floored
-    at zero. A fit with too few tail samples, or where the scaled tail is
+    a_hat is the flat fit of p * M^p * Pr[X > M] over TAIL_GRID_SIZE
+    log-spaced levels on TAIL_FIT_RANGE (least squares on the log scale).
+    b_hat absorbs the worst sub-leading deficit, inflated by three binomial
+    standard errors, so the empirical tail sits inside the resulting
+    sandwich by construction; it is floored at zero. A fit with too few tail samples, or where the scaled tail is
     nowhere near flat (p = 2 decays super-polynomially), is marked degenerate.
     """
     if n_samples < 1_000_000:
         raise ContractViolation(f"tail fit needs n_samples >= 10^6, got {n_samples}")
-    lo, hi = fit_range
-    if not (1.0 <= lo < hi):
-        raise ContractViolation(f"invalid fit range {fit_range}")
-    grid = np.geomspace(lo, hi, grid_size)
-    counts = np.zeros(grid_size, dtype=np.int64)
+    grid = np.geomspace(*TAIL_FIT_RANGE, TAIL_GRID_SIZE)
+    counts = np.zeros(TAIL_GRID_SIZE, dtype=np.int64)
     done = 0
     while done < n_samples:
         block = min(_SAMPLE_BLOCK, n_samples - done)
@@ -259,11 +245,11 @@ def fit_tail_constant(
     n_tail = int(counts[0])
     p = params.p
 
-    if np.any(counts == 0) or n_tail < min_tail_count:
+    if np.any(counts == 0) or n_tail < _MIN_TAIL_COUNT:
         constants = TailConstants(
-            a_hat=float("nan"), b_hat=0.0, fit_range=(lo, hi), degenerate=True, n_tail=n_tail
+            a_hat=float("nan"), b_hat=0.0, fit_range=TAIL_FIT_RANGE, degenerate=True, n_tail=n_tail
         )
-        return TailFit(constants, grid, tail, se, np.full(grid_size, np.nan), float("nan"))
+        return TailFit(constants, grid, tail, se, np.full(TAIL_GRID_SIZE, np.nan), float("nan"))
 
     scaled = p * np.power(grid, p) * tail
     flatness = float(scaled.max() / scaled.min() - 1.0)
@@ -273,7 +259,7 @@ def fit_tail_constant(
     a_hat = float(np.exp(np.mean(np.log(scaled))))
     deficit = 2.0 * np.square(grid) * (a_hat / (p * np.power(grid, p)) - (tail - 3.0 * se))
     b_hat = float(max(0.0, deficit.max()))
-    constants = TailConstants(a_hat=a_hat, b_hat=b_hat, fit_range=(lo, hi), degenerate=degenerate, n_tail=n_tail)
+    constants = TailConstants(a_hat=a_hat, b_hat=b_hat, fit_range=TAIL_FIT_RANGE, degenerate=degenerate, n_tail=n_tail)
     return TailFit(constants, grid, tail, se, scaled, flatness)
 
 
@@ -295,14 +281,13 @@ def validate_concentration(
     threshold: Threshold,
     trials: int,
     rng: np.random.Generator,
-    x: np.ndarray | None = None,
 ) -> ConcentrationReport:
     """Empirical rates of ||Ax||_p^p straying below T or above 2^((4+p)/2) T / eps.
 
     A is a fresh t x d matrix of i.i.d. standard p-stable entries per trial
     and x a fixed unit vector. By p-stability the law of ||Ax||_p^p depends
-    on x only through ||x||_p, so the default x is the 1-d unit vector,
-    which reduces each trial to t i.i.d. stable draws.
+    on x only through ||x||_p, so each trial is t i.i.d. stable draws Ax
+    for the 1-d unit vector x.
     """
     if trials < 200:
         raise ContractViolation(f"trials must be >= 200, got {trials}")
@@ -313,20 +298,16 @@ def validate_concentration(
     high_factor = 2.0 ** ((4.0 + p) / 2.0) / epsilon
     high_cut = high_factor * tval
 
-    xa = np.ones(1) if x is None else np.asarray(x, dtype=np.float64)
-    d = xa.shape[0]
-    norm_pow = float(np.power(np.abs(xa), p).sum())
     sums = np.empty(trials)
     done = 0
     while done < trials:
-        block = min(max(_SAMPLE_BLOCK // max(t * d, 1), 1), trials - done)
-        a = sample_stable(params, rng, size=(block, t, d))
-        proj = np.einsum("btd,d->bt", a, xa)
+        block = min(max(_SAMPLE_BLOCK // max(t, 1), 1), trials - done)
+        proj = sample_stable(params, rng, size=(block, t))
         sums[done : done + block] = np.power(np.abs(proj), p).sum(axis=1)
         done += block
 
-    low_hits = int((sums < tval * norm_pow).sum())
-    high_hits = int((sums > high_cut * norm_pow).sum())
+    low_hits = int((sums < tval).sum())
+    high_hits = int((sums > high_cut).sum())
     return ConcentrationReport(
         rate_low=low_hits / trials,
         low_ci95=wilson_interval(low_hits, trials),

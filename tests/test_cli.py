@@ -489,6 +489,18 @@ class TestBench:
         assert rows(bench_out) == rows(query_out)
         assert len(rows(bench_out)) == 7  # header and the six planted queries
 
+    def test_echoes_the_auto_sizing_pilot(self, instance, tmp_path, capsys):
+        # bench used to drop the pilot's estimates that build echoes for the same flags
+        flags = ["--data", instance + ".fvecs", "--seed", "4", "--safety", "1",
+                 "--pilot-trials", "300", *FAST_SCHEME]
+        assert main(["bench", *flags, "--queries", instance + ".queries.fvecs",
+                     "--out", str(tmp_path / "bench.csv")]) == 0
+        bench = echo_map(capsys.readouterr().out)
+        assert main(["build", *flags, "--out", str(tmp_path / "idx.lplsh")]) == 0
+        built = echo_map(capsys.readouterr().out)
+        keys = ("auto_p1_hat", "auto_p2_hat", "auto_rho_hat", "auto_degraded", "k", "l")
+        assert [bench[key] for key in keys] == [built[key] for key in keys]
+
     @pytest.mark.parametrize(
         "queries_text, truth, code",
         [
@@ -575,6 +587,15 @@ class TestRho:
                      "--threshold-samples", "10000", "--out", str(out)])
         assert code == 1
         assert capsys.readouterr().err == "error: d must be >= 1, got 0\n"
+        assert not out.exists()
+
+    def test_budget_below_trials_rejected(self, tmp_path, capsys):
+        # --budget 10 used to run 1000 far trials per c all the same
+        out = tmp_path / "r.csv"
+        code = main(["rho", "--p", "1.5", "--c-list", "2", "--trials", "1000", "--budget", "10", "--seed", "0",
+                     "--threshold-samples", "10000", "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == "error: budget must be >= trials (1000), got 10\n"
         assert not out.exists()
 
     def test_invalid_c_list(self, tmp_path, capsys):

@@ -1,6 +1,6 @@
 """The package's public names: each one in `lplsh.__all__` exists, and the
-per-function hashing wrappers that hash_batch replaced, the radius ladder
-and the threshold file cache stay gone."""
+per-function hashing wrappers that hash_batch replaced, the radius ladder,
+the threshold file cache and the lab's second pair generator stay gone."""
 
 import lplsh
 import lplsh.index
@@ -13,7 +13,10 @@ def test_every_exported_name_resolves():
 
 
 def test_removed_hashing_wrappers_are_gone():
-    removed = ("HashValue", "hash_point", "make_lattices", "eval_hash", "eval_hash_batch", "evaluation_cost")
+    removed = (
+        "HashValue", "hash_point", "make_lattices", "eval_hash", "eval_hash_batch", "evaluation_cost",
+        "make_pair_at_distance",
+    )
     ladder = ("RadiusLadder", "radius_ladder_query", "LadderResult")
     assert [name for name in removed + ladder + ("ThresholdCache",) if hasattr(lplsh, name)] == []
     assert [name for name in ladder if hasattr(lplsh.index, name)] == []

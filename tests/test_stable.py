@@ -82,28 +82,24 @@ class TestTruncatedMoment:
         # returned a finite estimate of a moment that diverges
         for m in (0.5, math.nan, math.inf):
             with pytest.raises(ContractViolation, match="truncation level must be >= 1 and finite"):
-                truncated_moment(StableParams(1.5), m, 1, 10_000, rng)
-
-    def test_order_validation(self, rng):
-        with pytest.raises(ContractViolation):
-            truncated_moment(StableParams(1.5), 2.0, 3, 10_000, rng)
+                truncated_moment(StableParams(1.5), m, 10_000, rng)
 
     def test_sample_floor(self, rng):
         with pytest.raises(ContractViolation):
-            truncated_moment(StableParams(1.5), 2.0, 1, 5_000, rng)
+            truncated_moment(StableParams(1.5), 2.0, 5_000, rng)
 
     def test_capped_at_one_for_unit_m(self, rng):
-        est = truncated_moment(StableParams(1.5), 1.0, 1, 50_000, rng)
+        est = truncated_moment(StableParams(1.5), 1.0, 50_000, rng)
         assert est.value <= 1.0
 
     def test_pinned_oracle(self):
         m = 64.0**0.25
-        est = truncated_moment(StableParams(1.5), m, 1, 1_000_000, derive_rng(0, 201))
+        est = truncated_moment(StableParams(1.5), m, 1_000_000, derive_rng(0, 201))
         assert abs(est.value - MOMENT_ORACLE) <= 5.0 * est.std_error
 
     def test_monotone_in_m(self):
         values = [
-            truncated_moment(StableParams(1.5), m, 1, 200_000, derive_rng(0, 9103)).value
+            truncated_moment(StableParams(1.5), m, 200_000, derive_rng(0, 9103)).value
             for m in (1.0, 2.0, 4.0, 8.0)
         ]
         assert all(b >= a for a, b in zip(values, values[1:]))
@@ -113,7 +109,7 @@ class TestTruncatedMoment:
         # comparable increments
         n = 400_000
         est = {
-            m: truncated_moment(StableParams(1.5), m, 1, n, derive_rng(0, 9104, int(m))).value
+            m: truncated_moment(StableParams(1.5), m, n, derive_rng(0, 9104, int(m))).value
             for m in (1.0, 10.0, 100.0)
         }
         ratio = (est[100.0] - est[10.0]) / (est[10.0] - est[1.0])
@@ -214,23 +210,3 @@ class TestConcentration:
         thr = compute_threshold(16, 0.3, params, n_samples=200_000, seed=0)
         rep = validate_concentration(16, 0.3, params, thr, trials=2_000, rng=derive_rng(0, 9108))
         assert rep.rate_high <= 0.5 + 3.0 * np.sqrt(0.25 / 2_000)
-
-    def test_basis_vs_random_vector_indistinguishable(self):
-        # the law of ||Ax||_p^p depends on x only through its norm
-        p = 1.5
-        d = 12
-        t = 16
-        params = StableParams(p)
-        thr = compute_threshold(t, 0.3, params, n_samples=200_000, seed=0)
-        basis = np.zeros(d)
-        basis[0] = 1.0
-        rng = derive_rng(0, 9109)
-        v = rng.normal(size=d)
-        v /= float(lp_norm(v, LpSpace(p, d)))
-        trials = 4_000
-        a = validate_concentration(t, 0.3, params, thr, trials, derive_rng(0, 9110), x=basis)
-        b = validate_concentration(t, 0.3, params, thr, trials, derive_rng(0, 9111), x=v)
-        # two-proportion comparison at 3 sigma on the low event
-        pool = (a.rate_low + b.rate_low) / 2.0
-        se = np.sqrt(max(2.0 * pool * (1.0 - pool) / trials, 2.0 / trials**2))
-        assert abs(a.rate_low - b.rate_low) <= 3.0 * se
